@@ -1,25 +1,26 @@
 """Origin-symmetric convex bodies in the plane and the width-pair isometry.
 
-Bodies are convex polygons, symmetric about the origin, kept in a canonical
-form: counterclockwise vertices, antipodal pairs exactly negated, starting at
-the lexicographically smallest vertex.  Points and segments are first-class
-degenerate bodies, so Minkowski sums and differences of widths never need
-special-casing.
+Bodies are convex polygons, symmetric about the origin, kept as a canonical
+vertex ring (counterclockwise, antipodal pairs exactly negated, starting at
+the lexicographically smallest vertex); the ring is the input/output form.
+Points and segments are first-class degenerate bodies.  Every such polygon
+is a zonogon, so its scaled width is a nonnegative diangle expansion (see
+``seqmodel``) with one term per antipodal edge pair ``e``:
 
-A pair of bodies ``[U, V]`` stands for the formal difference ``U - V``.  Its
-half-width difference
+    WIDTH_SCALE * width(phi) = sum_e WIDTH_SCALE |e| |sin(phi - angle(e))|
 
-    f(phi) = (width_U(phi) - width_V(phi)) / 2
+Every reading is taken from that expansion in closed form.  A pair
+``[U, V]`` stands for the formal difference ``U - V``; its half-width
+difference ``f = WIDTH_SCALE (width_U - width_V)`` is a member of the
+function space on ``[-pi/2, pi/2]`` with ``int f`` half the pair perimeter
+``perim(U) - perim(V)`` and ``int (f^2 - f'^2)`` the pair measure
+``2 area(U) + 2 area(V) - area(U + V)``.  Both, and the squared pair norm
+``(2 p^2 - 4 pi m) / (4 pi^2)``, are read off the difference expansion.
 
-is a member of the function space on ``[-pi/2, pi/2]`` (widths are
-pi-periodic, so the endpoints agree), and the pair quantities
-
-    pair_perimeter = perim(U) - perim(V)
-    pair_measure   = 2 area(U) + 2 area(V) - area(U + V)
-
-map onto the function-space integrals: ``int f`` is half the pair perimeter
-and ``int (f^2 - f'^2)`` is the pair measure.  The squared norm of the pair
-under this correspondence is ``(2 p^2 - 4 pi m) / (4 pi^2)``.
+The vertex algorithms stay only as independent oracles: the hull that
+validates vertex input, the support width and the shoelace area, read by
+``cauchy_check``, the cross-check in ``pair_equivalent`` and the two scale
+calibrations.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import funcspace, quad, seqmodel
 from .errors import InputError, InvariantViolationError
-from .funcspace import Sampled
 from .quad import DEFAULT_SPEC, DELTA, QuadratureSpec
 
 __all__ = [
@@ -74,13 +74,45 @@ _GEOM_TOL = 1e-12
 
 
 def _scale_of(pts: np.ndarray) -> float:
-    if pts.size == 0:
-        return 1.0
     return max(1.0, float(np.max(np.abs(pts))))
 
 
 # ---------------------------------------------------------------------------
 # canonical construction
+
+
+def _turn(a, b, p) -> float:
+    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+
+def _chain(points, eps: float) -> list:
+    """Monotone-chain pass: keep only points where the path turns strictly left."""
+    chain: list = []
+    for p in points:
+        while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= eps:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _tidy_ring(ring) -> np.ndarray:
+    """The vertices of a closed counterclockwise ring that turn strictly left.
+
+    A collinear ring gives its two extremes along its wider axis, as rounding
+    noise can swamp the other one (a vertical segment's x coordinates).
+    """
+    ring = np.asarray(ring)
+    if len(ring) <= 2:
+        return ring
+    eps = _GEOM_TOL * _scale_of(ring) ** 2
+    chain = _chain([*ring, ring[0]], eps)[:-1]
+    # the chain never tests its first point against its predecessor
+    while len(chain) >= 3 and _turn(chain[-1], chain[0], chain[1]) <= eps:
+        chain.pop(0)
+    if len(chain) >= 3:
+        return np.asarray(chain)
+    axis = int(np.argmax(np.ptp(ring, axis=0)))
+    return ring[[np.argmin(ring[:, axis]), np.argmax(ring[:, axis])]]
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
@@ -95,30 +127,28 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     pts = pts[keep]
     if len(pts) <= 2:
         return pts
-    eps = _GEOM_TOL * scale * scale
-
-    def half(iterable):
-        chain: list[np.ndarray] = []
-        for p in iterable:
-            while len(chain) >= 2:
-                a, b = chain[-2], chain[-1]
-                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) <= eps:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # all points collinear
-        return np.asarray([pts[0], pts[-1]])
-    return np.asarray(hull)
+    # Rounding can make the sort order disagree with the geometry, so the chains
+    # take exact turns and the ring pass alone drops nearly collinear points.
+    return _tidy_ring(_chain(pts, 0.0)[:-1] + _chain(pts[::-1], 0.0)[:-1])
 
 
-def _upper_of_pair(u: np.ndarray) -> bool:
-    return u[1] > 0.0 or (u[1] == 0.0 and u[0] > 0.0)
+def _symmetrize(hull: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Canonical ring of a CCW hull whose vertex ``i + m`` is the antipode of vertex ``i``."""
+    tol = _GEOM_TOL * _scale_of(hull)
+    if len(hull) == 1:
+        if np.max(np.abs(hull[0])) > tol:
+            raise InputError("a one-point body must sit at the origin")
+        return ((0.0, 0.0),)
+    m = len(hull) // 2
+    if len(hull) % 2 != 0 or np.max(np.abs(hull[:m] + hull[m:])) > tol:
+        raise InputError("vertex set is not centrally symmetric")
+    u = 0.5 * (hull[:m] - hull[m:])
+    upper = (u[:, 1] > 0.0) | ((u[:, 1] == 0.0) & (u[:, 0] > 0.0))
+    u = np.where(upper[:, None], u, -u)
+    u = u[np.argsort(np.arctan2(u[:, 1], u[:, 0]), kind="stable")]
+    ring = np.vstack([u, -u])
+    start = int(np.lexsort((ring[:, 1], ring[:, 0]))[0])
+    return tuple(map(tuple, np.roll(ring, -start, axis=0).tolist()))
 
 
 def _canonicalize(points: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -128,41 +158,7 @@ def _canonicalize(points: np.ndarray) -> tuple[tuple[float, float], ...]:
         raise InputError("expected a nonempty array of planar points")
     if not np.all(np.isfinite(pts)):
         raise InputError("vertices must be finite")
-    hull = _convex_hull(pts)
-    scale = _scale_of(hull)
-    tol = _GEOM_TOL * scale
-    if len(hull) == 1:
-        if np.max(np.abs(hull[0])) > tol:
-            raise InputError("a one-point body must sit at the origin")
-        return ((0.0, 0.0),)
-    if len(hull) % 2 != 0:
-        raise InputError("vertex set is not centrally symmetric")
-
-    used = np.zeros(len(hull), dtype=bool)
-    uppers: list[np.ndarray] = []
-    for i in range(len(hull)):
-        if used[i]:
-            continue
-        used[i] = True
-        target = -hull[i]
-        best, best_d = -1, math.inf
-        for j in range(len(hull)):
-            if used[j]:
-                continue
-            d = float(np.max(np.abs(hull[j] - target)))
-            if d < best_d:
-                best, best_d = j, d
-        if best < 0 or best_d > tol:
-            raise InputError("vertex set is not centrally symmetric")
-        used[best] = True
-        u = 0.5 * (hull[i] - hull[best])
-        uppers.append(u if _upper_of_pair(u) else -u)
-
-    uppers.sort(key=lambda u: math.atan2(u[1], u[0]))
-    ring = [(float(u[0]), float(u[1])) for u in uppers]
-    ring += [(-x, -y) for x, y in ring]
-    start = min(range(len(ring)), key=lambda i: ring[i])
-    return tuple(ring[start:] + ring[:start])
+    return _symmetrize(_convex_hull(pts))
 
 
 @dataclass(frozen=True)
@@ -179,6 +175,13 @@ class SymmetricPolygon:
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
 
+    @cached_property
+    def expansion(self) -> seqmodel.DiangleExpansion:
+        """The scaled width: per antipodal edge pair, its angle mod pi and ``WIDTH_SCALE * |e|``."""
+        e = _half_edges(self.vertex_array)
+        lengths = WIDTH_SCALE * np.hypot(e[:, 0], e[:, 1])
+        return seqmodel.diangle_expansion(0.0, zip(np.arctan2(e[:, 1], e[:, 0]), lengths))
+
     @property
     def is_point(self) -> bool:
         return len(self.vertices) == 1
@@ -190,6 +193,12 @@ class SymmetricPolygon:
     @property
     def scale(self) -> float:
         return _scale_of(self.vertex_array)
+
+
+def _half_edges(ring: np.ndarray) -> np.ndarray:
+    """Edges from a canonical ring's lex-min vertex to its antipode, all pointing right or up."""
+    m = len(ring) // 2
+    return ring[1 : m + 1] - ring[:m]
 
 
 def symmetric_polygon(points: Iterable[Sequence[float]]) -> SymmetricPolygon:
@@ -214,14 +223,7 @@ def point() -> SymmetricPolygon:
 
 def segment(angle: float, length: float) -> SymmetricPolygon:
     """Origin-centered segment with direction ``angle`` and total ``length``."""
-    angle, length = float(angle), float(length)
-    if not (math.isfinite(angle) and math.isfinite(length)) or length < 0.0:
-        raise InputError("segment needs a finite angle and nonnegative length")
-    if length == 0.0:
-        return point()
-    h = 0.5 * length
-    v = (h * math.cos(angle), h * math.sin(angle))
-    return SymmetricPolygon(_canonicalize(np.asarray([v, (-v[0], -v[1])])))
+    return zonotope_from_generators([(angle, length)])
 
 
 def regular_polygon(n: int, radius: float = 1.0, phase: float = 0.0) -> SymmetricPolygon:
@@ -263,9 +265,37 @@ def zonotope_from_generators(generators: Iterable[tuple[float, float]]) -> Symme
 
 
 def minkowski_sum(u: SymmetricPolygon, v: SymmetricPolygon) -> SymmetricPolygon:
-    """Minkowski sum ``{a + b : a in U, b in V}``."""
-    sums = (u.vertex_array[:, None, :] + v.vertex_array[None, :, :]).reshape(-1, 2)
-    return SymmetricPolygon(_canonicalize(sums))
+    """Minkowski sum ``{a + b : a in U, b in V}``.
+
+    The canonical rings start at their lex-min vertices, whose sum is the
+    sum's; walking both edge sequences merged by direction visits its
+    vertices ``u_i + v_j`` in order.
+    """
+    a, b = u.vertex_array, v.vertex_array
+    ka, kb = (np.arctan2(e[:, 1], e[:, 0]) for e in (_half_edges(a), _half_edges(b)))
+    steps = np.argsort(np.concatenate([ka, ka + math.pi, kb, kb + math.pi]), kind="stable")
+    from_a = steps[:-1] < 2 * len(ka)
+    i = np.concatenate([[0], np.cumsum(from_a)]) % len(a)
+    j = np.concatenate([[0], np.cumsum(~from_a)]) % len(b)
+    return SymmetricPolygon(_symmetrize(_tidy_ring(a[i] + b[j])))
+
+
+# ---------------------------------------------------------------------------
+# vertex oracles
+
+
+def _support_width(vertices: np.ndarray, phi) -> np.ndarray:
+    """Width oracle ``2 max_v <v, n(phi)>``, normal ``n = (-sin phi, cos phi)``."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    return 2.0 * (vertices @ np.stack([-np.sin(phi), np.cos(phi)], axis=0)).max(axis=0)
+
+
+def _shoelace_area(vertices: np.ndarray) -> float:
+    """Vertex oracle for the area of a counterclockwise ring."""
+    if len(vertices) < 3:
+        return 0.0
+    x, y = vertices[:, 0], vertices[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
 # ---------------------------------------------------------------------------
@@ -273,68 +303,36 @@ def minkowski_sum(u: SymmetricPolygon, v: SymmetricPolygon) -> SymmetricPolygon:
 
 
 def area(u: SymmetricPolygon) -> float:
-    v = u.vertex_array
-    if len(v) < 3:
-        return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return seqmodel.polygon_area(u.expansion)
 
 
 def perimeter(u: SymmetricPolygon) -> float:
     """Cyclic boundary length; a segment's doubly-walked boundary counts twice."""
-    v = u.vertex_array
-    if len(v) < 2:
-        return 0.0
-    return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
-
-
-def _normals(phi: np.ndarray) -> np.ndarray:
-    return np.stack([-np.sin(phi), np.cos(phi)], axis=0)
+    return seqmodel.polygon_perimeter(u.expansion)
 
 
 def width(u: SymmetricPolygon, phi):
     """Extent of ``U`` in the direction at angle ``phi``; pi-periodic."""
     pa = np.asarray(phi, dtype=float)
-    scalar = pa.ndim == 0
-    dots = u.vertex_array @ _normals(np.atleast_1d(pa))
-    out = 2.0 * dots.max(axis=0)
-    return float(out[0]) if scalar else out
+    out = 2.0 * seqmodel.expansion_value(u.expansion, pa)
+    return float(out) if pa.ndim == 0 else out
 
 
 def width_kinks(u: SymmetricPolygon) -> tuple[float, ...]:
-    """Angles in ``[-pi/2, pi/2)`` where the width profile loses smoothness.
-
-    These are the edge directions taken modulo pi; a point has none.
-    """
-    v = u.vertex_array
-    if len(v) < 2:
-        return ()
-    edges = np.roll(v, -1, axis=0) - v
-    ks = {seqmodel.normalize_angle(math.atan2(e[1], e[0])) for e in edges}
-    return tuple(sorted(ks))
+    """Edge directions modulo pi, in ``[-pi/2, pi/2)``, where the width is not smooth."""
+    return u.expansion.angles
 
 
 def width_derivative(u: SymmetricPolygon, phi):
-    """Derivative of the width profile, right-hand branch at kinks.
-
-    The width is a maximum over vertices; at a tie the one-sided derivative
-    from the right is the largest of the active vertices' rates.
-    """
+    """Derivative of the width profile, right-hand branch at kinks."""
     pa = np.asarray(phi, dtype=float)
-    scalar = pa.ndim == 0
-    angles = np.atleast_1d(pa)
-    verts = u.vertex_array
-    dots = verts @ _normals(angles)  # (n_vertices, n_angles)
-    best = dots.max(axis=0)
-    tie = dots >= best[None, :] - _GEOM_TOL * max(1.0, u.scale)
-    rates = verts @ np.stack([-np.cos(angles), -np.sin(angles)], axis=0)
-    out = 2.0 * np.where(tie, rates, -np.inf).max(axis=0)
-    return float(out[0]) if scalar else out
+    out = 2.0 * seqmodel.expansion_derivative(u.expansion, pa)
+    return float(out) if pa.ndim == 0 else out
 
 
 def cauchy_check(u: SymmetricPolygon, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """``| int width - perimeter |``; zero for convex bodies."""
-    total = quad.integrate(lambda p: width(u, p), DELTA, width_kinks(u), spec)
+    """``| int width - perimeter |`` with the vertex support width; zero for convex bodies."""
+    total = quad.integrate(lambda p: _support_width(u.vertex_array, p), DELTA, width_kinks(u), spec)
     return abs(total - perimeter(u))
 
 
@@ -349,22 +347,24 @@ class BodyPair:
     U: SymmetricPolygon
     V: SymmetricPolygon
 
-    @property
-    def scale(self) -> float:
-        return max(self.U.scale, self.V.scale)
-
 
 def body_pair(u: SymmetricPolygon, v: SymmetricPolygon) -> BodyPair:
     return BodyPair(u, v)
 
 
+def _pair_expansion(pair: BodyPair) -> seqmodel.DiangleExpansion:
+    """The difference expansion of ``U - V``: U's terms and V's terms negated."""
+    negated = ((a, -c) for a, c in pair.V.expansion.terms)
+    return seqmodel.diangle_expansion(0.0, [*pair.U.expansion.terms, *negated])
+
+
 def pair_perimeter(pair: BodyPair) -> float:
-    return perimeter(pair.U) - perimeter(pair.V)
+    return 4.0 * _pair_expansion(pair).coefficient_sum
 
 
 def pair_measure(pair: BodyPair) -> float:
     """Signed mixed-area combination ``2 m(U) + 2 m(V) - m(U + V)``."""
-    return 2.0 * area(pair.U) + 2.0 * area(pair.V) - area(minkowski_sum(pair.U, pair.V))
+    return seqmodel.AREA_CONSTANT * seqmodel.sin_quadratic(_pair_expansion(pair))
 
 
 def pair_deficit(pair: BodyPair) -> float:
@@ -386,49 +386,36 @@ def convex_norm(pair: BodyPair) -> float:
     return math.sqrt(max(0.0, convex_norm_squared(pair)))
 
 
-def pair_to_function(pair: BodyPair) -> Sampled:
+def pair_to_function(pair: BodyPair) -> funcspace.DiangleSpan:
     """The scaled width difference of the pair as a function-space member."""
-    u, v = pair.U, pair.V
+    return funcspace.DiangleSpan(_pair_expansion(pair))
 
-    def value(phi):
-        return WIDTH_SCALE * (width(u, phi) - width(v, phi))
 
-    def derivative(phi):
-        return WIDTH_SCALE * (width_derivative(u, phi) - width_derivative(v, phi))
-
-    kinks = sorted(set(width_kinks(u)) | set(width_kinks(v)))
-    return Sampled(value, derivative, tuple(kinks))
+def _sum_scale(u: SymmetricPolygon, v: SymmetricPolygon) -> float:
+    """Largest vertex coordinate of ``U + V`` in absolute value, without forming the sum."""
+    return float(np.max(np.abs(u.vertex_array).max(axis=0) + np.abs(v.vertex_array).max(axis=0)))
 
 
 def pair_equivalent(a: BodyPair, b: BodyPair) -> bool:
     """Whether two pairs represent the same difference: ``U + Q = V + P``.
 
-    Decided by canonical vertex matching of the two Minkowski sums, with a
-    width-profile comparison as an independent cross-check; the two tests
-    disagreeing is an invariant violation.
+    Decided by the width gap of ``(a.U + b.V) - (b.U + a.V)``, twice the
+    value of its difference expansion, on a 721-point grid and the
+    expansion's kinks.  The four bodies' vertex support widths on the same
+    points cross-check the gap; a disagreement beyond rounding is an
+    invariant violation.
     """
-    left = minkowski_sum(a.U, b.V)
-    right = minkowski_sum(b.U, a.V)
-    scale = max(1.0, left.scale, right.scale)
-
-    by_vertices = False
-    if len(left.vertices) == len(right.vertices):
-        lv, rv = left.vertex_array, right.vertex_array
-        dist = np.abs(lv[:, None, :] - rv[None, :, :]).max(axis=2)
-        by_vertices = bool(dist.min(axis=1).max() <= 1e-9 * scale) and bool(
-            dist.min(axis=0).max() <= 1e-9 * scale
-        )
-
-    grid = np.linspace(-_HALF_PI, _HALF_PI, 721)
-    gap = float(np.max(np.abs(width(left, grid) - width(right, grid))))
-    by_width = gap <= 1e-9 * scale
-
-    if by_vertices != by_width:
-        raise InvariantViolationError(
-            "vertex and width-profile equivalence tests disagree "
-            f"(width gap {gap!r})"
-        )
-    return by_vertices
+    negated = ((t, -c) for t, c in _pair_expansion(b).terms)
+    diff = seqmodel.diangle_expansion(0.0, [*_pair_expansion(a).terms, *negated])
+    scale = max(1.0, _sum_scale(a.U, b.V), _sum_scale(b.U, a.V))
+    pts = np.union1d(np.linspace(-_HALF_PI, _HALF_PI, 721), diff.angles)
+    gap = 2.0 * float(np.max(np.abs(seqmodel.expansion_value(diff, pts))))
+    left = _support_width(a.U.vertex_array, pts) + _support_width(b.V.vertex_array, pts)
+    right = _support_width(b.U.vertex_array, pts) + _support_width(a.V.vertex_array, pts)
+    vertex_gap = float(np.max(np.abs(left - right)))
+    if abs(gap - vertex_gap) > 1e-10 * scale:
+        raise InvariantViolationError(f"expansion and vertex width gaps disagree: {gap!r}, {vertex_gap!r}")
+    return gap <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -441,30 +428,27 @@ def calibrate_width_scale() -> float:
     A unit-direction segment of length 2 paired with a point must produce the
     diangle profile ``sin|phi - psi|``, and a fine regular polygon paired with
     a point must produce (nearly) the constant 1.  The candidate scale
-    matching both is returned; the stored ``WIDTH_SCALE`` must agree.
+    matching both, with widths read off the vertices, is returned; the stored
+    ``WIDTH_SCALE`` must agree.
     """
     grid = np.linspace(-_HALF_PI, _HALF_PI, 181)
     psi = 0.3
-    seg = segment(psi, 2.0)
-    disc = regular_polygon(64)
-    pt = point()
-    target_seg = np.sin(np.abs(grid - psi))
-
-    best_c, best_err = None, math.inf
-    for c in (1.0, 0.5):
-        err_seg = float(np.max(np.abs(c * (width(seg, grid) - width(pt, grid)) - target_seg)))
-        err_disc = float(np.max(np.abs(c * (width(disc, grid) - width(pt, grid)) - 1.0)))
-        err = max(err_seg, err_disc)
-        if err < best_err:
-            best_c, best_err = c, err
-    if best_c != WIDTH_SCALE or best_err > 0.01:
+    pt = _support_width(point().vertex_array, grid)
+    seg = _support_width(segment(psi, 2.0).vertex_array, grid) - pt
+    disc = _support_width(regular_polygon(64).vertex_array, grid) - pt
+    errors = {
+        c: float(max(np.max(np.abs(c * seg - np.sin(np.abs(grid - psi)))), np.max(np.abs(c * disc - 1.0))))
+        for c in (1.0, 0.5)
+    }
+    best_c = min(errors, key=errors.get)
+    if best_c != WIDTH_SCALE or errors[best_c] > 0.01:
         raise InvariantViolationError(
-            f"width-scale calibration found {best_c!r} (error {best_err!r})"
+            f"width-scale calibration found {best_c!r} (error {errors[best_c]!r})"
         )
     return best_c
 
 
 def pair_norm_agreement(pair: BodyPair, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """``| pair norm^2 - function norm^2 |`` under the width correspondence."""
+    """``| pair norm^2 - function norm^2 |``, the function norm by quadrature."""
     f = pair_to_function(pair)
-    return abs(convex_norm_squared(pair) - funcspace.norm_iso_squared(f, spec=spec))
+    return abs(convex_norm_squared(pair) - funcspace.norm_iso_squared(f, method="quadrature", spec=spec))

@@ -182,7 +182,6 @@ def integrate(
 
     accepted = 0.0
     accepted_err = 0.0
-    diff = np.zeros_like(parent)
     for _depth in range(spec.max_depth):
         mids = 0.5 * (los + his)
         child_lo = np.concatenate([los, mids])
@@ -208,7 +207,7 @@ def integrate(
         parent = np.concatenate([child[:k][keep], child[k:][keep]])
 
     estimate = accepted + float(parent.sum())
-    bound = accepted_err + float(diff[~(diff <= 0)].sum() if diff.size else 0.0)
+    bound = accepted_err + float(diff[~done].sum())
     raise ConvergenceError(
         f"quadrature did not converge within depth {spec.max_depth}",
         estimate=estimate,

@@ -406,7 +406,9 @@ def _suite_geometry(rng: SplitMix64) -> list[Check]:
         deficit = convexgeo.pair_deficit(pair)
         deficit_min = min(deficit_min, deficit)
         if i % 10 == 0:
-            f = convexgeo.pair_to_function(pair)
+            # sampled, so the integrals run by quadrature rather than the closed forms
+            profile = convexgeo.pair_to_function(pair)
+            f = funcspace.sampled(profile.value, profile.derivative, profile.kinks)
             energy_gap = max(energy_gap, abs(deficit - 4.0 * funcspace.energy_deficit(f)))
             measure_gap = max(
                 measure_gap,
@@ -419,6 +421,7 @@ def _suite_geometry(rng: SplitMix64) -> list[Check]:
 
     cauchy_rel = 0.0
     width_add = 0.0
+    vertex_gap = 0.0
     grid = np.linspace(-_HALF_PI, _HALF_PI, 181)
     for _ in range(10):
         u = _random_zonotope(rng)
@@ -427,12 +430,14 @@ def _suite_geometry(rng: SplitMix64) -> list[Check]:
             cauchy_rel, convexgeo.cauchy_check(u) / (1.0 + convexgeo.perimeter(u))
         )
         s = convexgeo.minkowski_sum(u, v)
-        gap = np.max(
-            np.abs(convexgeo.width(s, grid) - convexgeo.width(u, grid) - convexgeo.width(v, grid))
-        )
-        width_add = max(width_add, float(gap) / max(1.0, s.scale))
+        wu, wv, ws = (convexgeo.width(body, grid) for body in (u, v, s))
+        width_add = max(width_add, float(np.max(np.abs(ws - wu - wv))) / max(1.0, s.scale))
+        for body, w in ((u, wu), (v, wv), (s, ws)):
+            gap = np.max(np.abs(w - convexgeo._support_width(body.vertex_array, grid)))
+            vertex_gap = max(vertex_gap, float(gap) / max(1.0, body.scale))
     checks.append(Check("geometry/cauchy-gap", cauchy_rel, 1e-8, "<="))
     checks.append(Check("geometry/width-additivity-gap", width_add, 1e-10, "<="))
+    checks.append(Check("geometry/profile-vertex-gap", vertex_gap, 1e-10, "<="))
 
     # equivalence must survive adding a common body to both sides and must
     # reject a one-sided addition

@@ -247,6 +247,20 @@ def test_geom_equiv(tmp_path, capsys):
     assert json.loads(out) == {"equivalent": False}
 
 
+def test_geom_sum_of_squares_feeds_equiv(tmp_path, capsys):
+    # the lex-min point of the sum is an edge midpoint; it must not survive as a vertex
+    square = {"generators": [{"angle": 0.0, "length": 2.0}, {"angle": HALF_PI, "length": 2.0}]}
+    code, out = run(capsys, "geom", "sum", "--input", jfile(tmp_path, "sq.json", {"U": square, "V": square}))
+    assert code == 0
+    body = json.loads(out)
+    assert len(body["vertices"]) == 4
+    big = {"generators": [{"angle": 0.0, "length": 4.0}, {"angle": HALF_PI, "length": 4.0}]}
+    doc = {"A": {"U": body, "V": POINT}, "B": {"U": big, "V": POINT}}
+    code, out = run(capsys, "geom", "equiv", "--input", jfile(tmp_path, "eq.json", doc))
+    assert code == 0
+    assert json.loads(out) == {"equivalent": True}
+
+
 def test_geom_tofunction(tmp_path, capsys):
     path = jfile(tmp_path, "pair.json", {"U": SQUARE, "V": POINT})
     code, out = run(capsys, "geom", "tofunction", "--input", path, "--points", "3", "--output", "csv")
@@ -261,6 +275,14 @@ def test_geom_tofunction(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["x"]) == len(doc["f"]) == len(doc["fprime"]) == 3
+    # the square has an edge at -pi/2: both endpoints take the right-hand derivative
+    assert doc["fprime"][0] == doc["fprime"][2]
+    assert abs(doc["fprime"][2] - 1.0) <= 1e-15
+
+    body = jfile(tmp_path, "body.json", SQUARE)
+    code, out = run(capsys, "geom", "width", "--input", body, "--angle", repr(HALF_PI))
+    assert code == 0
+    assert json.loads(out)["derivative"] == 2.0 * doc["fprime"][2]
 
 
 def test_verify_suite_passes(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from isorkhs import convexgeo, funcspace, seqmodel
 from isorkhs.errors import InputError
@@ -104,6 +106,25 @@ def test_minkowski_point_is_identity():
 def test_minkowski_segments_make_rectangle():
     s = convexgeo.minkowski_sum(convexgeo.segment(0.0, 2.0), convexgeo.segment(HALF_PI, 4.0))
     assert vertex_set(s) == [(-1.0, -2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 2.0)]
+
+
+def test_minkowski_sum_drops_collinear_vertices():
+    square = convexgeo.zonotope_from_generators([(0.0, 2.0), (HALF_PI, 2.0)])
+    assert len(convexgeo.minkowski_sum(square, square).vertices) == 4
+    # the hull oracle over all pairwise sums, whose lex-min point is an edge midpoint
+    sums = (square.vertex_array[:, None, :] + square.vertex_array[None, :, :]).reshape(-1, 2)
+    assert len(convexgeo._canonicalize(sums)) == 4
+
+
+def test_vertical_segment_with_sideways_noise():
+    # generators 1.2e-15 apart across the wrap at +-pi/2: the segment's x
+    # coordinates are rounding noise, and its ends are the extremes in y
+    gens = [(-HALF_PI, 1.38), (HALF_PI - 1.2e-15, 0.02)]
+    u = convexgeo.zonotope_from_generators(gens)
+    s = convexgeo.minkowski_sum(*(convexgeo.segment(a, ln) for a, ln in gens))
+    for body in (u, s):
+        assert body.is_segment
+        assert math.isclose(convexgeo.width(body, 0.0), 1.4, rel_tol=1e-12)
 
 
 def test_minkowski_doubling_scales_area_by_four():
@@ -278,5 +299,93 @@ def test_pair_equivalence_is_oriented():
     assert not convexgeo.pair_equivalent(fwd, rev)
 
 
+def test_pair_equivalence_of_near_parallel_segments():
+    # tolerance 1e-9 times the largest coordinate of the sums (5 here); the
+    # width gap of two length-10 segments at angle t apart is 10 sin(t)
+    pt = convexgeo.point()
+    base = convexgeo.body_pair(convexgeo.segment(0.0, 10.0), pt)
+    assert convexgeo.pair_equivalent(base, convexgeo.body_pair(convexgeo.segment(4e-10, 10.0), pt))
+    assert not convexgeo.pair_equivalent(base, convexgeo.body_pair(convexgeo.segment(7e-10, 10.0), pt))
+    # across the wrap at +-pi/2
+    top = convexgeo.body_pair(convexgeo.segment(HALF_PI - 1e-10, 10.0), pt)
+    assert convexgeo.pair_equivalent(top, convexgeo.body_pair(convexgeo.segment(-HALF_PI, 10.0), pt))
+
+
+def test_pair_equivalence_tolerance_scale():
+    # bodies of scale below 1 are compared to an absolute 1e-9
+    pts = convexgeo.body_pair(convexgeo.point(), convexgeo.point())
+    tiny = convexgeo.body_pair(convexgeo.segment(0.3, 0.5e-9), convexgeo.point())
+    small = convexgeo.body_pair(convexgeo.segment(0.3, 1.5e-9), convexgeo.point())
+    assert convexgeo.pair_equivalent(tiny, pts)
+    assert not convexgeo.pair_equivalent(small, pts)
+
+
 def test_width_scale_calibration():
     assert convexgeo.calibrate_width_scale() == convexgeo.WIDTH_SCALE == 0.5
+
+
+# ---------------------------------------------------------------------------
+# expansion readings against the vertex oracles
+
+_angle = st.one_of(st.sampled_from([-HALF_PI, 0.0, HALF_PI]), st.floats(-HALF_PI, HALF_PI))
+_generators = st.lists(st.tuples(_angle, st.floats(0.05, 3.0)), min_size=0, max_size=7)
+
+
+def _body(gens, twin):
+    # twin: a second generator 1e-15 away from the first
+    if twin and gens:
+        gens = [*gens, (gens[0][0] + 1e-15, 0.5)]
+    return convexgeo.zonotope_from_generators(gens)
+
+
+def _walk_perimeter(v):
+    return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T))) if len(v) > 1 else 0.0
+
+
+@seed(20213)
+@settings(max_examples=60, deadline=None)
+@given(gu=_generators, gv=_generators, twin=st.booleans())
+def test_expansion_matches_vertex_oracles(gu, gv, twin):
+    u, v = _body(gu, twin), _body(gv, False)
+    scale = max(1.0, u.scale + v.scale)
+    tol = 1e-12 * scale * scale
+    grid = np.linspace(-HALF_PI, HALF_PI, 241)
+    for body in (u, v):
+        verts = body.vertex_array
+        assert abs(convexgeo.area(body) - convexgeo._shoelace_area(verts)) <= tol
+        assert abs(convexgeo.perimeter(body) - _walk_perimeter(verts)) <= 1e-12 * scale
+        gap = np.max(np.abs(convexgeo.width(body, grid) - convexgeo._support_width(verts, grid)))
+        assert gap <= 1e-12 * scale
+    s = convexgeo.minkowski_sum(u, v)
+    gap = np.max(
+        np.abs(
+            convexgeo._support_width(s.vertex_array, grid)
+            - convexgeo._support_width(u.vertex_array, grid)
+            - convexgeo._support_width(v.vertex_array, grid)
+        )
+    )
+    assert gap <= 1e-12 * scale
+    # pair norm from vertex walks and shoelace areas, the sum taken by the hull oracle
+    sums = (u.vertex_array[:, None, :] + v.vertex_array[None, :, :]).reshape(-1, 2)
+    hull_sum = np.asarray(convexgeo._canonicalize(sums))
+    p = _walk_perimeter(u.vertex_array) - _walk_perimeter(v.vertex_array)
+    m = (
+        2.0 * convexgeo._shoelace_area(u.vertex_array)
+        + 2.0 * convexgeo._shoelace_area(v.vertex_array)
+        - convexgeo._shoelace_area(hull_sum)
+    )
+    oracle = (2.0 * p * p - 4.0 * math.pi * m) / (4.0 * math.pi**2)
+    assert abs(convexgeo.convex_norm_squared(convexgeo.body_pair(u, v)) - oracle) <= tol
+
+
+@seed(20214)
+@settings(max_examples=60, deadline=None)
+@given(gens=_generators, shift=st.sampled_from([1e-15, 1e-11, 1e-10, 4e-10, 1e-9, 1e-8]))
+def test_equivalence_of_rotated_twins(gens, shift):
+    # rotating every generator by `shift` moves the width by at most shift * sum of lengths
+    u = convexgeo.zonotope_from_generators(gens)
+    w = convexgeo.zonotope_from_generators([(a + shift, ln) for a, ln in gens])
+    pt = convexgeo.point()
+    verdict = convexgeo.pair_equivalent(convexgeo.body_pair(u, pt), convexgeo.body_pair(w, pt))
+    if shift * sum(ln for _, ln in gens) <= 1e-9:
+        assert verdict

@@ -93,6 +93,29 @@ def test_convergence_failure_carries_estimate():
     assert err.value.error_bound >= 0.0
 
 
+def test_convergence_error_bound_counts_each_panel_once():
+    # one level: the smooth left segment is accepted, the oscillating right
+    # one is not, so the bound is each segment's parent-children gap once
+    spec = quad.QuadratureSpec(abs_tol=1e-2, rel_tol=1e-2, max_depth=1, base_points=2)
+
+    def f(x):
+        return np.where(x < 0.5, x**4, np.sin(40.0 * x))
+
+    nodes, weights = np.polynomial.legendre.leggauss(2)
+
+    def gauss(lo, hi):
+        return 0.5 * (hi - lo) * float(weights @ f(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes))
+
+    gaps = [
+        abs(gauss(lo, hi) - (gauss(lo, 0.5 * (lo + hi)) + gauss(0.5 * (lo + hi), hi)))
+        for lo, hi in ((0.0, 0.5), (0.5, 1.0))
+    ]
+    assert 0.0 < gaps[0] <= 1e-2 * 0.5 < gaps[1]
+    with pytest.raises(ConvergenceError) as err:
+        quad.integrate(f, (0.0, 1.0), breakpoints=[0.5], spec=spec)
+    assert math.isclose(err.value.error_bound, gaps[0] + gaps[1], rel_tol=1e-12)
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         quad.QuadratureSpec(abs_tol=0.0)

@@ -134,6 +134,25 @@ def test_to_function_matches_expansion():
     )
 
 
+@seed(20212)
+@settings(max_examples=75, deadline=None)
+@given(
+    x0=coeffs,
+    terms=st.lists(
+        st.tuples(st.one_of(st.sampled_from([-HALF_PI, HALF_PI]), angles), coeffs),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_profile_endpoints_agree_exactly(x0, terms):
+    e = seqmodel.diangle_expansion(x0, terms)
+    ends = np.array([-HALF_PI, HALF_PI])
+    lo, hi = seqmodel.expansion_value(e, ends)
+    assert lo == hi
+    dlo, dhi = seqmodel.expansion_derivative(e, ends)
+    assert dlo == dhi
+
+
 @seed(20210)
 @settings(max_examples=75, deadline=None)
 @given(
