@@ -18,12 +18,27 @@ whenever every argument is symbolic (trig or diangle) and an adaptive
 quadrature path otherwise; the two paths are independent and the test suite
 holds them against each other.  Quadrature registers the union of both
 arguments' kinks as breakpoints.
+
+The exact path is built on two quantities.  ``int f`` is ``sum a_k J(k)``
+for a series (``J(p) = int cos(p t)``) and ``pi x0 + 2 S`` for a span with
+coefficient sum ``S``.  The energy pairing ``E(f, g) = int (f g - f' g')``
+against a span ``g = x0 + sum c_j P_{a_j}`` is ``x0 int f + 2 sum c_j f(a_j)``:
+on the circle of length pi the profile ``P_a(t) = sin|t - a|`` satisfies
+``P_a'' + P_a = 2 delta_a``, so ``E(f, P_a) = 2 f(a)`` for every ``f`` whose
+endpoint values agree (the identity's boundary term is ``sin(a)`` times
+their gap).  Two series pair through a table of ``J(m -+ n)`` over their
+nonzero frequencies.  The inner product is ``(2 int f int g - pi E) / pi^2``;
+two spans go through ``seqmodel.seq_inner`` instead, which keeps the exact
+reproducing checks on spans independent of the identity.  For a series the
+exact route against a kernel section *is* the reproducing property, so that
+property is checked for non-constant series by quadrature only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -91,9 +106,12 @@ def _maybe_scalar(result: np.ndarray, scalar: bool):
     return float(result) if scalar else result
 
 
+_HALF_PI_SINES = (0.0, 1.0, 0.0, -1.0)
+
+
 def _half_pi_sin(k: int) -> float:
     """``sin(k * pi/2)`` exactly for integer ``k``."""
-    return (0.0, 1.0, 0.0, -1.0)[k % 4]
+    return _HALF_PI_SINES[k % 4]
 
 
 @dataclass(frozen=True)
@@ -139,6 +157,15 @@ class TrigPoly(H1Function):
             if b != 0.0:
                 acc += b * np.sin(k * arr)
         return _maybe_scalar(acc[0] if scalar else acc, scalar)
+
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Frequencies, coefficients and kinds (+1 cosine, -1 sine) of the nonzero terms."""
+        ncos = len(self.cos_coeffs)
+        c = np.array((*self.cos_coeffs, *self.sin_coeffs))
+        i = np.flatnonzero(c)
+        is_cos = i < ncos
+        return np.where(is_cos, i, i - ncos + 1), c[i], np.where(is_cos, 1.0, -1.0)
 
     def derivative(self, x):
         arr = np.asarray(x, dtype=float)
@@ -312,200 +339,69 @@ def project_endpoints(
 
 
 # ---------------------------------------------------------------------------
-# exact integral engine (symbolic variants)
+# exact engine (symbolic variants)
 
 
-def _J(p: int) -> float:
-    """``int cos(p t) dt`` over the domain, exact for integer ``p``."""
-    p = abs(int(p))
-    if p == 0:
-        return _PI
-    return 2.0 * _half_pi_sin(p) / p
+_TWICE_HALF_PI_SINES = 2.0 * np.array(_HALF_PI_SINES)
 
 
-def _S(p: int, t: float) -> float:
-    """Antiderivative of ``cos(p t)``; valid for any integer ``p``."""
-    if p == 0:
-        return t
-    return math.sin(p * t) / p
-
-
-def _C(p: int, t: float) -> float:
-    """Antiderivative of ``sin(p t)``; odd in ``p``, as it must be."""
-    if p == 0:
-        return 0.0
-    return -math.cos(p * t) / p
-
-
-def _anti_cos_cos(m: int, n: int, t: float) -> float:
-    return 0.5 * (_S(m - n, t) + _S(m + n, t))
-
-
-def _anti_sin_sin(m: int, n: int, t: float) -> float:
-    return 0.5 * (_S(m - n, t) - _S(m + n, t))
-
-
-def _anti_sin_cos(m: int, n: int, t: float) -> float:
-    return 0.5 * (_C(m + n, t) + _C(m - n, t))
-
-
-def _anti_cos_sin(m: int, n: int, t: float) -> float:
-    return _anti_sin_cos(n, m, t)
-
-
-def _sgn_weighted(anti, k: int, psi: float) -> float:
-    """``int sgn(t - psi) p(t) dt`` over the domain, ``p`` with antiderivative ``anti(k, 1, .)``."""
-    return anti(k, 1, _HALF_PI) + anti(k, 1, -_HALF_PI) - 2.0 * anti(k, 1, psi)
-
-
-def _profile_cos_product(k: int, psi: float) -> float:
-    """``int cos(k t) sin|t - psi| dt`` in closed form."""
-    return math.cos(psi) * _sgn_weighted(_anti_cos_sin, k, psi) - math.sin(psi) * _sgn_weighted(
-        _anti_cos_cos, k, psi
-    )
-
-
-def _profile_sin_product(k: int, psi: float) -> float:
-    """``int sin(k t) sin|t - psi| dt`` in closed form."""
-    return math.cos(psi) * _sgn_weighted(_anti_sin_sin, k, psi) - math.sin(psi) * _sgn_weighted(
-        _anti_sin_cos, k, psi
-    )
-
-
-def _profile_slope_cos_product(k: int, psi: float) -> float:
-    """``int cos(k t) sgn(t - psi) cos(t - psi) dt`` in closed form."""
-    return math.cos(psi) * _sgn_weighted(_anti_cos_cos, k, psi) + math.sin(psi) * _sgn_weighted(
-        _anti_cos_sin, k, psi
-    )
-
-
-def _profile_slope_sin_product(k: int, psi: float) -> float:
-    """``int sin(k t) sgn(t - psi) cos(t - psi) dt`` in closed form."""
-    return math.cos(psi) * _sgn_weighted(_anti_sin_cos, k, psi) + math.sin(psi) * _sgn_weighted(
-        _anti_sin_sin, k, psi
-    )
-
-
-def _profile_pair_integrals(a: float, b: float) -> tuple[float, float]:
-    """``(int P_a P_b, int P_a' P_b')`` for two diangle profiles, exactly.
-
-    With ``d = |a - b|`` the value product integrates to
-    ``(pi - 2 d) cos(d) / 2 + sin(d)`` and the slope product to the same
-    leading term minus ``sin(d)``.
-    """
-    d = abs(a - b)
-    lead = 0.5 * (_PI - 2.0 * d) * math.cos(d)
-    return lead + math.sin(d), lead - math.sin(d)
+def _J(p: np.ndarray) -> np.ndarray:
+    """``int cos(p t) dt`` over the domain, exact for an integer array ``p``."""
+    p = np.abs(p)
+    out = _TWICE_HALF_PI_SINES[p % 4] / np.maximum(p, 1)
+    out[p == 0] = _PI
+    return out
 
 
 def _is_symbolic(f) -> bool:
     return isinstance(f, (TrigPoly, DiangleSpan))
 
 
-def _trig_integral(f: TrigPoly) -> float:
-    return f.cos_coeffs[0] * _PI + sum(
-        a * _J(k) for k, a in enumerate(f.cos_coeffs[1:], start=1)
-    )
-
-
-def _span_integral(f: DiangleSpan) -> float:
-    e = f.expansion
-    return e.x0 * _PI + 2.0 * e.coefficient_sum
-
-
-def _trig_pair_integrals(f: TrigPoly, g: TrigPoly) -> tuple[float, float]:
-    """``(int f g, int f' g')`` for trig series via product-to-sum."""
-    int_fg = 0.0
-    int_dd = 0.0
-    fa = f.cos_coeffs
-    fb = f.sin_coeffs
-    ga = g.cos_coeffs
-    gb = g.sin_coeffs
-    for m, am in enumerate(fa):
-        if am == 0.0:
-            continue
-        for n, cn in enumerate(ga):
-            if cn == 0.0:
-                continue
-            cc = 0.5 * (_J(m - n) + _J(m + n))
-            int_fg += am * cn * cc
-            if m and n:
-                ss = 0.5 * (_J(m - n) - _J(m + n))
-                int_dd += m * n * am * cn * ss
-    for m, bm in enumerate(fb, start=1):
-        if bm == 0.0:
-            continue
-        for n, dn in enumerate(gb, start=1):
-            if dn == 0.0:
-                continue
-            ss = 0.5 * (_J(m - n) - _J(m + n))
-            cc = 0.5 * (_J(m - n) + _J(m + n))
-            int_fg += bm * dn * ss
-            int_dd += m * n * bm * dn * cc
-    # cos x sin cross terms vanish by parity over the symmetric domain
-    return int_fg, int_dd
-
-
-def _trig_span_pair_integrals(f: TrigPoly, g: DiangleSpan) -> tuple[float, float]:
-    """``(int f g, int f' g')`` for a trig series against an expansion."""
-    e = g.expansion
-    int_fg = e.x0 * _trig_integral(f)
-    int_dd = 0.0
-    for psi, c in e.terms:
-        for k, a in enumerate(f.cos_coeffs):
-            if a != 0.0:
-                int_fg += c * a * _profile_cos_product(k, psi)
-                if k:
-                    int_dd -= c * k * a * _profile_slope_sin_product(k, psi)
-        for k, b in enumerate(f.sin_coeffs, start=1):
-            if b != 0.0:
-                int_fg += c * b * _profile_sin_product(k, psi)
-                int_dd += c * k * b * _profile_slope_cos_product(k, psi)
-    return int_fg, int_dd
-
-
-def _span_pair_integrals(f: DiangleSpan, g: DiangleSpan) -> tuple[float, float]:
-    ef, eg = f.expansion, g.expansion
-    int_fg = ef.x0 * eg.x0 * _PI + 2.0 * (ef.x0 * eg.coefficient_sum + eg.x0 * ef.coefficient_sum)
-    int_dd = 0.0
-    for a, ca in ef.terms:
-        for b, cb in eg.terms:
-            v, d = _profile_pair_integrals(a, b)
-            int_fg += ca * cb * v
-            int_dd += ca * cb * d
-    return int_fg, int_dd
-
-
-def _exact_component_integrals(f) -> tuple[float, float, float]:
-    """``(int f, int f^2, int f'^2)`` for a symbolic member, exactly."""
-    if isinstance(f, TrigPoly):
-        fg, dd = _trig_pair_integrals(f, f)
-        return _trig_integral(f), fg, dd
+def _exact_integral(f) -> float:
+    """``int f`` for a symbolic member: ``pi x0 + 2 S`` for a span, ``sum a_k J(k)`` for a series."""
     if isinstance(f, DiangleSpan):
-        fg, dd = _span_pair_integrals(f, f)
-        return _span_integral(f), fg, dd
-    raise InputError("exact integrals require a symbolic representation")
+        e = f.expansion
+        return e.x0 * _PI + 2.0 * e.coefficient_sum
+    c = f.cos_coeffs
+    return c[0] * _PI + sum(a * (2.0 * _half_pi_sin(k) / k) for k, a in enumerate(c[1:], start=1))
 
 
-def _exact_pair_integrals(f, g) -> tuple[float, float, float, float]:
-    """``(int f, int g, int f g, int f' g')`` for symbolic members."""
-    if isinstance(f, TrigPoly) and isinstance(g, TrigPoly):
-        fg, dd = _trig_pair_integrals(f, g)
-        return _trig_integral(f), _trig_integral(g), fg, dd
-    if isinstance(f, TrigPoly) and isinstance(g, DiangleSpan):
-        fg, dd = _trig_span_pair_integrals(f, g)
-        return _trig_integral(f), _span_integral(g), fg, dd
-    if isinstance(f, DiangleSpan) and isinstance(g, TrigPoly):
-        gf, dd = _trig_span_pair_integrals(g, f)
-        return _span_integral(f), _trig_integral(g), gf, dd
-    if isinstance(f, DiangleSpan) and isinstance(g, DiangleSpan):
-        fg, dd = _span_pair_integrals(f, g)
-        return _span_integral(f), _span_integral(g), fg, dd
-    raise InputError("exact path requires symbolic representations on both sides")
+def _trig_energy(f: TrigPoly, g: TrigPoly) -> float:
+    """``int (f g - f' g')`` of two series by product-to-sum.
+
+    ``cos(m t) cos(n t)`` pairs give ``((1 - mn) J(m - n) + (1 + mn) J(m + n)) / 2``,
+    ``sin x sin`` pairs the same with ``J(m + n)`` negated, and ``cos x sin``
+    pairs vanish by parity over the symmetric domain.
+    """
+    m, a, s = f._terms
+    n, b, t = g._terms
+    mn = np.multiply.outer(m, n)
+    table = (1 - mn) * _J(np.subtract.outer(m, n)) + s[:, None] * (1 + mn) * _J(np.add.outer(m, n))
+    table *= np.equal.outer(s, t)
+    return 0.5 * float(a @ table @ b)
+
+
+def _energy_pairing(f, g) -> float:
+    """``E(f, g) = int (f g - f' g')`` for symbolic members.
+
+    Against a span ``g = x0 + sum c_j P_{a_j}`` this is
+    ``x0 int f + 2 sum c_j f(a_j)`` by the profile identity
+    ``E(f, P_a) = 2 f(a)``, which needs ``f`` to take equal values at both
+    endpoints (see the module docstring).
+    """
+    if isinstance(f, DiangleSpan):
+        f, g = g, f
+    if isinstance(g, DiangleSpan):
+        e = g.expansion
+        pairing = e.x0 * _exact_integral(f)
+        if e.terms:
+            pairing += 2.0 * float(np.asarray(e.coefficients) @ f.value(np.asarray(e.angles)))
+        return pairing
+    return _trig_energy(f, g)
 
 
 # ---------------------------------------------------------------------------
-# quadrature path
+# quadrature path, and the choice between the two paths
 
 
 def _merged_kinks(*fs) -> tuple[float, ...]:
@@ -519,21 +415,25 @@ def _quad_integral(f, spec: QuadratureSpec) -> float:
     return quad.integrate(f.value, DELTA, f.kinks, spec)
 
 
-def _quad_component_integrals(f, spec: QuadratureSpec) -> tuple[float, float, float]:
+def _integral(f, spec: QuadratureSpec) -> float:
+    """``int f``: the closed form for a symbolic member, quadrature otherwise."""
+    if _is_symbolic(f):
+        return _exact_integral(f)
+    return _quad_integral(f, spec)
+
+
+def _integral_and_energy(f, spec: QuadratureSpec) -> tuple[float, float]:
+    """``(int f, int (f^2 - f'^2))``: closed forms for a symbolic member, quadrature otherwise."""
+    if _is_symbolic(f):
+        return _exact_integral(f), _energy_pairing(f, f)
     int_f = _quad_integral(f, spec)
     int_sq = quad.integrate(lambda x: f.value(x) ** 2, DELTA, f.kinks, spec)
     int_dsq = quad.integrate(lambda x: f.derivative(x) ** 2, DELTA, f.kinks, spec)
-    return int_f, int_sq, int_dsq
+    return int_f, int_sq - int_dsq
 
 
-def _component_integrals(f, spec: QuadratureSpec) -> tuple[float, float, float]:
-    if _is_symbolic(f):
-        return _exact_component_integrals(f)
-    return _quad_component_integrals(f, spec)
-
-
-def _combine_inner(int_f: float, int_g: float, int_fg: float, int_dd: float) -> float:
-    return (2.0 * int_f * int_g - _PI * (int_fg - int_dd)) / _PI_SQ
+def _combine_inner(int_f: float, int_g: float, energy: float) -> float:
+    return (2.0 * int_f * int_g - _PI * energy) / _PI_SQ
 
 
 # ---------------------------------------------------------------------------
@@ -550,34 +450,29 @@ def evaluate(f: H1Function, x):
 
 def mean_value(f: H1Function, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """``(1/pi) int f``."""
-    if _is_symbolic(f):
-        return _exact_component_integrals(f)[0] / _PI
-    return _quad_integral(f, spec) / _PI
+    return _integral(f, spec) / _PI
 
 
 def perimeter_functional(f: H1Function, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """``int f``; reads the generalized perimeter off a width-type profile."""
-    if _is_symbolic(f):
-        return _exact_component_integrals(f)[0]
-    return _quad_integral(f, spec)
+    return _integral(f, spec)
 
 
 def wirtinger_deficit(f: H1Function, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """``int f'^2 - int (f - mean)^2``; nonnegative on the space."""
-    int_f, int_sq, int_dsq = _component_integrals(f, spec)
-    return int_dsq - int_sq + int_f * int_f / _PI
+    int_f, energy = _integral_and_energy(f, spec)
+    return int_f * int_f / _PI - energy
 
 
 def energy_deficit(f: H1Function, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """``(int f)^2 - pi int (f^2 - f'^2)``; pi times the Wirtinger deficit."""
-    int_f, int_sq, int_dsq = _component_integrals(f, spec)
-    return int_f * int_f - _PI * (int_sq - int_dsq)
+    int_f, energy = _integral_and_energy(f, spec)
+    return int_f * int_f - _PI * energy
 
 
 def energy_integral(f: H1Function, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """``int (f^2 - f'^2)``; the pair measure of the body pair a width profile encodes."""
-    _, int_sq, int_dsq = _component_integrals(f, spec)
-    return int_sq - int_dsq
+    return _integral_and_energy(f, spec)[1]
 
 
 def inner_product_iso(
@@ -595,9 +490,11 @@ def inner_product_iso(
     if method == "auto":
         method = "exact" if (_is_symbolic(f) and _is_symbolic(g)) else "quadrature"
     if method == "exact":
+        if not (_is_symbolic(f) and _is_symbolic(g)):
+            raise InputError("exact path requires symbolic representations on both sides")
         if isinstance(f, DiangleSpan) and isinstance(g, DiangleSpan):
             return seqmodel.seq_inner(f.expansion, g.expansion)
-        return _combine_inner(*_exact_pair_integrals(f, g))
+        return _combine_inner(_exact_integral(f), _exact_integral(g), _energy_pairing(f, g))
     if method != "quadrature":
         raise InputError(f"unknown inner-product method {method!r}")
     bp = _merged_kinks(f, g)
@@ -605,7 +502,7 @@ def inner_product_iso(
     int_g = _quad_integral(g, spec)
     int_fg = quad.integrate(lambda x: f.value(x) * g.value(x), DELTA, bp, spec)
     int_dd = quad.integrate(lambda x: f.derivative(x) * g.derivative(x), DELTA, bp, spec)
-    return _combine_inner(int_f, int_g, int_fg, int_dd)
+    return _combine_inner(int_f, int_g, int_fg - int_dd)
 
 
 def norm_iso_squared(

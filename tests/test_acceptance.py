@@ -163,10 +163,16 @@ def test_criterion_06_sequence_model_agreement():
             seqmodel.to_function(x), seqmodel.to_function(y), method="quadrature"
         )
         worst_pair = max(worst_pair, abs(seqmodel.seq_inner(x, y) - quad))
+        s = x.coefficient_sum
+        half = HALF_PI * x.x0 + s
+        a = np.asarray(x.angles)
+        c = np.asarray(x.coefficients)
+        cross_gram = float(c @ (2.0 - HALF_PI * np.sin(np.abs(a[:, None] - a[None, :]))) @ c)
         forms = (
             seqmodel.seq_inner(x, x),
             seqmodel.seq_norm_squared(x),
             (4.0 / math.pi**2) * seqmodel.sequence_isoperimetric_gap(x),
+            (4.0 / math.pi**2) * (half * half - s * s + cross_gram),
         )
         worst_forms = max(worst_forms, max(forms) - min(forms))
         min_gap = min(min_gap, seqmodel.sequence_isoperimetric_gap(x))

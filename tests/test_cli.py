@@ -186,6 +186,19 @@ def test_seq_signed_expansion_hides_polygon_readings(tmp_path, capsys):
     assert doc["area"] is None
 
 
+def test_seq_near_cancelling_expansion(tmp_path, capsys):
+    # the rounding of the rearranged forms scales with (sum |c|)^2, not with norm2
+    terms = [(0.3, 1000.0), (0.3000000001, -1000.0), (-1.0, 1500.0), (-1.0000000001, -1500.0)]
+    doc_in = {"x0": 0.0, "terms": [{"angle": a, "coeff": c} for a, c in terms]}
+    code, out = run(capsys, "seq", "--input", jfile(tmp_path, "x.json", doc_in))
+    assert code == 0
+    n2 = json.loads(out)["norm2"]
+    path = jfile(tmp_path, "f.json", {"type": "dianglespan", **doc_in})
+    code, out = run(capsys, "norm", "--input", path, "--method", "quadrature")
+    assert code == 0
+    assert abs(n2 - json.loads(out)["norm2"]) <= 1e-9
+
+
 def test_geom_norm_and_deficit(tmp_path, capsys):
     path = jfile(tmp_path, "pair.json", {"U": SQUARE, "V": POINT})
     code, out = run(capsys, "geom", "norm", "--input", path)

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from isorkhs import funcspace, quad
 from isorkhs.errors import DomainError, InputError, InvariantViolationError
@@ -146,6 +148,16 @@ def test_exact_path_matches_quadrature():
             assert abs(exact - quadr) <= 1e-9 * (1.0 + abs(exact))
 
 
+def test_exact_route_rejects_sampled_members():
+    # int f of a sampled member has no closed form, even against a span
+    f = funcspace.sampled(np.cos)
+    g = funcspace.diangle_span(0.3, [(0.2, 1.0)])
+    with pytest.raises(InputError):
+        funcspace.inner_product_iso(f, g, method="exact")
+    with pytest.raises(InputError):
+        funcspace.inner_product_iso(g, f, method="exact")
+
+
 def test_inner_product_rejects_unknown_method():
     one = funcspace.constant(1.0)
     with pytest.raises(InputError):
@@ -172,6 +184,81 @@ def test_positivity_on_random_members():
         assert e >= -1e-9
         assert funcspace.norm_iso_squared(f, method="exact") >= -1e-9
         assert abs(e - math.pi * w) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# exact route against forced quadrature on hostile members
+#
+# The exact route pairs a member with a profile through the identity
+# int (f P_a - f' P_a') = 2 f(a); quadrature knows nothing of it, so it is the
+# independent check.  Members reach frequency 150, and spans put terms at
+# +-pi/2 and 1e-15 apart.
+
+_frequency_terms = st.lists(
+    st.tuples(st.integers(0, 150), st.floats(-1.0, 1.0)), min_size=1, max_size=4
+)
+_span_angle = st.one_of(st.sampled_from([-HALF_PI, HALF_PI]), st.floats(-HALF_PI, HALF_PI))
+
+
+@st.composite
+def _trig_members(draw):
+    cos = [0.0] * 151
+    sin = [0.0] * 150
+    for k, c in draw(_frequency_terms):
+        cos[k] += c
+    for k, c in draw(_frequency_terms):
+        sin[max(k, 1) - 1] += c
+    return funcspace.trig_poly(*funcspace.project_endpoints(cos, sin))
+
+
+@st.composite
+def _span_members(draw):
+    terms = draw(st.lists(st.tuples(_span_angle, st.floats(-1.0, 1.0)), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        a, c = terms[0]
+        terms.append((a + 1e-15, draw(st.floats(-1.0, 1.0))))
+    return funcspace.diangle_span(draw(st.floats(-1.0, 1.0)), terms)
+
+
+def _scale(f):
+    """A bound on ``max |f| + max |f'|``, the size the closed forms round against."""
+    if isinstance(f, funcspace.DiangleSpan):
+        return abs(f.expansion.x0) + 2.0 * sum(abs(c) for c in f.expansion.coefficients)
+    cos = sum(abs(a) * (1 + k) for k, a in enumerate(f.cos_coeffs))
+    return cos + sum(abs(b) * (1 + k) for k, b in enumerate(f.sin_coeffs, start=1))
+
+
+def _quadrature_spec(scale):
+    # An absolute tolerance below the integrands' rounding floor (about
+    # 1e-16 * scale) is never met: quadrature would refine to its depth limit.
+    return quad.QuadratureSpec(abs_tol=1e-12 * (1.0 + scale), rel_tol=1e-11, max_depth=12)
+
+
+@seed(20215)
+@settings(max_examples=40, deadline=None)
+@given(f=_trig_members(), g=st.one_of(_trig_members(), _span_members()))
+def test_exact_pairs_match_quadrature(f, g):
+    scale = _scale(f) * _scale(g)
+    spec = _quadrature_spec(scale)
+    for a, b in ((f, g), (g, f)):
+        exact = funcspace.inner_product_iso(a, b, method="exact")
+        quadr = funcspace.inner_product_iso(a, b, method="quadrature", spec=spec)
+        assert abs(exact - quadr) <= 1e-10 * (1.0 + scale)
+
+
+@seed(20216)
+@settings(max_examples=40, deadline=None)
+@given(f=st.one_of(_trig_members(), _span_members()))
+def test_exact_functionals_match_quadrature(f):
+    scale = _scale(f) ** 2
+    spec = _quadrature_spec(scale)
+    sampled = funcspace.sampled(f.value, f.derivative, f.kinks)  # forces quadrature
+    for functional in (
+        funcspace.energy_integral,
+        funcspace.energy_deficit,
+        funcspace.perimeter_functional,
+    ):
+        assert abs(functional(f) - functional(sampled, spec)) <= 1e-10 * (1.0 + scale)
 
 
 # ---------------------------------------------------------------------------
