@@ -7,7 +7,8 @@ The isoperimetric kernel family on ``[-pi/2, pi/2]`` is
 Every member is positive semidefinite; ``theta = 2`` is the reproducing
 choice for the isoperimetric inner product, where ``<f, K_2(., y)> = f(y)``
 for all members of the space.  The sections ``K_theta(., y)`` are diangle
-spans, so exact inner products apply.
+spans, so exact inner products apply.  A :class:`GramSystem` solves over one
+NumPy Cholesky factor and computes its spectrum lazily.
 
 A classical comparison kernel on an arbitrary interval ``[a, b]`` is also
 provided: ``cosh(min(x,y) - a) cosh(b - max(x,y)) / sinh(b - a)``, which
@@ -23,9 +24,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-
-# scipy.linalg is imported inside the functions that factor or solve: loading
-# it costs about 27 MB and 0.3 s, and most commands never build a Gram system.
 
 from . import funcspace
 from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
@@ -54,6 +52,7 @@ REPRODUCING_THETA = 2.0
 _PSD_SLACK = 1e-9
 _NODE_SEP = 1e-12
 _RESIDUAL_TOL = 1e-8
+_BLOCK = 64
 
 
 def _check_theta(theta: float) -> float:
@@ -197,12 +196,37 @@ def _check_nodes(nodes: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def _cholesky(m: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``m``, or ``None`` if ``m`` is not numerically definite."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cho_solve(factor: np.ndarray, rhs) -> np.ndarray:
+    """Solve ``L L^T x = rhs``: blocked forward, then back substitution."""
+    x = np.array(rhs, dtype=float)
+    starts = range(0, factor.shape[0], _BLOCK)
+    for i in starts:
+        b = slice(i, i + _BLOCK)
+        x[b] = np.linalg.solve(factor[b, b], x[b] - factor[b, :i] @ x[:i])
+    for i in reversed(starts):
+        b, j = slice(i, i + _BLOCK), i + _BLOCK
+        x[b] = np.linalg.solve(factor[b, b].T, x[b] - factor[j:, b].T @ x[j:])
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class GramSystem:
-    """Kernel Gram matrix at a node set, with factorization and spectrum.
+    """Kernel Gram matrix at a node set, with its Cholesky factor and spectrum.
 
-    Construction validates the positive-semidefiniteness invariant: the most
-    negative eigenvalue must exceed ``-1e-9`` relative to the largest.
+    Construction factors ``matrix + ridge I`` once and validates the PSD
+    invariant: the least eigenvalue must exceed ``-1e-9`` relative to the
+    largest.  At zero ridge a successful factor certifies it, as Cholesky
+    succeeds only when that ratio is above ``-O(n u)``.  The spectrum is
+    computed at construction only if the factor fails or ``ridge > 0``;
+    otherwise when first read.
     """
 
     theta: float
@@ -217,7 +241,8 @@ class GramSystem:
         if not math.isfinite(ridge) or ridge < 0.0:
             raise InputError(f"ridge must be a nonnegative float, got {self.ridge!r}")
         object.__setattr__(self, "ridge", ridge)
-        if self.size and self.min_eig < -_PSD_SLACK * max(1.0, self.max_eig):
+        certified = self._factor is not None and not ridge
+        if self.size and not certified and self.min_eig < -_PSD_SLACK * max(1.0, self.max_eig):
             raise InvariantViolationError(
                 f"Gram matrix is not positive semidefinite: min eigenvalue {self.min_eig!r}"
             )
@@ -233,14 +258,11 @@ class GramSystem:
     @cached_property
     def matrix(self) -> np.ndarray:
         n = self.node_array
-        return self.theta - _HALF_PI * np.sin(np.abs(n[:, None] - n[None, :]))
+        return kernel_eval(n[:, None], n[None, :], self.theta)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        if not self.size:
-            return np.zeros(0)
-        import scipy.linalg
-        return scipy.linalg.eigvalsh(self.matrix)
+        return np.linalg.eigvalsh(self.matrix)
 
     @property
     def min_eig(self) -> float:
@@ -260,35 +282,25 @@ class GramSystem:
         return hi / lo
 
     @cached_property
-    def _cho(self):
-        if not self.size:
-            return None
-        m = self.matrix
-        if self.ridge:
-            m = m + self.ridge * np.eye(self.size)
-        import scipy.linalg
-        try:
-            return scipy.linalg.cho_factor(m, lower=True)
-        except scipy.linalg.LinAlgError:
-            return None
+    def _factor(self) -> np.ndarray | None:
+        return _cholesky(self.matrix + self.ridge * np.eye(self.size) if self.ridge else self.matrix)
 
     @property
     def chol_ok(self) -> bool:
-        return self.size == 0 or self._cho is not None
+        return self.size == 0 or self._factor is not None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if not self.size:
             return np.zeros(0)
-        if self._cho is None:
+        if self._factor is None:
             raise SingularSystemError(
                 "Gram matrix is numerically singular; pass a positive ridge"
             )
-        import scipy.linalg
-        return scipy.linalg.cho_solve(self._cho, np.asarray(rhs, dtype=float))
+        return _cho_solve(self._factor, rhs)
 
     def kernel_column(self, x) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
-        return self.theta - _HALF_PI * np.sin(np.abs(xa[..., None] - self.node_array))
+        return kernel_eval(xa[..., None], self.node_array, self.theta)
 
 
 def gram_system(nodes: Sequence[float], theta: float = REPRODUCING_THETA, ridge: float = 0.0) -> GramSystem:
@@ -314,7 +326,7 @@ class Interpolant:
         scalar = xa.ndim == 0
         n = np.asarray(self.nodes, dtype=float)
         c = np.asarray(self.coeffs, dtype=float)
-        k = self.theta - _HALF_PI * np.sin(np.abs(np.atleast_1d(xa)[..., None] - n))
+        k = kernel_eval(np.atleast_1d(xa)[..., None], n, self.theta)
         out = k @ c
         return float(out[0]) if scalar else out
 
@@ -337,8 +349,10 @@ def interpolate(
     Solves via Cholesky; if the matrix is numerically singular at zero ridge,
     retries with a trace-scaled jitter (reported as ``fallback="jitter"``) and
     finally falls back to a least-squares pseudo-solve
-    (``fallback="least_squares"``).  With ``ridge == 0`` and no fallback, the
-    node residual is verified to be at most ``1e-8 (1 + max|values|)``.
+    (``fallback="least_squares"``).  With ``ridge == 0`` and no fallback, a
+    node residual above ``1e-8 (1 + max|values|)`` (nodes too clustered for
+    double precision) raises :class:`SingularSystemError`.  ``-pi/2`` and
+    ``pi/2`` are one point, so values there must agree to ``1e-12`` relative.
     """
     gram = gram_system(nodes, theta, ridge)
     vals = np.asarray(list(values), dtype=float)
@@ -350,23 +364,22 @@ def interpolate(
         raise InputError("values must be finite")
     if not gram.size:
         return Interpolant(gram.theta, gram.ridge, (), ())
+    scale = 1.0 + float(np.max(np.abs(vals)))
+    ends = vals[np.abs(gram.node_array) >= _HALF_PI]
+    if ends.size > 1 and float(np.ptp(ends)) > funcspace._ENDPOINT_TOL * scale:
+        raise InputError(f"values at -pi/2 and pi/2 (one point) differ by {float(np.ptp(ends))!r}")
 
     fallback = None
     if gram.chol_ok:
         coeffs = gram.solve(vals)
     else:
         jitter = 1e-12 * float(np.trace(gram.matrix)) / gram.size
-        m = gram.matrix + (gram.ridge + jitter) * np.eye(gram.size)
-        import scipy.linalg
-        try:
-            cho = scipy.linalg.cho_factor(m, lower=True)
-            coeffs = scipy.linalg.cho_solve(cho, vals)
-            fallback = "jitter"
-        except scipy.linalg.LinAlgError:
-            coeffs, *_ = scipy.linalg.lstsq(
-                gram.matrix + gram.ridge * np.eye(gram.size), vals
-            )
-            fallback = "least_squares"
+        factor = _cholesky(gram.matrix + (gram.ridge + jitter) * np.eye(gram.size))
+        if factor is not None:
+            coeffs, fallback = _cho_solve(factor, vals), "jitter"
+        else:
+            m = gram.matrix + gram.ridge * np.eye(gram.size)
+            coeffs, fallback = np.linalg.lstsq(m, vals, rcond=None)[0], "least_squares"
 
     result = Interpolant(
         gram.theta,
@@ -377,10 +390,11 @@ def interpolate(
     )
     if gram.ridge == 0.0 and fallback is None:
         residual = float(np.max(np.abs(result.value(gram.node_array) - vals)))
-        tol = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(vals))))
+        tol = _RESIDUAL_TOL * scale
         if residual > tol:
-            raise InvariantViolationError(
-                f"interpolation residual {residual!r} exceeds tolerance {tol!r}"
+            raise SingularSystemError(
+                f"interpolation residual {residual!r} exceeds tolerance {tol!r}: the "
+                "Gram system is too ill-conditioned at zero ridge; pass a positive ridge"
             )
     return result
 
@@ -399,13 +413,8 @@ def power_function(gram: GramSystem, x):
     if not gram.size:
         out = np.full(pts.shape, math.sqrt(gram.theta))
         return float(out[0]) if scalar else out
-    if gram._cho is None:
-        raise SingularSystemError(
-            "Gram matrix is numerically singular; pass a positive ridge"
-        )
-    import scipy.linalg
     cols = gram.kernel_column(pts)  # (n_pts, n_nodes)
-    solved = scipy.linalg.cho_solve(gram._cho, cols.T)  # (n_nodes, n_pts)
+    solved = gram.solve(cols.T)  # (n_nodes, n_pts)
     quad_form = np.einsum("ij,ji->i", cols, solved)
     radicand = gram.theta - quad_form
     out = np.sqrt(np.maximum(0.0, radicand))

@@ -10,7 +10,8 @@ essentially to machine precision within a couple of bisection levels.
 Refinement is dyadic and level-synchronous: all active panels are bisected
 together and the parent-versus-children difference is used as the error
 estimate, which lets each level evaluate the integrand on a single stacked
-array instead of point by point.
+array instead of point by point.  A panel's tolerance never drops below
+``64 eps`` times its ``int |f|``, the rounding floor of its own sum.
 
 :func:`derivative_at` provides the package-wide finite-difference
 conventions: second-order central differences away from kinks, and a
@@ -86,6 +87,7 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
+_ROUNDING_FLOOR = 64 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -125,14 +127,14 @@ def _call_integrand(f: Callable, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
-    """Gauss panel integrals for a batch of panels, one integrand call."""
+def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss panel integrals of ``f`` and ``|f|`` for a batch of panels, one integrand call."""
     nodes, weights = _gauss_rule(points)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * nodes[None, :]
     y = _call_integrand(f, x.reshape(-1)).reshape(x.shape)
-    return half * (y @ weights)
+    return half * (y @ weights), half * (np.abs(y) @ weights)
 
 
 def _segment_edges(iv: Interval, breakpoints: Iterable[float]) -> np.ndarray:
@@ -177,7 +179,7 @@ def integrate(
     iv = _coerce_interval(interval)
     edges = _segment_edges(iv, breakpoints)
     los, his = edges[:-1], edges[1:]
-    parent = _panel_integrals(f, los, his, spec.base_points)
+    parent, _ = _panel_integrals(f, los, his, spec.base_points)
     total_len = iv.length
 
     accepted = 0.0
@@ -186,14 +188,15 @@ def integrate(
         mids = 0.5 * (los + his)
         child_lo = np.concatenate([los, mids])
         child_hi = np.concatenate([mids, his])
-        child = _panel_integrals(f, child_lo, child_hi, spec.base_points)
+        child, child_abs = _panel_integrals(f, child_lo, child_hi, spec.base_points)
         k = los.size
         pair_sum = child[:k] + child[k:]
         diff = np.abs(parent - pair_sum)
 
         running = accepted + float(pair_sum.sum())
         tol = max(spec.abs_tol, spec.rel_tol * abs(running))
-        local = tol * (his - los) / total_len
+        floor = _ROUNDING_FLOOR * (child_abs[:k] + child_abs[k:])
+        local = np.maximum(tol * (his - los) / total_len, floor)
         done = diff <= local
 
         accepted += float(pair_sum[done].sum())
@@ -240,7 +243,7 @@ def integrate_fixed(
         sub = np.linspace(lo, hi, m + 1)
         los.append(sub[:-1])
         his.append(sub[1:])
-    vals = _panel_integrals(f, np.concatenate(los), np.concatenate(his), points)
+    vals, _ = _panel_integrals(f, np.concatenate(los), np.concatenate(his), points)
     return float(vals.sum())
 
 

@@ -522,7 +522,6 @@ def _suite_holder(rng: SplitMix64) -> list[Check]:
 
 
 def _suite_classical(rng: SplitMix64) -> list[Check]:
-    import scipy.linalg  # loaded on use, as in kernel
     checks: list[Check] = []
     members = [
         (np.cos, lambda x: -np.sin(x)),
@@ -554,7 +553,7 @@ def _suite_classical(rng: SplitMix64) -> list[Check]:
         n = 2 + rng.below(9)
         nodes = np.asarray(sorted(set(round(rng.uniform(0.0, 1.0), 5) for _ in range(n))))
         mat = kernel.classical_kernel_eval(0.0, 1.0, nodes[:, None], nodes[None, :])
-        w = scipy.linalg.eigvalsh(mat)
+        w = np.linalg.eigvalsh(mat)
         eig_min = min(eig_min, float(w[0]) / max(1.0, float(w[-1])))
     checks.append(Check("classical/min-eigenvalue-ratio", eig_min, -1e-9, ">="))
     return checks

@@ -140,6 +140,22 @@ def test_interp_then_eval(tmp_path, capsys):
     assert math.isclose(doc["values"][0], itp.value(0.0), rel_tol=1e-12)
 
 
+def test_interp_too_clustered_exits_3(tmp_path, capsys):
+    data = {"nodes": [0.3, 0.3000000000011, 0.3000000000022], "values": [1.0, 1.1, 1.2]}
+    code, out = run(capsys, "interp", "--input", jfile(tmp_path, "data.json", data))
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["kind"] == "numerical-failure"
+    assert "residual" in error["detail"] and "positive ridge" in error["detail"]
+
+
+def test_interp_endpoint_values_must_agree(tmp_path, capsys):
+    data = {"nodes": [-HALF_PI, HALF_PI], "values": [1.0, 2.0]}
+    code, out = run(capsys, "interp", "--input", jfile(tmp_path, "data.json", data))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed-input"
+
+
 def test_power_outputs(tmp_path, capsys):
     path = jfile(tmp_path, "nodes.json", {"nodes": [0.0]})
     code, out = run(capsys, "power", "--input", path, "--at", "0", "--output", "csv")

@@ -1,12 +1,17 @@
 """Kernel family, Gram systems, interpolation, and the power function."""
 
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from isorkhs import funcspace, kernel
-from isorkhs.errors import DomainError, InputError
+from isorkhs.errors import DomainError, InputError, SingularSystemError
 from isorkhs.rng import SplitMix64
 
 HALF_PI = 0.5 * math.pi
@@ -178,6 +183,25 @@ def test_interpolate_validation():
         kernel.interpolate([0.0], [math.nan])
 
 
+def test_interpolate_too_clustered_raises_singular_system():
+    # three nodes 1.1e-12 apart: even the correctly rounded coefficients miss
+    # the 1e-8 node residual, so the data are valid and the solve is what fails
+    nodes = [0.3, 0.3000000000011, 0.3000000000022]
+    with pytest.raises(SingularSystemError, match="residual .* positive ridge"):
+        kernel.interpolate(nodes, [1.0, 1.1, 1.2])
+    assert kernel.interpolate(nodes, [1.0, 1.1, 1.2], ridge=1e-6).ridge == 1e-6
+
+
+def test_interpolate_endpoints_are_one_point():
+    # members take equal values at -pi/2 and pi/2, so data there must agree
+    with pytest.raises(InputError, match="one point"):
+        kernel.interpolate([-HALF_PI, HALF_PI], [1.0, 2.0])
+    with pytest.raises(InputError, match="one point"):
+        kernel.interpolate([-HALF_PI, 0.2, HALF_PI], [1.0, 0.0, 1.0 + 1e-9])
+    itp = kernel.interpolate([-HALF_PI, 0.2, HALF_PI], [1.0, 0.0, 1.0 + 1e-13])
+    np.testing.assert_allclose(itp.value(np.asarray(itp.nodes)), [1.0, 0.0, 1.0], atol=2e-8)
+
+
 def test_interpolate_empty():
     itp = kernel.interpolate([], [])
     assert itp.nodes == ()
@@ -220,3 +244,120 @@ def test_power_function_domain():
     g = kernel.gram_system([0.0])
     with pytest.raises(DomainError):
         kernel.power_function(g, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the NumPy Gram path against independent dense algebra
+
+
+def _dense_kernel(theta, x, y):
+    return theta - HALF_PI * np.sin(np.abs(np.subtract.outer(x, y)))
+
+
+@st.composite
+def _gram_cases(draw):
+    n = draw(st.one_of(st.sampled_from([1, 2, 63, 64, 65, 128, 129, 300]), st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # triples 1e-6 apart around jittered centres (cond about 2.5e8 at n = 200)
+        cells = -(-n // 3)
+        centres = -1.5 + (np.arange(cells) + rng.uniform(0.1, 0.9, cells)) * (3.0 / cells)
+        nodes = (centres[:, None] + 1e-6 * np.arange(3)).ravel()[:n]
+    else:
+        nodes = np.sort(rng.uniform(-HALF_PI, HALF_PI, n))
+    theta = draw(st.sampled_from([1.0, 1.5, 2.0, 5.0]))
+    ridge = draw(st.sampled_from([0.0, 1e-3]))
+    return kernel.gram_system(nodes.tolist(), theta=theta, ridge=ridge), rng.standard_normal(n)
+
+
+@seed(20217)
+@settings(max_examples=40, deadline=None)
+@given(case=_gram_cases())
+def test_gram_path_matches_dense_algebra(case):
+    g, b = case
+    assert np.array_equal(g.matrix, _dense_kernel(g.theta, g.node_array, g.node_array))
+    a = g.matrix + g.ridge * np.eye(g.size)
+    assert g.chol_ok
+    x, ref = g.solve(b), np.linalg.solve(a, b)
+    # normwise backward errors; a Cholesky solve keeps them at a few n u
+    scale = np.linalg.norm(a, 2) * np.linalg.norm(x) + np.linalg.norm(b)
+    assert np.linalg.norm(a @ x - b) <= 1e-13 * scale
+    assert np.linalg.norm(a @ (x - ref)) <= 1e-13 * scale
+
+    pts = np.linspace(-HALF_PI, HALF_PI, 41)
+    cols = _dense_kernel(g.theta, pts, g.node_array)
+    p2_ref = np.maximum(0.0, g.theta - np.einsum("ij,ji->i", cols, np.linalg.solve(a, cols.T)))
+    assert np.max(np.abs(kernel.power_function(g, pts) ** 2 - p2_ref)) <= 1e-10 * g.theta
+    if g.ridge == 0.0:
+        assert g.min_eig >= -1e-9 * max(1.0, g.max_eig)
+
+
+def test_gram_factors_once_and_reads_the_spectrum_lazily(monkeypatch):
+    calls = {"cholesky": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    nodes = [-1.1, -0.2, 0.4, 1.3]
+    g = kernel.gram_system(nodes)
+    g.solve(np.ones(4))
+    kernel.power_function(g, np.linspace(-HALF_PI, HALF_PI, 9))
+    assert calls == {"cholesky": 1, "eigvalsh": 0}
+    assert g.min_eig > 0.0 and g.cond_estimate > 1.0 and g.max_eig > 0.0
+    assert calls == {"cholesky": 1, "eigvalsh": 1}
+    kernel.interpolate(nodes, [0.5, -1.0, 2.0, 0.1])
+    assert calls == {"cholesky": 2, "eigvalsh": 1}
+    # a positive ridge leaves the factor unable to certify the bare matrix
+    kernel.gram_system(nodes, ridge=1e-3)
+    assert calls == {"cholesky": 3, "eigvalsh": 2}
+
+
+def test_interpolate_fallbacks_when_the_factor_fails(monkeypatch):
+    nodes = [-1.1, -0.2, 0.4, 1.3]
+    values = [0.5, -1.0, 2.0, 0.1]
+    ref = np.linalg.solve(_dense_kernel(2.0, np.asarray(nodes), np.asarray(nodes)), values)
+    real = kernel._cholesky
+    shapes = []
+
+    def first_fails(m):
+        shapes.append(m.shape)
+        return None if len(shapes) == 1 else real(m)
+
+    monkeypatch.setattr(kernel, "_cholesky", first_fails)
+    g = kernel.gram_system(nodes)
+    assert not g.chol_ok and g.min_eig > 0.0
+    with pytest.raises(SingularSystemError):
+        kernel.power_function(g, 0.0)
+    shapes.clear()
+    itp = kernel.interpolate(nodes, values)
+    assert itp.fallback == "jitter" and shapes == [(4, 4), (4, 4)]
+    np.testing.assert_allclose(itp.coeffs, ref, rtol=1e-9)
+
+    monkeypatch.setattr(kernel, "_cholesky", lambda m: None)
+    itp = kernel.interpolate(nodes, values)
+    assert itp.fallback == "least_squares"
+    np.testing.assert_allclose(itp.coeffs, ref, rtol=1e-12)
+
+
+def test_gram_commands_never_load_scipy(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"nodes": [-0.5, 0.1, 0.9], "values": [1.0, 0.0, 2.0]}))
+    script = f"""
+import contextlib, io, sys
+from isorkhs import cli
+path = {str(path)!r}
+for argv in (["gram", "--input", path], ["interp", "--input", path],
+             ["power", "--input", path, "--at", "0,0.7"],
+             ["verify", "--suite", "gram-psd"], ["verify", "--suite", "classical-kernel"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

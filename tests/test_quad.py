@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isorkhs import quad
+from isorkhs import funcspace, quad
 from isorkhs.errors import ConvergenceError, DomainError, EvaluationError, InputError
 
 HALF_PI = 0.5 * math.pi
@@ -19,6 +19,18 @@ def test_kinked_integral():
     # int sin|x| over [-pi/2, pi/2] = 2
     val = quad.integrate(lambda x: np.sin(np.abs(x)), breakpoints=[0.0])
     assert abs(val - 2.0) <= 1e-12
+
+
+def test_tolerance_floors_at_the_rounding_of_each_panel():
+    # cos 63t against cos 61t: the integrands reach about 3800 while the
+    # inner product is -2.1e-4, so the default absolute tolerance lies below
+    # the rounding floor of the panel sums; without a floor the panels double
+    # until memory runs out
+    f = funcspace.trig_poly([0.0] * 63 + [1.0])
+    g = funcspace.trig_poly([0.0] * 61 + [1.0])
+    exact = funcspace.inner_product_iso(f, g, method="exact")
+    assert abs(exact + 2.1092101721e-4) <= 1e-14
+    assert abs(funcspace.inner_product_iso(f, g, method="quadrature") - exact) <= 1e-9
 
 
 @pytest.mark.parametrize("y", [-1.0, -0.3, 0.0, 0.7, 1.5])
