@@ -311,6 +311,28 @@ def _suite_gram_psd(rng: SplitMix64) -> list[Check]:
             )
     checks.append(Check("gram-psd/power-norm-gap", power_norm_gap, 1e-9, "<="))
     checks.append(Check("gram-psd/min-norm-gap", min_norm_gap, -1e-9, ">="))
+
+    # the structured solve and closed-form power function against dense
+    # numpy.linalg, on plain sets and on triples 1e-6 apart (a lone triple
+    # leaves one gap within 2e-6 of pi): the worst normwise backward error
+    # (infinity norms) over 1e-13 and the worst |p^2 - dense| over
+    # 1e-10 theta, as one ratio
+    worst = 0.0
+    at = grid[::8]
+    for i in range(20):
+        cells = 1 + rng.below(4) if i % 2 else 2 + rng.below(8)
+        step = 3.0 / cells
+        centres = [-1.5 + (j + 0.1 + 0.8 * rng.uniform()) * step for j in range(cells)]
+        nodes = [c + 1e-6 * k for c in centres for k in range(3)] if i % 2 else centres
+        g = kernel.gram_system(nodes, theta=thetas[i % 4])
+        b = np.asarray([rng.uniform(-1.0, 1.0) for _ in nodes])
+        x, k = g.solve(b), g.matrix
+        scale = np.abs(k).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+        cols = g.kernel_column(at)
+        dense_p2 = g.theta - np.einsum("ij,ji->i", cols, np.linalg.solve(k, cols.T))
+        p2_gap = np.abs(kernel.power_function(g, at) ** 2 - np.maximum(0.0, dense_p2)).max()
+        worst = max(worst, np.abs(k @ x - b).max() / scale / 1e-13, p2_gap / (1e-10 * g.theta))
+    checks.append(Check("gram-psd/structured-vs-dense", worst, 1.0, "<="))
     return checks
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -292,7 +293,7 @@ def test_gram_path_matches_dense_algebra(case):
         assert g.min_eig >= -1e-9 * max(1.0, g.max_eig)
 
 
-def test_gram_factors_once_and_reads_the_spectrum_lazily(monkeypatch):
+def test_gram_solves_without_factors_and_reads_the_spectrum_lazily(monkeypatch):
     calls = {"cholesky": 0, "eigvalsh": 0}
 
     def counted(name, fn):
@@ -304,44 +305,96 @@ def test_gram_factors_once_and_reads_the_spectrum_lazily(monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     nodes = [-1.1, -0.2, 0.4, 1.3]
-    g = kernel.gram_system(nodes)
-    g.solve(np.ones(4))
-    kernel.power_function(g, np.linspace(-HALF_PI, HALF_PI, 9))
-    assert calls == {"cholesky": 1, "eigvalsh": 0}
+    for ridge in (0.0, 1e-3):
+        g = kernel.gram_system(nodes, ridge=ridge)
+        g.solve(np.ones(4))
+        kernel.power_function(g, np.linspace(-HALF_PI, HALF_PI, 9))
+        kernel.interpolate(nodes, [0.5, -1.0, 2.0, 0.1], ridge=ridge)
+        assert g.chol_ok and "matrix" not in g.__dict__
+    assert calls == {"cholesky": 0, "eigvalsh": 0}
     assert g.min_eig > 0.0 and g.cond_estimate > 1.0 and g.max_eig > 0.0
-    assert calls == {"cholesky": 1, "eigvalsh": 1}
-    kernel.interpolate(nodes, [0.5, -1.0, 2.0, 0.1])
-    assert calls == {"cholesky": 2, "eigvalsh": 1}
-    # a positive ridge leaves the factor unable to certify the bare matrix
-    kernel.gram_system(nodes, ridge=1e-3)
-    assert calls == {"cholesky": 3, "eigvalsh": 2}
+    assert calls == {"cholesky": 0, "eigvalsh": 1}
 
 
-def test_interpolate_fallbacks_when_the_factor_fails(monkeypatch):
-    nodes = [-1.1, -0.2, 0.4, 1.3]
-    values = [0.5, -1.0, 2.0, 0.1]
-    ref = np.linalg.solve(_dense_kernel(2.0, np.asarray(nodes), np.asarray(nodes)), values)
-    real = kernel._cholesky
-    shapes = []
-
-    def first_fails(m):
-        shapes.append(m.shape)
-        return None if len(shapes) == 1 else real(m)
-
-    monkeypatch.setattr(kernel, "_cholesky", first_fails)
-    g = kernel.gram_system(nodes)
-    assert not g.chol_ok and g.min_eig > 0.0
-    with pytest.raises(SingularSystemError):
+def test_failed_certificate_defers_to_the_spectrum(monkeypatch):
+    # no admissible node set fails the gap certificate in double precision,
+    # so zero half-gap tangents stand in for one
+    monkeypatch.setattr(kernel, "_half_tan", lambda d, wrapped: np.zeros_like(d))
+    g = kernel.gram_system([-1.1, -0.2, 0.4, 1.3])
+    assert not g.chol_ok
+    with pytest.raises(SingularSystemError, match="certify"):
+        g.solve(np.ones(4))
+    with pytest.raises(SingularSystemError, match="certify"):
         kernel.power_function(g, 0.0)
-    shapes.clear()
-    itp = kernel.interpolate(nodes, values)
-    assert itp.fallback == "jitter" and shapes == [(4, 4), (4, 4)]
-    np.testing.assert_allclose(itp.coeffs, ref, rtol=1e-9)
+    assert g.min_eig > 0.0
 
-    monkeypatch.setattr(kernel, "_cholesky", lambda m: None)
-    itp = kernel.interpolate(nodes, values)
-    assert itp.fallback == "least_squares"
-    np.testing.assert_allclose(itp.coeffs, ref, rtol=1e-12)
+
+def _dense_power_squared(theta, nodes, pts, ridge=0.0):
+    nodes = np.asarray(nodes, dtype=float)
+    cols = _dense_kernel(theta, pts, nodes)
+    a = _dense_kernel(theta, nodes, nodes) + ridge * np.eye(nodes.size)
+    return np.maximum(0.0, theta - np.einsum("ij,ji->i", cols, np.linalg.solve(a, cols.T)))
+
+
+@pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 5.0])
+def test_closed_form_power_matches_dense(theta):
+    rng = np.random.default_rng(7)
+    grid = np.linspace(-HALF_PI, HALF_PI, 41)
+    plain = np.sort(rng.uniform(-1.5, 1.5, 9))
+    triples = (np.array([-1.2, -0.1, 0.8])[:, None] + 1e-6 * np.arange(3)).ravel()
+    cases = [
+        (plain, plain),
+        ([0.4], [0.4]),
+        ([-0.3, -0.3 + 1e-6], [-0.3, -0.3 + 1e-6]),  # one gap is nearly pi
+        (triples, triples),
+        # -pi/2 and pi/2 are one point, so the dense reference keeps one of them
+        ([-HALF_PI, -0.5, 0.7, HALF_PI], [-HALF_PI, -0.5, 0.7]),
+        ([HALF_PI, 0.2], [HALF_PI, 0.2]),
+    ]
+    for nodes, distinct in cases:
+        near = np.concatenate([np.asarray(nodes) + d for d in (1e-15, -1e-12, 1e-9)])
+        pts = np.concatenate((grid, np.clip(near, -HALF_PI, HALF_PI)))
+        got = kernel.power_function(kernel.gram_system(list(nodes), theta=theta), pts) ** 2
+        gap = np.max(np.abs(got - _dense_power_squared(theta, distinct, pts)))
+        assert gap <= 1e-10 * theta, (nodes, gap)
+        assert np.all(kernel.power_function(kernel.gram_system(list(nodes), theta=theta), np.asarray(nodes)) == 0.0)
+
+
+def test_structured_solve_edge_cases_match_dense():
+    ends = [-HALF_PI, 0.3, HALF_PI]
+    # the two endpoint sections are one function: their coefficients split evenly
+    itp = kernel.interpolate([-HALF_PI, HALF_PI], [1.0, 1.0])
+    assert itp.coeffs == (0.25, 0.25)
+    itp = kernel.interpolate(ends, [1.0, -0.5, 1.0])
+    assert itp.coeffs[0] == itp.coeffs[2]
+    np.testing.assert_allclose(itp.value(np.asarray(ends)), [1.0, -0.5, 1.0], atol=1e-12)
+    # with a ridge the endpoint rows are independent and the dense system is definite
+    rng = np.random.default_rng(3)
+    for nodes in (ends, [-HALF_PI, HALF_PI], [0.2], [-0.3, -0.3 + 1e-6], [-1.0, 0.1, 0.1 + 1e-6, 1.4]):
+        for theta, ridge in ((1.0, 1e-3), (2.0, 0.5), (5.0, 1e-6)):
+            g = kernel.gram_system(nodes, theta=theta, ridge=ridge)
+            b = rng.standard_normal((len(nodes), 2))
+            a = _dense_kernel(theta, np.asarray(nodes), np.asarray(nodes)) + ridge * np.eye(len(nodes))
+            x = g.solve(b)
+            scale = np.linalg.norm(a, 2) * np.linalg.norm(x) + np.linalg.norm(b)
+            assert np.linalg.norm(a @ x - b) <= 1e-13 * scale, (nodes, theta, ridge)
+            pts = np.linspace(-HALF_PI, HALF_PI, 13)
+            gap = np.max(np.abs(kernel.power_function(g, pts) ** 2 - _dense_power_squared(theta, nodes, pts, ridge)))
+            assert gap <= 1e-10 * theta
+
+
+def test_gram_scales_to_many_nodes():
+    rng = np.random.default_rng(5)
+    n = 100_000
+    nodes = -HALF_PI + (np.arange(n) + rng.uniform(0.1, 0.9, n)) * (math.pi / n)
+    pts = np.linspace(-HALF_PI, HALF_PI, 101)
+    start = time.perf_counter()
+    g = kernel.gram_system(nodes.tolist())
+    p = kernel.power_function(g, pts)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0 and "matrix" not in g.__dict__
+    # far from every node the power function is of the size of one gap
+    assert np.all(p >= 0.0) and np.max(p) <= math.sqrt(2.0 * math.pi / n)
 
 
 def test_gram_commands_never_load_scipy(tmp_path):
