@@ -194,16 +194,10 @@ class DiangleSpan(H1Function):
         return tuple(a for a in self.expansion.angles if a > -_HALF_PI)
 
     def value(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        out = seqmodel.expansion_value(self.expansion, np.atleast_1d(arr))
-        return _maybe_scalar(out[0] if scalar else out, scalar)
+        return _maybe_scalar(seqmodel.expansion_value(self.expansion, x), np.ndim(x) == 0)
 
     def derivative(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        out = seqmodel.expansion_derivative(self.expansion, np.atleast_1d(arr))
-        return _maybe_scalar(out[0] if scalar else out, scalar)
+        return _maybe_scalar(seqmodel.expansion_derivative(self.expansion, x), np.ndim(x) == 0)
 
 
 @dataclass(frozen=True)

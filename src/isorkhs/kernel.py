@@ -13,9 +13,11 @@ The norm is ``(1/pi) int (f'^2 - f^2) + c_theta (int f)^2`` with
 ``c_theta = theta / ((theta - 1) pi^2)``: local apart from one rank-one
 term.  So the inverse of every Gram matrix is explicit, cyclic tridiagonal
 in the node gaps plus rank one, and a :class:`GramSystem` solves,
-interpolates and evaluates the power function in O(n) with no factor.
-Dense ``numpy.linalg`` serves only the spectrum (computed when read) and
-the independent oracles in ``verify`` and the tests.
+interpolates and evaluates the power function in O(n) with no factor.  An
+interpolant is evaluated at m points in O(n + m) by ``seqmodel``'s prefix
+sums, in long double.  Dense ``numpy.linalg`` and ``kernel_eval`` matrices
+serve only the spectrum (computed when read) and the independent oracles in
+``verify`` and the tests.
 
 A classical comparison kernel on an arbitrary interval ``[a, b]`` is also
 provided: ``cosh(min(x,y) - a) cosh(b - max(x,y)) / sinh(b - a)``, which
@@ -36,6 +38,7 @@ from . import funcspace
 from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
 from .funcspace import DiangleSpan, H1Function, diangle_span
 from .quad import DEFAULT_SPEC, QuadratureSpec
+from .seqmodel import _profile_sum, _profile_table
 
 __all__ = [
     "REPRODUCING_THETA",
@@ -196,9 +199,11 @@ def _check_nodes(nodes: Sequence[float]) -> np.ndarray:
     if arr.size and not np.abs(arr).max() <= _HALF_PI + 1e-12:  # NaN fails too
         raise InputError("nodes must be finite and lie in [-pi/2, pi/2]")
     if arr.size > 1:
+        # on the circle, where only the exact pair -pi/2, pi/2 (after clipping) is one point
         s = np.sort(arr)
-        if (s[1:] - s[:-1]).min() < _NODE_SEP:
-            raise InputError("nodes must be pairwise distinct")
+        s[0], s[-1] = max(s[0], -_HALF_PI), min(s[-1], _HALF_PI)
+        if (s[1:] - s[:-1]).min() < _NODE_SEP or 0.0 < s[0] + math.pi - s[-1] < _NODE_SEP:
+            raise InputError("nodes must be pairwise distinct on the circle")
     return arr
 
 
@@ -218,28 +223,6 @@ def _half_tan(d: np.ndarray, wrapped) -> np.ndarray:
         return np.where(wrapped, -1.0 / np.minimum(t, -_COT_HALF_PI), t)
     t[wrapped] = -1.0 / min(t[wrapped], -_COT_HALF_PI)
     return t
-
-
-def _side_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of ``x`` over the indices below and above each index, along axis 0."""
-    zero = np.zeros_like(x[:1])
-    below = np.concatenate((zero, np.cumsum(x[:-1], axis=0)))
-    above = np.concatenate((np.cumsum(x[:0:-1], axis=0)[::-1], zero))
-    return below, above
-
-
-def _kernel_apply(x: np.ndarray, theta: float, c: np.ndarray) -> np.ndarray:
-    """``K c`` in O(n) at sorted nodes ``x``.
-
-    For ``x_j <= x_i``, ``sin|x_i - x_j| = sin x_i cos x_j - cos x_i sin x_j``,
-    so sums over the nodes below and above each one give every row.
-    """
-    shape = x.shape + (1,) * (c.ndim - 1)
-    cos, sin = np.cos(x).reshape(shape), np.sin(x).reshape(shape)
-    cc_below, cc_above = _side_sums(c * cos)
-    sc_below, sc_above = _side_sums(c * sin)
-    sides = sin * (cc_below - cc_above) - cos * (sc_below - sc_above)
-    return theta * np.sum(c, axis=0) - _HALF_PI * sides
 
 
 def _ldl(diag, sub, corner, gamma, u):
@@ -413,9 +396,10 @@ class _Cycle:
         """
         c = self._solve_once(y)
         if self.ridge:
-            o = self.order
+            x, co = self.sorted, c[self.order]
+            kc = self.theta * co.sum(axis=0) - _HALF_PI * _profile_sum(x, _profile_table(x, co), x)
             residual = np.empty_like(c)
-            residual[o] = y[o] - _kernel_apply(self.sorted, self.theta, c[o]) - self.ridge * c[o]
+            residual[self.order] = y[self.order] - kc - self.ridge * co
             c += self._solve_once(residual)
         return c
 
@@ -561,14 +545,22 @@ class Interpolant:
     coeffs: tuple[float, ...]
     fallback: str | None = None
 
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Sorted nodes, their ``_profile_table`` and ``theta sum c`` in long double (where
+        wider than double): rounding is ``eps sum|c_j|``, and on clustered nodes
+        ``sum|c_j|`` nears ``1e9``, too much for a double to resolve guarantee 11."""
+        a, c = np.array(self.nodes, dtype=float), np.array(self.coeffs, dtype=float)
+        order = np.argsort(a, kind="stable")
+        a, c = a[order].astype(np.longdouble), c[order].astype(np.longdouble)
+        return a, _profile_table(a, c), self.theta * c.sum()
+
     def value(self, x):
+        """``theta sum c_j - (pi/2) sum c_j sin|x - y_j|``, in O(log n) per point."""
         xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        n = np.asarray(self.nodes, dtype=float)
-        c = np.asarray(self.coeffs, dtype=float)
-        k = kernel_eval(np.atleast_1d(xa)[..., None], n, self.theta)
-        out = k @ c
-        return float(out[0]) if scalar else out
+        a, table, total = self._sums
+        out = (total - _HALF_PI * _profile_sum(a, table, xa)).astype(float)
+        return float(out) if xa.ndim == 0 else out
 
     def __call__(self, x):
         return self.value(x)
@@ -590,8 +582,8 @@ def interpolate(
     ``-pi/2`` and ``pi/2`` are one point, so values there must agree to
     ``1e-12`` relative, and the two coefficients there share their sum
     evenly at zero ridge.  With ``ridge == 0``, a node residual above
-    ``1e-8 (1 + max|values|)``, measured term by term against the dense
-    kernel sum (nodes too clustered for double precision), raises
+    ``1e-8 (1 + max|values|)``, read in long double by ``Interpolant.value``
+    (nodes too clustered for double precision), raises
     :class:`SingularSystemError`, which the CLI reports as exit 3.
     """
     gram = gram_system(nodes, theta, ridge)

@@ -10,12 +10,17 @@ zonotope.
 Angles are normalized modulo pi into ``[-pi/2, pi/2)``; the profile is
 pi-periodic in its angle, so this loses nothing, and duplicate angles are
 merged by summing coefficients at construction.
+
+Expansions, kernel sections, interpolants and body widths are all evaluated
+by ``_profile_sum``: running sums over the sorted angles, built once per
+expansion, give values and right derivatives at ``p`` points in O(m + p log m).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,6 +95,11 @@ class DiangleExpansion:
     def coefficient_sum(self) -> float:
         return float(sum(c for _, c in self.terms))
 
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
+        a = np.array(self.angles, dtype=float)
+        return a, _profile_table(a, np.array(self.coefficients, dtype=float))
+
 
 def diangle_expansion(x0: float, terms: Iterable[tuple[float, float]] = ()) -> DiangleExpansion:
     """Build a canonical :class:`DiangleExpansion`.
@@ -115,23 +125,39 @@ def diangle_expansion(x0: float, terms: Iterable[tuple[float, float]] = ()) -> D
     return DiangleExpansion(x0, cleaned)
 
 
+def _profile_table(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``sum_{j<k} - sum_{j>=k}`` of ``c_j cos a_j`` and of ``c_j sin a_j``, for ``k = 0..m``.
+
+    ``a`` is sorted; trailing axes of ``c`` are columns of coefficients.
+    """
+    table = np.zeros((2, a.size + 1) + c.shape[1:], dtype=c.dtype)
+    trig = np.array((np.cos(a), np.sin(a))).reshape((2,) + a.shape + (1,) * (c.ndim - 1))
+    np.cumsum(trig * c, axis=1, out=table[:, 1:])  # the sums below each k
+    return 2.0 * table - table[:, -1:]
+
+
+def _profile_sum(a: np.ndarray, table: np.ndarray, x, derivative: bool = False) -> np.ndarray:
+    """``sum_j c_j sin|x - a_j|`` at points ``x``, or its right derivative, from ``_profile_table``.
+
+    ``sin|x - a_j|`` is ``sin x cos a_j - cos x sin a_j`` for ``a_j <= x`` and its
+    negative above, so row ``k = #{a_j <= x}`` gives ``sin x D_c - cos x D_s``, and
+    ``cos x D_c + sin x D_s`` for the derivative.  Rounding is ``eps sum|c_j|``.
+    """
+    x = np.asarray(x, dtype=table.dtype)
+    dc, ds = np.take(table, np.searchsorted(a, x, side="right"), axis=1)
+    shape = x.shape + (1,) * (table.ndim - 2)
+    sin, cos = np.sin(x).reshape(shape), np.cos(x).reshape(shape)
+    return cos * dc + sin * ds if derivative else sin * dc - cos * ds
+
+
 def expansion_value(e: DiangleExpansion, x) -> np.ndarray:
     """Value at ``x`` reduced modulo pi, so both endpoints evaluate exactly alike."""
-    x = _reduce_angles(x)
-    acc = np.full(x.shape, e.x0)
-    for a, c in e.terms:
-        acc += c * np.sin(np.abs(x - a))
-    return acc
+    return e.x0 + _profile_sum(*e._sums, _reduce_angles(x))
 
 
 def expansion_derivative(e: DiangleExpansion, x) -> np.ndarray:
     """Derivative at ``x`` reduced modulo pi; the right-hand branch is taken at each kink."""
-    x = _reduce_angles(x)
-    acc = np.zeros(x.shape)
-    for a, c in e.terms:
-        d = x - a
-        acc += c * np.where(d >= 0.0, 1.0, -1.0) * np.cos(d)
-    return acc
+    return _profile_sum(*e._sums, _reduce_angles(x), derivative=True)
 
 
 def to_function(e: DiangleExpansion):

@@ -260,7 +260,8 @@ def _suite_gram_psd(rng: SplitMix64) -> list[Check]:
         values = [rng.uniform(-2.0, 2.0) for _ in nodes]
         itp = kernel.interpolate(nodes, values)
         arr = np.asarray(nodes)
-        interp_res = max(interp_res, float(np.max(np.abs(itp.value(arr) - np.asarray(values)))))
+        dense = kernel.kernel_eval(arr[:, None], arr[None, :]) @ np.asarray(itp.coeffs)
+        interp_res = max(interp_res, float(np.max(np.abs(dense - np.asarray(values)))))
         g = kernel.gram_system(nodes)
         power_nodes = max(power_nodes, float(np.max(kernel.power_function(g, arr))))
     checks.append(Check("gram-psd/interpolation-residual", interp_res, 1e-8, "<="))
@@ -368,12 +369,10 @@ def _suite_sequence(rng: SplitMix64) -> list[Check]:
         s = x.coefficient_sum
         half = _HALF_PI * x.x0 + s
         quad_form = seqmodel.sin_quadratic(x)
-        gram = 0.0
-        coeffs = np.asarray(x.coefficients)
-        angs = np.asarray(x.angles)
-        if coeffs.size:
-            gmat = 2.0 - _HALF_PI * np.sin(np.abs(angs[:, None] - angs[None, :]))
-            gram = float(coeffs @ gmat @ coeffs)
+        # the profile Gram form sum_i c_i (2 S - (pi/2) sum_j c_j sin|a_i - a_j|) read
+        # through the prefix-sum evaluator, against seq_inner's dense matrix
+        profiles = seqmodel.expansion_value(x, np.asarray(x.angles)) - x.x0
+        gram = 2.0 * s * s - _HALF_PI * float(np.asarray(x.coefficients) @ profiles)
         form3 = (4.0 / (_PI * _PI)) * (half * half - s * s + gram)
         form4 = (4.0 / (_PI * _PI)) * (half * half + s * s - _HALF_PI * quad_form)
         scale = 1.0 + abs(n2)
@@ -400,6 +399,20 @@ def _suite_sequence(rng: SplitMix64) -> list[Check]:
     checks.append(
         Check("sequence/area-calibration-gap", abs(cal - seqmodel.AREA_CONSTANT), 1e-9, "<=")
     )
+
+    # the prefix-sum evaluator against the term-by-term sum, over 1 + sum|c|: angles
+    # 1e-15 apart and at -pi/2, cancelling coefficients, points on kinks and at +-pi/2
+    worst = 0.0
+    for _ in range(10):
+        a, e = rng.uniform(-1.5, 1.5), _random_span(rng).expansion
+        e = seqmodel.diangle_expansion(e.x0, [*e.terms, (a, 1e3), (a + 1e-15, -1e3), (_HALF_PI, 0.5)])
+        angs, coeffs = np.asarray(e.angles), np.asarray(e.coefficients)
+        pts = np.concatenate((np.linspace(-_HALF_PI, _HALF_PI, 9), angs))
+        d = seqmodel._reduce_angles(pts)[:, None] - angs
+        value = seqmodel.expansion_value(e, pts) - e.x0 - np.sin(np.abs(d)) @ coeffs
+        slope = seqmodel.expansion_derivative(e, pts) - np.where(d >= 0.0, 1.0, -1.0) * np.cos(d) @ coeffs
+        worst = max(worst, float(np.abs(np.concatenate((value, slope))).max()) / (1.0 + np.abs(coeffs).sum()))
+    checks.append(Check("sequence/evaluator-vs-terms", worst, 1e-13, "<="))
     return checks
 
 

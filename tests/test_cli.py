@@ -154,6 +154,11 @@ def test_interp_endpoint_values_must_agree(tmp_path, capsys):
     code, out = run(capsys, "interp", "--input", jfile(tmp_path, "data.json", data))
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "malformed-input"
+    # two nodes 3.3e-16 apart on the circle (through pi/2) are one point too
+    data = {"nodes": [-1.5707963267948963, 0.2, 1.5707963267948966], "values": [1.0, 0.5, 2.0]}
+    code, out = run(capsys, "interp", "--input", jfile(tmp_path, "near.json", data))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed-input"
 
 
 def test_power_outputs(tmp_path, capsys):

@@ -118,6 +118,14 @@ def test_gram_validation():
         kernel.gram_system([0.0], theta=0.0)
     with pytest.raises(InputError):
         kernel.gram_system([0.0], ridge=-1.0)
+    # separation is measured on the circle: 3.3e-16 apart through pi/2, these
+    # are one point, while the exact pair -pi/2, pi/2 is one merged point
+    with pytest.raises(InputError, match="distinct"):
+        kernel.gram_system([-1.5707963267948963, HALF_PI])
+    with pytest.raises(InputError, match="distinct"):
+        kernel.gram_system([-HALF_PI, 0.2, HALF_PI - 1e-13])
+    assert kernel.gram_system([-HALF_PI, HALF_PI]).chol_ok
+    assert kernel.gram_system([-HALF_PI - 5e-13, 0.2, HALF_PI]).chol_ok
 
 
 def test_gram_psd_randomized():
@@ -201,6 +209,28 @@ def test_interpolate_endpoints_are_one_point():
         kernel.interpolate([-HALF_PI, 0.2, HALF_PI], [1.0, 0.0, 1.0 + 1e-9])
     itp = kernel.interpolate([-HALF_PI, 0.2, HALF_PI], [1.0, 0.0, 1.0 + 1e-13])
     np.testing.assert_allclose(itp.value(np.asarray(itp.nodes)), [1.0, 0.0, 1.0], atol=2e-8)
+    # nodes 3.3e-16 apart through pi/2 are rejected as one point, not solved
+    with pytest.raises(InputError, match="distinct"):
+        kernel.interpolate([-1.5707963267948963, 0.2, HALF_PI], [1.0, 0.5, 2.0])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is double")
+def test_clustered_triples_interpolate():
+    # 1600 nodes in triples 1e-6 apart: the coefficients cancel to about 1e9 in
+    # sum, and the prefix-sum residual stays within guarantee 11; the true
+    # residual of the returned coefficients is read with long-double sums
+    rng = np.random.default_rng(11)
+    centres = -1.5 + (np.arange(534) + rng.uniform(0.1, 0.9, 534)) * (3.0 / 534)
+    nodes = (centres[:, None] + 1e-6 * np.arange(3)).ravel()[:1600]
+    values = rng.uniform(-2.0, 2.0, nodes.size)
+    itp = kernel.interpolate(nodes.tolist(), values.tolist())
+    x, c = nodes.astype(np.longdouble), np.asarray(itp.coeffs, dtype=np.longdouble)
+    half_pi = np.longdouble(math.pi) / 2
+    residual = max(
+        float(np.max(np.abs((2 - half_pi * np.sin(np.abs(x[i : i + 400, None] - x))) @ c - values[i : i + 400])))
+        for i in range(0, x.size, 400)
+    )
+    assert residual <= 1e-8 * (1.0 + np.max(np.abs(values)))
 
 
 def test_interpolate_empty():
@@ -395,6 +425,15 @@ def test_gram_scales_to_many_nodes():
     assert elapsed < 1.0 and "matrix" not in g.__dict__
     # far from every node the power function is of the size of one gap
     assert np.all(p >= 0.0) and np.max(p) <= math.sqrt(2.0 * math.pi / n)
+    # interpolation, its guarantee-11 node residual and 1001 values, with no n x n array
+    values = np.cos(3.0 * nodes) + rng.uniform(-0.1, 0.1, n)
+    grid = np.linspace(-HALF_PI, HALF_PI, 1001)
+    start = time.perf_counter()
+    itp = kernel.interpolate(nodes.tolist(), values.tolist())
+    fitted = itp.value(grid)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert np.max(np.abs(fitted - np.cos(3.0 * grid))) <= 0.2
 
 
 def test_gram_commands_never_load_scipy(tmp_path):

@@ -184,3 +184,51 @@ def test_inner_symmetric_and_bilinear(xs, ys, a):
     lhs = seqmodel.seq_inner(scaled, ey)
     rhs = a * seqmodel.seq_inner(ex, ey)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+
+
+@st.composite
+def _profile_cases(draw):
+    """Sorted angles (some 1e-15 apart, some at +-pi/2) and coefficient columns."""
+    base = draw(st.lists(st.one_of(st.sampled_from([-HALF_PI, HALF_PI]), angles), min_size=0, max_size=8))
+    a, c = [], []
+    for ang in base:
+        w = draw(st.floats(-1e3, 1e3))
+        a.append(ang)
+        c.append([w] * 3)
+        if draw(st.booleans()):  # a cancelling neighbour 1e-15 away
+            a.append(min(ang + 1e-15, HALF_PI))
+            c.append([-w, -w * (1.0 + 1e-9), draw(coeffs)])
+    order = np.argsort(a, kind="stable")
+    a = np.asarray(a, dtype=float)[order]
+    c = np.asarray(c, dtype=float).reshape(-1, 3)[order]
+    c[:, 2] = draw(st.lists(coeffs, min_size=len(a), max_size=len(a)))  # a plain column
+    x = np.concatenate((a, [-HALF_PI, HALF_PI], np.linspace(-HALF_PI, HALF_PI, 7)))
+    return a, c, x
+
+
+def _terms(a, c, x):
+    d = np.subtract.outer(x, a)
+    return np.sin(np.abs(d)) @ c, (np.where(d >= 0.0, 1.0, -1.0) * np.cos(d)) @ c
+
+
+@seed(20218)
+@settings(max_examples=150, deadline=None)
+@given(case=_profile_cases())
+def test_profile_sum_matches_term_by_term(case):
+    a, c, x = case
+    value, slope = _terms(a, c, x)
+    bound = 1e-13 * (1.0 + np.abs(c).sum(axis=0))
+    for dtype in (float, np.longdouble):  # interpolants evaluate in long double
+        at, ct = a.astype(dtype), c.astype(dtype)
+        table = seqmodel._profile_table(at, ct)
+        assert np.all(np.abs(seqmodel._profile_sum(at, table, x) - value) <= bound)
+        assert np.all(np.abs(seqmodel._profile_sum(at, table, x, derivative=True) - slope) <= bound)
+    # one column at a time, and through an expansion at points reduced modulo pi
+    col = seqmodel._profile_table(a, c[:, 2])
+    assert np.all(np.abs(seqmodel._profile_sum(a, col, x) - value[:, 2]) <= bound[2])
+    e = seqmodel.diangle_expansion(0.5, zip(a, c[:, 0]))
+    ea, ec = np.asarray(e.angles), np.asarray(e.coefficients)
+    value, slope = _terms(ea, ec, seqmodel._reduce_angles(x))
+    bound = 1e-13 * (1.0 + np.abs(ec).sum())
+    assert np.all(np.abs(seqmodel.expansion_value(e, x) - 0.5 - value) <= bound)
+    assert np.all(np.abs(seqmodel.expansion_derivative(e, x) - slope) <= bound)
