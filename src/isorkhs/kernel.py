@@ -533,17 +533,15 @@ def gram_system(nodes: Sequence[float], theta: float = REPRODUCING_THETA, ridge:
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Kernel interpolant ``sum_j c_j K_theta(., y_j)``.
-
-    ``fallback`` names a fallback solve in records that carry one;
-    ``interpolate`` has none and leaves it ``None``.
-    """
+    """Kernel interpolant ``sum_j c_j K_theta(., y_j)``."""
 
     theta: float
     ridge: float
     nodes: tuple[float, ...]
     coeffs: tuple[float, ...]
-    fallback: str | None = None
+    # not a field: no solve falls back any more, but perfbench's trace still
+    # reads this attribute (ROADMAP item 4 drops it with the next benchmark change)
+    fallback = None
 
     @cached_property
     def _sums(self) -> tuple[np.ndarray, np.ndarray, float]:

@@ -3,9 +3,13 @@
 Output JSON comes from a small writer of its own so byte determinism stays
 under this package's control: keys are emitted sorted, floats carry 17
 significant digits (round-trip exact for doubles) and always include a
-decimal point or exponent so they read back as floats.  Input documents are
-parsed with the standard library and validated here; malformed input always
-surfaces as ``InputError``.
+decimal point or exponent so they read back as floats.  A list or tuple of
+floats only, and each CSV row, is written by one C-level ``%`` call over a
+template of per-value specifiers (``_float_run``); JSON mode writes integral
+values below ``1e17`` with ``"%.1f"``, which is byte for byte ``"%.17g"``
+plus the ``".0"`` marker.  Input documents are parsed with the standard
+library and validated here; malformed input always surfaces as
+``InputError``.
 """
 
 from __future__ import annotations
@@ -49,6 +53,27 @@ def format_float(x: float, bare: bool = False) -> str:
     return s
 
 
+_FLOATS = {float, np.float64}
+
+
+def _float_run(values, sep: str, bare: bool) -> str:
+    """``sep.join(format_float(v, bare) for v in values)`` for floats, in one ``%`` call.
+
+    ``"%.1f"`` of an integral value below ``1e17`` is its ``"%.17g"`` form plus
+    ``".0"``; larger ones print with an exponent.  ``inf`` and ``nan`` are the
+    only text with an ``"n"``: ``format_float`` then raises at the first one.
+    """
+    if bare or not any(map(float.is_integer, values)):
+        specs = ["%.17g"] * len(values)
+    else:
+        specs = ["%.1f" if v.is_integer() and -1e17 < v < 1e17 else "%.17g" for v in values]
+    text = sep.join(specs) % tuple(values)
+    if "n" in text:
+        for v in values:
+            format_float(v, bare)
+    return text
+
+
 def _emit(obj, indent: int) -> str:
     pad = "  " * indent
     if obj is None:
@@ -73,6 +98,8 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
+        if set(map(type, obj)) <= _FLOATS:
+            return "[\n" + pad + "  " + _float_run(obj, ",\n  " + pad, False) + "\n" + pad + "]"
         inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
     raise InputError(f"cannot serialize {type(obj).__name__}")
@@ -84,8 +111,7 @@ def dumps(obj) -> str:
 
 def dumps_csv(rows: Iterable[Sequence[float]], header: Sequence[str] = ("x", "f", "fprime")) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(float(v), bare=True) for v in row))
+    lines.extend(_float_run(list(map(float, row)), ",", True) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -214,19 +240,16 @@ def read_interpolant(doc) -> Interpolant:
         raise InputError("nodes and coeffs must have equal length")
     theta = as_float(doc.get("theta", 2.0), "theta")
     ridge = as_float(doc.get("ridge", 0.0), "ridge")
-    fallback = doc.get("fallback")
-    if fallback is not None and fallback not in ("jitter", "least_squares"):
-        raise InputError(f"unknown fallback {fallback!r}")
-    return Interpolant(theta, ridge, tuple(nodes), tuple(coeffs), fallback)
+    # records from before the fallback solves were deleted may still name one
+    if doc.get("fallback") not in (None, "jitter", "least_squares"):
+        raise InputError(f"unknown fallback {doc['fallback']!r}")
+    return Interpolant(theta, ridge, tuple(nodes), tuple(coeffs))
 
 
 def write_interpolant(itp: Interpolant) -> dict:
-    doc = {
+    return {
         "theta": itp.theta,
         "ridge": itp.ridge,
         "nodes": list(itp.nodes),
         "coeffs": list(itp.coeffs),
     }
-    if itp.fallback is not None:
-        doc["fallback"] = itp.fallback
-    return doc

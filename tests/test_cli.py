@@ -116,6 +116,54 @@ def test_gram_report(tmp_path, capsys):
     assert doc["matrix"][0][0] == 2.0
 
 
+GRAM3_GOLDEN = """{
+  "chol_ok": true,
+  "cond": 5.0121301917170804,
+  "matrix": [
+    [
+      2.0,
+      0.67822046795927204,
+      0.43313853904602673
+    ],
+    [
+      0.67822046795927204,
+      2.0,
+      1.2469201249888531
+    ],
+    [
+      0.43313853904602673,
+      1.2469201249888531,
+      2.0
+    ]
+  ],
+  "max_eig": 3.6285709807305673,
+  "min_eig": 0.72395784665112095,
+  "nodes": [
+    -1.0,
+    0.0,
+    0.5
+  ],
+  "ridge": 0.0,
+  "theta": 2.0
+}
+"""
+
+POWER3_CSV_GOLDEN = """x,power
+-1.2,0.75273796052450148
+0.25,0.63214410526785181
+1.5,1.1412518857187561
+"""
+
+
+def test_gram_and_power_csv_golden_bytes(tmp_path, capsys):
+    # the whole layout is pinned: key order, indentation, the ".0" marker on
+    # integral floats (the diagonal is exactly theta) and bare CSV numbers
+    path = jfile(tmp_path, "g.json", {"nodes": [-1.0, 0.0, 0.5]})
+    assert run(capsys, "gram", "--input", path) == (0, GRAM3_GOLDEN)
+    power = run(capsys, "power", "--input", path, "--at=-1.2,0.25,1.5", "--output", "csv")
+    assert power == (0, POWER3_CSV_GOLDEN)
+
+
 def test_gram_duplicate_nodes(tmp_path, capsys):
     path = jfile(tmp_path, "g.json", {"nodes": [0.3, 0.3]})
     code, out = run(capsys, "gram", "--input", path)

@@ -1,7 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isorkhs import serialization as ser
 from isorkhs.errors import DomainError, InputError
@@ -172,3 +176,131 @@ def test_interpolant_record_validation():
         ser.read_interpolant({"nodes": [0.0, 1.0], "coeffs": [1.0]})
     with pytest.raises(InputError):
         ser.read_interpolant({"nodes": [0.0], "coeffs": [1.0], "fallback": "retry"})
+    # records written while a jitter fallback existed still read, and write back without it
+    itp = ser.read_interpolant({"nodes": [0.0], "coeffs": [1.0], "fallback": "jitter"})
+    assert ser.write_interpolant(itp) == {"theta": 2.0, "ridge": 0.0, "nodes": [0.0], "coeffs": [1.0]}
+
+
+# ---------------------------------------------------------------------------
+# the run writer against a per-value reference
+
+
+def _reference_emit(obj, indent: int) -> str:
+    """The writer before float runs: one ``format_float`` call per value."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return ser.format_float(float(obj))
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {_reference_emit(v, indent + 1)}" for k, v in sorted(obj.items())
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        inner = ",\n".join(f"{pad}  {_reference_emit(v, indent + 1)}" for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    raise InputError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_csv(rows, header):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(ser.format_float(float(v), bare=True) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(write, *args):
+    try:
+        return write(*args)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -2.0, 5e-324, -5e-324, 1.1125369292536007e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e15, 1e16, 9.999999999999998e16, 1e17,
+    -1e17, 1e18, 2.0**53, 2.0**53 + 2.0, 123456789012345.5, 0.1, 1e-5, 1e21,
+]
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+def _floats(finite: bool):
+    """Python floats near the ``%.1f`` switch, subnormals and extremes, as float or float64."""
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(10**18), 10**18).map(float),
+        st.integers(-60, 60).map(lambda k: float(10**17 + k * 8)),
+        st.sampled_from(_EDGE_FLOATS),
+    )
+    if not finite:
+        values = st.one_of(values, st.sampled_from(_NON_FINITE))
+    return st.one_of(values, values.map(np.float64))
+
+
+_float32s = st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+
+
+def _documents(finite: bool):
+    floats = _floats(finite)
+    scalars = st.one_of(
+        floats,
+        _float32s,
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.integers(-(10**20), 10**20),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=4),
+    )
+    arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=4), elements=floats)
+    leaves = st.one_of(scalars, st.lists(floats, max_size=6), arrays)
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+@seed(20218)
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents(finite=True))
+def test_dumps_matches_per_value_reference(doc):
+    assert ser.dumps(doc) == _reference_emit(doc, 0)
+
+
+@seed(20219)
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents(finite=False))
+def test_dumps_non_finite_raises_as_the_reference(doc):
+    assert _outcome(ser.dumps, doc) == _outcome(_reference_emit, doc, 0)
+
+
+_cells = st.one_of(
+    _floats(finite=False), _float32s, st.integers(-(10**18), 10**18), st.booleans()
+)
+
+
+@seed(20220)
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.lists(_cells, max_size=4), max_size=5),
+    header=st.sampled_from([("x", "f", "fprime"), ("x",)]),
+)
+def test_dumps_csv_matches_per_value_reference(rows, header):
+    assert _outcome(ser.dumps_csv, rows, header) == _outcome(_reference_csv, rows, header)
