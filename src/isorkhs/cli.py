@@ -352,6 +352,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = _HANDLERS[args.command](args)
+        code = 0
+        if isinstance(result, tuple):
+            result, code = result
+        if not isinstance(result, str):
+            result = serialization.dumps(result) + "\n"
     except InvariantViolationError as exc:
         _emit_error("invariant-violation", exc)
         return _EXIT_INVARIANT
@@ -362,13 +367,7 @@ def main(argv=None) -> int:
         _emit_error("numerical-failure", exc)
         return _EXIT_NUMERICAL
 
-    code = 0
-    if isinstance(result, tuple):
-        result, code = result
-    if isinstance(result, str):
-        sys.stdout.write(result)
-    else:
-        sys.stdout.write(serialization.dumps(result) + "\n")
+    sys.stdout.write(result)
     return code
 
 

@@ -37,8 +37,8 @@ property is checked for non-constant series by quadrature only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -145,40 +145,34 @@ class TrigPoly(H1Function):
                 f"{gap!r}: not a member of the space; see project_endpoints()"
             )
 
-    def value(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        acc = np.full(arr.shape, self.cos_coeffs[0])
-        for k, a in enumerate(self.cos_coeffs[1:], start=1):
-            if a != 0.0:
-                acc += a * np.cos(k * arr)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            if b != 0.0:
-                acc += b * np.sin(k * arr)
-        return _maybe_scalar(acc[0] if scalar else acc, scalar)
-
     @cached_property
     def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Frequencies, coefficients and kinds (+1 cosine, -1 sine) of the nonzero terms."""
+        """Frequencies, coefficients and kinds (+1 cosine, -1 sine) of the nonzero terms, cosines first."""
         ncos = len(self.cos_coeffs)
         c = np.array((*self.cos_coeffs, *self.sin_coeffs))
         i = np.flatnonzero(c)
         is_cos = i < ncos
         return np.where(is_cos, i, i - ncos + 1), c[i], np.where(is_cos, 1.0, -1.0)
 
+    def _basis(self, x, swap: bool) -> np.ndarray:
+        """One row per nonzero term at the flattened points ``x``: ``cos(m x)`` for a cosine
+        term, ``sin(m x)`` for a sine term; ``swap`` exchanges ``cos`` and ``sin``."""
+        m, _, s = self._terms
+        rows = np.multiply.outer(m, np.ravel(np.asarray(x, dtype=float)))
+        k = np.count_nonzero(s > 0)
+        first, second = (np.sin, np.cos) if swap else (np.cos, np.sin)
+        first(rows[:k], out=rows[:k])
+        second(rows[k:], out=rows[k:])
+        return rows
+
+    def value(self, x):
+        _, c, _ = self._terms
+        return _maybe_scalar((c @ self._basis(x, False)).reshape(np.shape(x)), np.ndim(x) == 0)
+
     def derivative(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        acc = np.zeros(arr.shape)
-        for k, a in enumerate(self.cos_coeffs[1:], start=1):
-            if a != 0.0:
-                acc -= k * a * np.sin(k * arr)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            if b != 0.0:
-                acc += k * b * np.cos(k * arr)
-        return _maybe_scalar(acc[0] if scalar else acc, scalar)
+        m, c, s = self._terms
+        out = (-s * m * c) @ self._basis(x, True)
+        return _maybe_scalar(out.reshape(np.shape(x)), np.ndim(x) == 0)
 
 
 @dataclass(frozen=True)
@@ -204,21 +198,21 @@ class DiangleSpan(H1Function):
 class Sampled(H1Function):
     """A callable member with an optional derivative rule and known kinks.
 
-    Without a derivative rule, derivatives fall back to central finite
-    differences (one-sided next to a kink, right-hand at a kink).  Supply the
+    Without a derivative rule, derivatives are finite differences with
+    :func:`quad.derivative_at`'s conventions on the domain: central in the
+    smooth interior, right-hand at a kink and at ``-pi/2``, left-hand at
+    ``pi/2``, never sampling outside the domain or across a kink.  Supply the
     rule whenever high-accuracy derivative integrals are needed.
     """
 
     fn: Callable
     derivative_fn: Callable | None = None
     kink_angles: tuple[float, ...] = ()
-    _fd_step: float = field(default=1e-6, repr=False)
 
     def __post_init__(self):
         ks = tuple(sorted(float(k) for k in self.kink_angles if -_HALF_PI < float(k) < _HALF_PI))
         object.__setattr__(self, "kink_angles", ks)
-        grid = np.linspace(-_HALF_PI, _HALF_PI, 33)
-        vals = self._raw(grid)
+        vals = quad.sample(self.fn, np.linspace(-_HALF_PI, _HALF_PI, 33), "sampled rule")
         if not np.all(np.isfinite(vals)):
             raise InputError("sampled function is non-finite on the domain")
         tol = _ENDPOINT_TOL * (1.0 + float(np.max(np.abs(vals))))
@@ -232,63 +226,19 @@ class Sampled(H1Function):
     def kinks(self) -> tuple[float, ...]:
         return self.kink_angles
 
-    def _raw(self, arr: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(self.fn(arr), dtype=float)
-        except (TypeError, ValueError):
-            out = np.fromiter((float(self.fn(t)) for t in arr), dtype=float, count=arr.size)
-        if out.shape != arr.shape:
-            if out.ndim == 0:
-                out = np.full(arr.shape, float(out))
-            else:
-                raise InputError("sampled rule returned a mismatched shape")
-        return out
+    @staticmethod
+    def _call(rule: Callable, x, what: str):
+        arr = np.asarray(x, dtype=float)
+        out = quad.sample(rule, np.atleast_1d(arr), what)
+        return _maybe_scalar(out[0] if arr.ndim == 0 else out, arr.ndim == 0)
 
     def value(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        out = self._raw(np.atleast_1d(arr))
-        return _maybe_scalar(out[0] if scalar else out, scalar)
+        return self._call(self.fn, x, "sampled rule")
 
     def derivative(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        pts = np.atleast_1d(arr)
-        if self.derivative_fn is not None:
-            try:
-                out = np.asarray(self.derivative_fn(pts), dtype=float)
-            except (TypeError, ValueError):
-                out = np.fromiter(
-                    (float(self.derivative_fn(t)) for t in pts), dtype=float, count=pts.size
-                )
-            if out.shape != pts.shape:
-                if out.ndim == 0:
-                    out = np.full(pts.shape, float(out))
-                else:
-                    raise InputError("derivative rule returned a mismatched shape")
-        else:
-            h = self._fd_step
-            out = np.empty(pts.shape)
-            at_kink = np.zeros(pts.shape, dtype=bool)
-            for k in self.kink_angles:
-                at_kink |= np.abs(pts - k) <= 1e-12 * (1.0 + np.abs(pts))
-            near_hi = pts >= _HALF_PI - 2.0 * h
-            central = ~(at_kink | near_hi)
-            if central.any():
-                xc = pts[central]
-                out[central] = (self._raw(xc + h) - self._raw(xc - h)) / (2.0 * h)
-            right = at_kink & ~near_hi
-            if right.any():
-                xr = pts[right]
-                out[right] = (
-                    -3.0 * self._raw(xr) + 4.0 * self._raw(xr + h) - self._raw(xr + 2.0 * h)
-                ) / (2.0 * h)
-            if near_hi.any():
-                xl = pts[near_hi]
-                out[near_hi] = (
-                    3.0 * self._raw(xl) - 4.0 * self._raw(xl - h) + self._raw(xl - 2.0 * h)
-                ) / (2.0 * h)
-        return _maybe_scalar(out[0] if scalar else out, scalar)
+        if self.derivative_fn is None:
+            return quad.derivative_at(self.fn, x, kinks=self.kink_angles)
+        return self._call(self.derivative_fn, x, "derivative rule")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +297,12 @@ def _J(p: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=128)
+def _cos_integrals(n: int) -> np.ndarray:
+    """``J(k)`` for ``k = 0, ..., n - 1``: the integrals of a series' cosine terms."""
+    return _J(np.arange(n))
+
+
 def _is_symbolic(f) -> bool:
     return isinstance(f, (TrigPoly, DiangleSpan))
 
@@ -356,8 +312,7 @@ def _exact_integral(f) -> float:
     if isinstance(f, DiangleSpan):
         e = f.expansion
         return e.x0 * _PI + 2.0 * e.coefficient_sum
-    c = f.cos_coeffs
-    return c[0] * _PI + sum(a * (2.0 * _half_pi_sin(k) / k) for k, a in enumerate(c[1:], start=1))
+    return float(_cos_integrals(len(f.cos_coeffs)) @ f.cos_coeffs)
 
 
 def _trig_energy(f: TrigPoly, g: TrigPoly) -> float:
@@ -437,7 +392,7 @@ def _combine_inner(int_f: float, int_g: float, energy: float) -> float:
 def evaluate(f: H1Function, x):
     """Evaluate a member at ``x`` (scalar or array) with a domain check."""
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > _HALF_PI + 1e-12):
+    if not np.all(np.abs(arr) <= _HALF_PI + 1e-12):  # NaN fails too
         raise DomainError(f"argument outside [-pi/2, pi/2]: {x!r}")
     return f.value(np.clip(arr, -_HALF_PI, _HALF_PI))
 
@@ -516,12 +471,13 @@ def norm_iso(f: H1Function, method: str = "auto", spec: QuadratureSpec = DEFAULT
 # classical Sobolev inner product on an arbitrary interval
 
 
-def _as_rule(f) -> tuple[Callable, Callable, tuple[float, ...]]:
-    """Normalize ``f`` to ``(value, derivative, kinks)``.
+def _as_rule(f, interval: Interval) -> tuple[Callable, Callable, tuple[float, ...]]:
+    """Normalize ``f`` to ``(value, derivative, kinks)`` on ``interval``.
 
     Accepts a member, a ``(value, derivative)`` or ``(value, derivative,
-    kinks)`` tuple, or a bare callable (derivative then falls back to a
-    central difference, adequate for smooth callables only).
+    kinks)`` tuple, or a bare callable, whose derivative is then
+    :func:`quad.derivative_at` on ``interval`` (adequate for smooth callables
+    only).
     """
     if isinstance(f, H1Function):
         return f.value, f.derivative, f.kinks
@@ -534,15 +490,7 @@ def _as_rule(f) -> tuple[Callable, Callable, tuple[float, ...]]:
             return v, d, tuple(float(k) for k in ks)
         raise InputError("expected (value, derivative[, kinks])")
     if callable(f):
-        h = 1e-6
-
-        def fd(x, _f=f, _h=h):
-            x = np.asarray(x, dtype=float)
-            return (np.asarray(_f(x + _h), dtype=float) - np.asarray(_f(x - _h), dtype=float)) / (
-                2.0 * _h
-            )
-
-        return f, fd, ()
+        return f, lambda x: quad.derivative_at(f, x, interval=interval), ()
     raise InputError(f"not a function-like object: {f!r}")
 
 
@@ -559,14 +507,13 @@ def inner_product_classical(
     pairs; kinks outside the interval are ignored.
     """
     iv = quad.Interval(*interval) if not isinstance(interval, Interval) else interval
-    fv, fd, fk = _as_rule(f)
-    gv, gd, gk = _as_rule(g)
+    fv, fd, fk = _as_rule(f, iv)
+    gv, gd, gk = _as_rule(g, iv)
     bp = tuple(sorted(set(fk) | set(gk)))
 
     def integrand(x):
-        return np.asarray(fv(x), dtype=float) * np.asarray(gv(x), dtype=float) + np.asarray(
-            fd(x), dtype=float
-        ) * np.asarray(gd(x), dtype=float)
+        f0, g0, f1, g1 = (quad.sample(rule, x, "rule") for rule in (fv, gv, fd, gd))
+        return f0 * g0 + f1 * g1
 
     return quad.integrate(integrand, iv, bp, spec)
 
@@ -593,7 +540,7 @@ def holder_ratio(
     xa, ha = np.broadcast_arrays(np.atleast_1d(xa), np.atleast_1d(ha))
     if np.any(ha == 0.0):
         raise DomainError("increment h must be nonzero")
-    if np.any(np.abs(xa) > _HALF_PI + 1e-12) or np.any(np.abs(xa + ha) > _HALF_PI + 1e-12):
+    if not (np.all(np.abs(xa) <= _HALF_PI + 1e-12) and np.all(np.abs(xa + ha) <= _HALF_PI + 1e-12)):
         raise DomainError("x and x + h must both lie in [-pi/2, pi/2]")
     if norm is None:
         norm = norm_iso(f, spec=spec)

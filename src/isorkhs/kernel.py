@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import funcspace
+from . import funcspace, quad
 from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
 from .funcspace import DiangleSpan, H1Function, diangle_span
 from .quad import DEFAULT_SPEC, QuadratureSpec
@@ -184,20 +184,31 @@ def classical_reproducing_residual(
     a, b = _check_classical_interval(a, b)
     section = classical_kernel_function(a, b, y)
     inner = funcspace.inner_product_classical(f, section, interval=(a, b), spec=spec)
-    fv, _, _ = funcspace._as_rule(f)
-    return inner - float(np.asarray(fv(np.asarray(float(y))), dtype=float))
+    fv, _, _ = funcspace._as_rule(f, quad.Interval(a, b))
+    return inner - float(quad.sample(fv, np.asarray(float(y))))
 
 
 # ---------------------------------------------------------------------------
 # Gram systems
 
 
+def _check_ridge(ridge: float) -> float:
+    out = float(ridge)
+    if not math.isfinite(out) or out < 0.0:
+        raise InputError(f"ridge must be a nonnegative float, got {ridge!r}")
+    return out
+
+
+def _check_domain(arr: np.ndarray) -> None:
+    if arr.size and not np.abs(arr).max() <= _HALF_PI + 1e-12:  # NaN fails too
+        raise InputError("nodes must be finite and lie in [-pi/2, pi/2]")
+
+
 def _check_nodes(nodes: Sequence[float]) -> np.ndarray:
     arr = np.asarray(list(nodes), dtype=float)
     if arr.ndim != 1:
         raise InputError("nodes must be a flat sequence")
-    if arr.size and not np.abs(arr).max() <= _HALF_PI + 1e-12:  # NaN fails too
-        raise InputError("nodes must be finite and lie in [-pi/2, pi/2]")
+    _check_domain(arr)
     if arr.size > 1:
         # on the circle, where only the exact pair -pi/2, pi/2 (after clipping) is one point
         s = np.sort(arr)
@@ -455,10 +466,7 @@ class GramSystem:
         arr = _check_nodes(self.nodes)
         object.__setattr__(self, "nodes", tuple(arr.tolist()))
         object.__setattr__(self, "node_array", arr)
-        ridge = float(self.ridge)
-        if not math.isfinite(ridge) or ridge < 0.0:
-            raise InputError(f"ridge must be a nonnegative float, got {self.ridge!r}")
-        object.__setattr__(self, "ridge", ridge)
+        object.__setattr__(self, "ridge", _check_ridge(self.ridge))
 
     @property
     def size(self) -> int:
@@ -624,7 +632,7 @@ def power_function(gram: GramSystem, x):
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     pts = np.atleast_1d(xa).astype(float)
-    if np.any(np.abs(pts) > _HALF_PI + 1e-12):
+    if not np.all(np.abs(pts) <= _HALF_PI + 1e-12):  # NaN fails too
         raise DomainError("power function arguments must lie in [-pi/2, pi/2]")
     if not gram.size:
         out = np.full(pts.shape, math.sqrt(gram.theta))

@@ -1,11 +1,13 @@
 """Adaptive composite Gauss-Legendre quadrature and finite differences.
 
-Every numeric integral in the package flows through :func:`integrate`.  The
-integrands this library cares about are smooth except for absolute-value
-kinks at known angles, so the central design rule is: callers pass the kink
-locations as breakpoints and panels never straddle them.  On each kink-free
-segment the integrand is analytic and a 16-point Gauss panel converges
-essentially to machine precision within a couple of bisection levels.
+Every call of a user-supplied callable goes through :func:`sample`, every
+numeric derivative of one through :func:`derivative_at`, and every numeric
+integral through :func:`integrate`.  The integrands this library cares about
+are smooth except for absolute-value kinks at known angles, so the central
+design rule is: callers pass the kink locations as breakpoints and panels
+never straddle them.  On each kink-free segment the integrand is analytic
+and a 16-point Gauss panel converges essentially to machine precision within
+a couple of bisection levels.
 
 Refinement is dyadic and level-synchronous: all active panels are bisected
 together and the parent-versus-children difference is used as the error
@@ -13,10 +15,11 @@ estimate, which lets each level evaluate the integrand on a single stacked
 array instead of point by point.  A panel's tolerance never drops below
 ``64 eps`` times its ``int |f|``, the rounding floor of its own sum.
 
-:func:`derivative_at` provides the package-wide finite-difference
-conventions: second-order central differences away from kinks, and a
-second-order right-hand one-sided difference at a registered kink (the same
-right-hand convention the symbolic derivatives use).
+:func:`derivative_at` holds the finite-difference conventions: central
+differences whose stencil stays inside the interval and off the nearest
+kink, a right-hand one-sided difference at a registered kink (the
+convention the symbolic derivatives use) or at the left endpoint, and a
+left-hand one at the right endpoint.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "DEFAULT_SPEC",
     "integrate",
     "integrate_fixed",
+    "sample",
     "derivative_at",
 ]
 
@@ -106,24 +110,29 @@ def _coerce_interval(interval) -> Interval:
     return Interval(float(lo), float(hi))
 
 
-def _call_integrand(f: Callable, x: np.ndarray) -> np.ndarray:
+def sample(f: Callable, x: np.ndarray, what: str = "function") -> np.ndarray:
+    """``f`` on the array ``x``, as a float array of ``x``'s shape.
+
+    A callable that rejects arrays is called point by point, and a scalar
+    result is broadcast; any other shape raises :class:`InputError` naming
+    ``what``.
+    """
     try:
         y = np.asarray(f(x), dtype=float)
     except (TypeError, ValueError):
-        # Scalar-only callable: evaluate point by point.
-        y = np.fromiter((float(f(t)) for t in x), dtype=float, count=x.size)
+        y = np.fromiter((float(f(t)) for t in x.flat), dtype=float, count=x.size).reshape(x.shape)
     if y.shape != x.shape:
-        if y.ndim == 0:
-            y = np.full(x.shape, float(y))
-        else:
-            raise InputError(
-                f"integrand returned shape {y.shape} for input shape {x.shape}"
-            )
+        if y.ndim:
+            raise InputError(f"{what} returned shape {y.shape} for input shape {x.shape}")
+        y = np.full(x.shape, float(y))
+    return y
+
+
+def _sample_finite(f: Callable, x: np.ndarray, what: str) -> np.ndarray:
+    y = sample(f, x, what)
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)]
-        raise EvaluationError(
-            f"integrand evaluated to a non-finite value near x={bad.flat[0]!r}"
-        )
+        raise EvaluationError(f"{what} evaluated to a non-finite value near x={bad.flat[0]!r}")
     return y
 
 
@@ -133,7 +142,7 @@ def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, points: int) -> tuple[np
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * nodes[None, :]
-    y = _call_integrand(f, x.reshape(-1)).reshape(x.shape)
+    y = _sample_finite(f, x.reshape(-1), "integrand").reshape(x.shape)
     return half * (y @ weights), half * (np.abs(y) @ weights)
 
 
@@ -247,88 +256,59 @@ def integrate_fixed(
     return float(vals.sum())
 
 
-def _scalar_eval(f: Callable, x: float) -> float:
-    y = f(np.asarray([x], dtype=float))
-    try:
-        v = float(np.asarray(y, dtype=float).reshape(-1)[0])
-    except (TypeError, ValueError):
-        v = float(f(x))
-    if not math.isfinite(v):
-        raise EvaluationError(f"function evaluated to a non-finite value at x={x!r}")
-    return v
-
-
 def derivative_at(
     f: Callable,
-    x: float,
+    x,
     step: float = 1e-6,
     interval=DELTA,
     kinks: Sequence[float] = (),
-    richardson: bool = False,
-) -> float:
-    """Finite-difference derivative with the package's kink conventions.
+):
+    """Finite-difference derivative with the package's kink conventions, vectorized over ``x``.
 
-    Central second-order differences in the smooth interior; at a registered
-    kink (or at the left endpoint) a second-order right-hand one-sided
-    difference; at the right endpoint the mirrored left-hand one.  The step
-    shrinks so samples stay inside the interval and on one smooth piece.
-    Optional one-level Richardson extrapolation.
+    Central in the smooth interior, with the step shrunk to
+    ``min(step, x - lo, hi - x, gap / 2)`` for the distance ``gap`` to the
+    nearest kink.  At a registered kink (within ``1e-12 (1 + |x|)``) or at
+    the left endpoint, the second-order right-hand one-sided difference; at
+    the right endpoint the mirrored left-hand one; their step is at most half
+    the room to the endpoint and to the next kink on their side.  ``f`` is
+    called once, on all stencil points.  A point (NaN too) outside the
+    interval by more than ``1e-12 (1 + |x|)`` raises :class:`DomainError`.
     """
     iv = _coerce_interval(interval)
-    x = float(x)
     if step <= 0 or not math.isfinite(step):
         raise InputError("step must be positive and finite")
-    tiny = 1e-12 * (1.0 + abs(x))
-    if x < iv.lo - tiny or x > iv.hi + tiny:
-        raise DomainError(f"x={x!r} lies outside [{iv.lo}, {iv.hi}]")
-    x = min(max(x, iv.lo), iv.hi)
+    xa = np.asarray(x, dtype=float)
+    pts = xa.reshape(-1)
+    tiny = 1e-12 * (1.0 + np.abs(pts))
+    inside = (pts >= iv.lo - tiny) & (pts <= iv.hi + tiny)
+    if not inside.all():
+        raise DomainError(f"x={float(pts[~inside][0])!r} lies outside [{iv.lo}, {iv.hi}]")
+    pts = np.minimum(np.maximum(pts, iv.lo), iv.hi)
 
-    ks = sorted(float(k) for k in kinks)
-    at_kink = any(abs(x - k) <= tiny for k in ks)
+    d = np.fromiter(kinks, dtype=float)[None, :] - pts[:, None]  # kink minus point
+    at = np.abs(d) <= tiny[:, None]
+    right_gap = np.where((d > 0) & ~at, d, math.inf).min(axis=1, initial=math.inf)
+    left_gap = np.where((d < 0) & ~at, -d, math.inf).min(axis=1, initial=math.inf)
+    right = at.any(axis=1) | (pts <= iv.lo + tiny)
+    left = ~right & (pts >= iv.hi - tiny)
+    central = ~(right | left)
+    room = np.select(
+        [right, left],
+        [0.5 * np.minimum(iv.hi - pts, right_gap), 0.5 * np.minimum(pts - iv.lo, left_gap)],
+        np.minimum(np.minimum(iv.hi - pts, pts - iv.lo), 0.5 * np.minimum(right_gap, left_gap)),
+    )
+    h = np.minimum(step, room)
+    if np.any(h[right] <= 0):  # a kink at the right endpoint; left-hand stencils always have room
+        raise DomainError("no room for a right-hand difference stencil")
 
-    def nearest_gap(side: str) -> float:
-        gaps = []
-        for k in ks:
-            if abs(x - k) <= tiny:
-                continue
-            if side == "right" and k > x:
-                gaps.append(k - x)
-            elif side == "left" and k < x:
-                gaps.append(x - k)
-            elif side == "both":
-                gaps.append(abs(k - x))
-        return min(gaps) if gaps else math.inf
-
-    if at_kink or x <= iv.lo + tiny:
-        h = min(step, 0.5 * (iv.hi - x), 0.5 * nearest_gap("right"))
-        if h <= 0:
-            raise DomainError("no room for a right-hand difference stencil")
-
-        def diff(h):
-            return (
-                -3.0 * _scalar_eval(f, x)
-                + 4.0 * _scalar_eval(f, x + h)
-                - _scalar_eval(f, x + 2.0 * h)
-            ) / (2.0 * h)
-
-    elif x >= iv.hi - tiny:
-        h = min(step, 0.5 * (x - iv.lo), 0.5 * nearest_gap("left"))
-        if h <= 0:
-            raise DomainError("no room for a left-hand difference stencil")
-
-        def diff(h):
-            return (
-                3.0 * _scalar_eval(f, x)
-                - 4.0 * _scalar_eval(f, x - h)
-                + _scalar_eval(f, x - 2.0 * h)
-            ) / (2.0 * h)
-
-    else:
-        h = min(step, iv.hi - x, x - iv.lo, 0.5 * nearest_gap("both"))
-
-        def diff(h):
-            return (_scalar_eval(f, x + h) - _scalar_eval(f, x - h)) / (2.0 * h)
-
-    if richardson:
-        return (4.0 * diff(0.5 * h) - diff(h)) / 3.0
-    return diff(h)
+    # one-sided stencils x, x + s, x + 2s with s = -h on the left-hand side
+    s = np.where(left, -h, h)
+    xc, hc, xo, so = pts[central], h[central], pts[~central], s[~central]
+    stencil = np.concatenate([xc + hc, xc - hc, xo, xo + so, xo + 2.0 * so])
+    y = _sample_finite(f, stencil, "function")
+    n = xc.size
+    f0, f1, f2 = y[2 * n :].reshape(3, -1)
+    out = np.empty(pts.shape)
+    out[central] = (y[:n] - y[n : 2 * n]) / (2.0 * hc)
+    out[~central] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * so)
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernel
 from .errors import InputError
 from .funcspace import DiangleSpan, H1Function, TrigPoly, trig_poly
 from .kernel import Interpolant
@@ -238,8 +239,12 @@ def read_interpolant(doc) -> Interpolant:
     coeffs = as_float_list(doc.get("coeffs"), "coeffs")
     if len(nodes) != len(coeffs):
         raise InputError("nodes and coeffs must have equal length")
-    theta = as_float(doc.get("theta", 2.0), "theta")
-    ridge = as_float(doc.get("ridge", 0.0), "ridge")
+    # a Gram system's rules except distinct nodes, as duplicates still define one
+    # function; a node outside the domain would make ``value`` and ``to_function``
+    # (which reduces it mod pi) two different functions
+    theta = kernel._check_theta(as_float(doc.get("theta", 2.0), "theta"))
+    ridge = kernel._check_ridge(as_float(doc.get("ridge", 0.0), "ridge"))
+    kernel._check_domain(np.asarray(nodes))
     # records from before the fallback solves were deleted may still name one
     if doc.get("fallback") not in (None, "jitter", "least_squares"):
         raise InputError(f"unknown fallback {doc['fallback']!r}")

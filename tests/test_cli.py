@@ -417,6 +417,31 @@ def test_out_of_domain_point(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (DIANGLE0, ("eval", "--at", "0,nan")),
+        (DIANGLE0, ("eval", "--at", "nan", "--output", "csv")),
+        ({"nodes": [0.0, 0.5]}, ("power", "--at", "nan")),
+        ({"nodes": [0.0, 0.5]}, ("power", "--at", "nan", "--output", "csv")),
+        (SQUARE, ("geom", "width", "--angle", "nan")),
+    ],
+)
+def test_nan_points_are_malformed_input(tmp_path, capsys, doc, argv):
+    code, out = run(capsys, argv[0], "--input", jfile(tmp_path, "in.json", doc), *argv[1:])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed-input"
+
+
+@pytest.mark.parametrize("bad", [{"nodes": [2.0]}, {"theta": 0.5}, {"ridge": -1.0}])
+def test_invalid_interpolant_record_exits_2(tmp_path, capsys, bad):
+    # nodes [2.0] made value(-1.5) read 2.551 but eval (through to_function, mod pi) 1.449
+    doc = {"type": "interpolant", "theta": 2.0, "nodes": [0.0], "coeffs": [1.0], **bad}
+    code, out = run(capsys, "eval", "--input", jfile(tmp_path, "itp.json", doc), "--at", "-1.5")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed-input"
+
+
 def test_norm_has_no_csv_form(tmp_path, capsys):
     path = jfile(tmp_path, "f.json", CONST)
     code, out = run(capsys, "norm", "--input", path, "--output", "csv")

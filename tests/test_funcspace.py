@@ -55,10 +55,26 @@ def test_sampled_membership_and_fd_derivative():
     np.testing.assert_allclose(f.derivative(grid), -np.sin(grid), atol=1e-5)
 
 
+def test_sampled_fd_derivative_keeps_off_kinks():
+    # 1e-7 right of the kink a central stencil of step 1e-6 straddles it and
+    # reads the average of both branches (-1.029); the right branch is -0.129
+    f = funcspace.sampled(lambda x: np.abs(np.sin(x - 0.3)) + np.cos(2 * x), kinks=[0.3])
+    x = 0.3 + 1e-7
+    assert abs(f.derivative(x) - (math.cos(1e-7) - 2.0 * math.sin(2.0 * x))) <= 1e-8
+
+
+def test_sampled_fd_derivative_samples_inside_the_domain():
+    # an fn undefined outside the domain: the stencils at -pi/2 and pi/2 stay inside it
+    g = funcspace.sampled(lambda x: np.where(np.abs(x) <= HALF_PI, np.cos(x), np.nan))
+    np.testing.assert_allclose(g.derivative(np.array([-HALF_PI, HALF_PI])), [1.0, -1.0], atol=1e-8)
+    assert abs(g.derivative(-HALF_PI) - 1.0) <= 1e-8
+
+
 def test_evaluate_domain_check():
     f = funcspace.constant(1.0)
-    with pytest.raises(DomainError):
-        funcspace.evaluate(f, 2.0)
+    for bad in (2.0, math.nan, [0.0, math.nan]):
+        with pytest.raises(DomainError):
+            funcspace.evaluate(f, bad)
     # a hair past the endpoint is clipped, not rejected
     assert funcspace.evaluate(f, HALF_PI + 5e-13) == 1.0
 
@@ -333,7 +349,8 @@ def test_holder_ratio_validation():
     p = funcspace.diangle(0.0)
     with pytest.raises(DomainError):
         funcspace.holder_ratio(p, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        funcspace.holder_ratio(p, 1.5, 0.5)
+    for x, h in ((1.5, 0.5), (math.nan, 0.5), (0.0, math.nan)):
+        with pytest.raises(DomainError):
+            funcspace.holder_ratio(p, x, h)
     zero = funcspace.diangle_span(0.0, [])
     assert funcspace.holder_ratio(zero, 0.0, 0.5) == 0.0

@@ -273,8 +273,9 @@ def test_power_function_monotone_under_refinement():
 
 def test_power_function_domain():
     g = kernel.gram_system([0.0])
-    with pytest.raises(DomainError):
-        kernel.power_function(g, 2.0)
+    for bad in (2.0, math.nan):
+        with pytest.raises(DomainError):
+            kernel.power_function(g, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from isorkhs import funcspace, quad
 from isorkhs.errors import ConvergenceError, DomainError, EvaluationError, InputError
@@ -138,8 +140,6 @@ def test_spec_validation():
 def test_derivative_central():
     d = quad.derivative_at(np.sin, 0.3)
     assert abs(d - math.cos(0.3)) <= 1e-9
-    d2 = quad.derivative_at(np.sin, 0.3, richardson=True)
-    assert abs(d2 - math.cos(0.3)) <= 1e-9
 
 
 def test_derivative_right_hand_at_kink():
@@ -162,3 +162,104 @@ def test_derivative_domain():
         quad.derivative_at(np.sin, 2.0)
     with pytest.raises(InputError):
         quad.derivative_at(np.sin, 0.0, step=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized stencil against the scalar reference
+
+
+def _reference_scalar_eval(f, x):
+    y = f(np.asarray([x], dtype=float))
+    try:
+        v = float(np.asarray(y, dtype=float).reshape(-1)[0])
+    except (TypeError, ValueError):
+        v = float(f(x))
+    if not math.isfinite(v):
+        raise EvaluationError(f"function evaluated to a non-finite value at x={x!r}")
+    return v
+
+
+def _reference_derivative_at(f, x, step=1e-6, interval=quad.DELTA, kinks=()):
+    """The scalar finite difference before vectorization (its unused Richardson option dropped)."""
+    iv = quad._coerce_interval(interval)
+    x = float(x)
+    if step <= 0 or not math.isfinite(step):
+        raise InputError("step must be positive and finite")
+    tiny = 1e-12 * (1.0 + abs(x))
+    if x < iv.lo - tiny or x > iv.hi + tiny:
+        raise DomainError(f"x={x!r} lies outside [{iv.lo}, {iv.hi}]")
+    x = min(max(x, iv.lo), iv.hi)
+
+    ks = sorted(float(k) for k in kinks)
+    at_kink = any(abs(x - k) <= tiny for k in ks)
+
+    def nearest_gap(side):
+        gaps = []
+        for k in ks:
+            if abs(x - k) <= tiny:
+                continue
+            if side == "right" and k > x:
+                gaps.append(k - x)
+            elif side == "left" and k < x:
+                gaps.append(x - k)
+            elif side == "both":
+                gaps.append(abs(k - x))
+        return min(gaps) if gaps else math.inf
+
+    ev = _reference_scalar_eval
+    if at_kink or x <= iv.lo + tiny:
+        h = min(step, 0.5 * (iv.hi - x), 0.5 * nearest_gap("right"))
+        if h <= 0:
+            raise DomainError("no room for a right-hand difference stencil")
+        return (-3.0 * ev(f, x) + 4.0 * ev(f, x + h) - ev(f, x + 2.0 * h)) / (2.0 * h)
+    if x >= iv.hi - tiny:
+        h = min(step, 0.5 * (x - iv.lo), 0.5 * nearest_gap("left"))
+        if h <= 0:
+            raise DomainError("no room for a left-hand difference stencil")
+        return (3.0 * ev(f, x) - 4.0 * ev(f, x - h) + ev(f, x - 2.0 * h)) / (2.0 * h)
+    h = min(step, iv.hi - x, x - iv.lo, 0.5 * nearest_gap("both"))
+    return (ev(f, x + h) - ev(f, x - h)) / (2.0 * h)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DomainError, InputError, EvaluationError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _stencil_cases(draw):
+    lo, hi = draw(st.sampled_from([(-HALF_PI, HALF_PI), (0.0, 1.0), (-2.0, 3.0)]))
+    inner = st.floats(lo, hi, allow_nan=False)
+    kinks = draw(st.lists(st.one_of(inner, st.sampled_from([lo, hi])), max_size=3))
+    anchors = st.sampled_from([lo, hi, *kinks])
+    offset = st.tuples(st.floats(1e-9, 2e-6), st.sampled_from([-1.0, 1.0]))
+    point = st.one_of(
+        inner,
+        anchors,
+        st.tuples(anchors, offset).map(lambda t: t[0] + t[1][0] * t[1][1]),
+        st.sampled_from([lo - 1e-3, hi + 1e-3, lo - 1e-13, hi + 1e-13]),
+    )
+    xs = draw(st.lists(point, min_size=1, max_size=12))
+    step = draw(st.sampled_from([1e-6] * 20 + [1e-3, 0.5, 0.0, -1e-6, math.inf, math.nan]))
+    return (lo, hi), kinks, xs, step
+
+
+@seed(20219)
+@settings(max_examples=300, deadline=None)
+@given(case=_stencil_cases())
+def test_derivative_at_matches_scalar_reference(case):
+    interval, kinks, xs, step = case
+    f = lambda x: np.sin(3.0 * x) + np.abs(np.sin(x - 0.3)) + np.exp(0.5 * x)
+    kw = dict(step=step, interval=interval, kinks=kinks)
+    want = [_outcome(lambda: _reference_derivative_at(f, x, **kw)) for x in xs]
+    for x, w in zip(xs, want):
+        got = _outcome(lambda: quad.derivative_at(f, x, **kw))
+        assert got == w and type(got) is type(w)
+    got = _outcome(lambda: quad.derivative_at(f, np.array(xs), **kw))
+    errors = {w for w in want if isinstance(w, type)}
+    if errors:
+        assert got in errors
+    else:
+        assert got.tolist() == want
