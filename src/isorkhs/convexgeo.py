@@ -21,6 +21,13 @@ The vertex algorithms stay only as independent oracles: the hull that
 validates vertex input, the support width and the shoelace area, read by
 ``cauchy_check``, the cross-check in ``pair_equivalent`` and the two scale
 calibrations.
+
+Building a body from ``n`` points costs one sort plus Python work linear in
+``n``: the monotone-chain hull runs on Python floats, whose IEEE arithmetic
+gives the same bits as NumPy scalars.  A vertex set is tested for convex
+position only at the points its hull dropped, against the canonical ring, so
+valid input pays nothing for it.  Bodies whose squared coordinates overflow
+are rejected as input before any arithmetic overflows.
 """
 
 from __future__ import annotations
@@ -77,6 +84,14 @@ def _scale_of(pts: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(pts))))
 
 
+def _square_of(scale: float) -> float:
+    """``scale ** 2``, which turn tolerances and areas scale with; it must be finite."""
+    try:
+        return scale**2
+    except OverflowError:
+        raise InputError("body is too large: its squared coordinates overflow") from None
+
+
 # ---------------------------------------------------------------------------
 # canonical construction
 
@@ -85,7 +100,7 @@ def _turn(a, b, p) -> float:
     return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
 
 
-def _chain(points, eps: float) -> list:
+def _chain(points: list, eps: float) -> list:
     """Monotone-chain pass: keep only points where the path turns strictly left."""
     chain: list = []
     for p in points:
@@ -104,8 +119,9 @@ def _tidy_ring(ring) -> np.ndarray:
     ring = np.asarray(ring)
     if len(ring) <= 2:
         return ring
-    eps = _GEOM_TOL * _scale_of(ring) ** 2
-    chain = _chain([*ring, ring[0]], eps)[:-1]
+    eps = _GEOM_TOL * _square_of(_scale_of(ring))
+    pts = ring.tolist()
+    chain = _chain([*pts, pts[0]], eps)[:-1]
     # the chain never tests its first point against its predecessor
     while len(chain) >= 3 and _turn(chain[-1], chain[0], chain[1]) <= eps:
         chain.pop(0)
@@ -116,20 +132,19 @@ def _tidy_ring(ring) -> np.ndarray:
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, CCW, strictly convex vertices only."""
-    scale = _scale_of(pts)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.max(np.abs(pts[i] - pts[keep[-1]])) > _GEOM_TOL * scale:
-            keep.append(i)
-    pts = pts[keep]
-    if len(pts) <= 2:
-        return pts
+    """Monotone-chain hull, CCW, strictly convex vertices only; its rows are input rows."""
+    tol = _GEOM_TOL * _scale_of(pts)
+    rows = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    kept = rows[:1]
+    for p in rows[1:]:
+        q = kept[-1]
+        if max(abs(p[0] - q[0]), abs(p[1] - q[1])) > tol:
+            kept.append(p)
+    if len(kept) <= 2:
+        return np.asarray(kept)
     # Rounding can make the sort order disagree with the geometry, so the chains
     # take exact turns and the ring pass alone drops nearly collinear points.
-    return _tidy_ring(_chain(pts, 0.0)[:-1] + _chain(pts[::-1], 0.0)[:-1])
+    return _tidy_ring(_chain(kept, 0.0)[:-1] + _chain(kept[::-1], 0.0)[:-1])
 
 
 def _symmetrize(hull: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -151,14 +166,19 @@ def _symmetrize(hull: np.ndarray) -> tuple[tuple[float, float], ...]:
     return tuple(map(tuple, np.roll(ring, -start, axis=0).tolist()))
 
 
-def _canonicalize(points: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Hull, antipodal pairing, exact symmetrization, canonical rotation."""
+def _canonicalize(points: np.ndarray) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
+    """Hull, antipodal pairing, exact symmetrization, canonical rotation.
+
+    Returns the hull, whose rows are input points, and the canonical ring.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise InputError("expected a nonempty array of planar points")
     if not np.all(np.isfinite(pts)):
         raise InputError("vertices must be finite")
-    return _symmetrize(_convex_hull(pts))
+    _square_of(_scale_of(pts))
+    hull = _convex_hull(pts)
+    return hull, _symmetrize(hull)
 
 
 @dataclass(frozen=True)
@@ -206,15 +226,26 @@ def symmetric_polygon(points: Iterable[Sequence[float]]) -> SymmetricPolygon:
 
     Rejects vertex sets that are not centrally symmetric or contain points
     interior to their own hull (the vertices must be in convex position).
+    Canonicalization is a sort plus Python work linear in the vertex count;
+    only the points the hull dropped are tested against the canonical ring,
+    at a cost proportional to their number times the ring's.
     """
     pts = np.asarray(list(points), dtype=float)
-    canon = _canonicalize(pts)
-    hull = np.asarray(canon, dtype=float)
-    scale = _scale_of(pts)
-    for p in pts:
-        if float(np.min(np.max(np.abs(hull - p), axis=1))) > 1e-9 * scale:
+    hull, canon = _canonicalize(pts)
+    body = SymmetricPolygon(canon)
+    # Each hull vertex lies within half the symmetry tolerance of a canonical
+    # vertex, so only the input points the hull dropped can fail the test.  The
+    # hull's points are input points: as many distinct ones as inputs drop none.
+    kept = set(map(tuple, hull.tolist()))
+    if len(kept) == len(pts):
+        return body
+    dropped = np.asarray([p for p in pts.tolist() if tuple(p) not in kept])
+    step = max(1, (1 << 18) // len(canon))  # at most 2**19 doubles per broadcast
+    for i in range(0, len(dropped), step):
+        gaps = np.abs(dropped[i : i + step, None, :] - body.vertex_array).max(axis=2).min(axis=1)
+        if np.max(gaps) > 1e-9 * _scale_of(pts):
             raise InputError("vertices are not in convex position")
-    return SymmetricPolygon(canon)
+    return body
 
 
 def point() -> SymmetricPolygon:
@@ -236,7 +267,7 @@ def regular_polygon(n: int, radius: float = 1.0, phase: float = 0.0) -> Symmetri
         raise InputError("radius must be positive")
     ang = phase + 2.0 * math.pi * np.arange(n) / n
     pts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return SymmetricPolygon(_canonicalize(pts))
+    return SymmetricPolygon(_canonicalize(pts)[1])
 
 
 def zonotope_from_generators(generators: Iterable[tuple[float, float]]) -> SymmetricPolygon:
@@ -256,12 +287,16 @@ def zonotope_from_generators(generators: Iterable[tuple[float, float]]) -> Symme
         merged[a] = merged.get(a, 0.0) + ln
     if not merged:
         return point()
+    # the walk stays finite when the lengths' sum does; when the sum overflows,
+    # the largest coordinate, at least a quarter of it, has an infinite square
+    if not math.isfinite(sum(merged.values())):
+        raise InputError("body is too large: its squared coordinates overflow")
     angles = sorted(merged)
     edges = np.asarray([[merged[a] * math.cos(a), merged[a] * math.sin(a)] for a in angles])
     start = -0.5 * edges.sum(axis=0)
     walk = start + np.vstack([np.zeros(2), np.cumsum(edges, axis=0)[:-1]])
     ring = np.vstack([walk, -walk])
-    return SymmetricPolygon(_canonicalize(ring))
+    return SymmetricPolygon(_canonicalize(ring)[1])
 
 
 def minkowski_sum(u: SymmetricPolygon, v: SymmetricPolygon) -> SymmetricPolygon:

@@ -442,6 +442,28 @@ def test_invalid_interpolant_record_exits_2(tmp_path, capsys, bad):
     assert json.loads(out)["error"]["kind"] == "malformed-input"
 
 
+def _square(c):
+    return {"vertices": [[c, c], [-c, c], [-c, -c], [c, -c]]}
+
+
+@pytest.mark.parametrize(
+    "op, doc",
+    [
+        ("area", _square(1e155)),
+        ("area", {"generators": [{"angle": 0.0, "length": 1e308}, {"angle": 0.1, "length": 1e308}]}),
+        ("perimeter", {"generators": [{"angle": 0.5, "length": 1e308}]}),
+        ("sum", {"U": _square(1e154), "V": _square(1e154)}),
+    ],
+)
+def test_overflowing_bodies_are_malformed_input(tmp_path, capsys, op, doc):
+    # squared coordinates beyond the largest double: a body's turn tolerance
+    # and area scale with them, so it is rejected before either overflows
+    code, out = run(capsys, "geom", op, "--input", jfile(tmp_path, "body.json", doc))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "malformed-input" and "too large" in err["detail"]
+
+
 def test_norm_has_no_csv_form(tmp_path, capsys):
     path = jfile(tmp_path, "f.json", CONST)
     code, out = run(capsys, "norm", "--input", path, "--output", "csv")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_minkowski_sum_drops_collinear_vertices():
     assert len(convexgeo.minkowski_sum(square, square).vertices) == 4
     # the hull oracle over all pairwise sums, whose lex-min point is an edge midpoint
     sums = (square.vertex_array[:, None, :] + square.vertex_array[None, :, :]).reshape(-1, 2)
-    assert len(convexgeo._canonicalize(sums)) == 4
+    assert len(convexgeo._canonicalize(sums)[1]) == 4
 
 
 def test_vertical_segment_with_sideways_noise():
@@ -367,7 +368,7 @@ def test_expansion_matches_vertex_oracles(gu, gv, twin):
     assert gap <= 1e-12 * scale
     # pair norm from vertex walks and shoelace areas, the sum taken by the hull oracle
     sums = (u.vertex_array[:, None, :] + v.vertex_array[None, :, :]).reshape(-1, 2)
-    hull_sum = np.asarray(convexgeo._canonicalize(sums))
+    hull_sum = np.asarray(convexgeo._canonicalize(sums)[1])
     p = _walk_perimeter(u.vertex_array) - _walk_perimeter(v.vertex_array)
     m = (
         2.0 * convexgeo._shoelace_area(u.vertex_array)
@@ -389,3 +390,170 @@ def test_equivalence_of_rotated_twins(gens, shift):
     verdict = convexgeo.pair_equivalent(convexgeo.body_pair(u, pt), convexgeo.body_pair(w, pt))
     if shift * sum(ln for _, ln in gens) <= 1e-9:
         assert verdict
+
+
+# ---------------------------------------------------------------------------
+# canonicalization against the NumPy-row reference
+
+
+def _reference_turn(a, b, p):
+    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+
+def _reference_chain(points, eps):
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _reference_turn(chain[-2], chain[-1], p) <= eps:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _reference_tidy_ring(ring):
+    """The ring pass before the hull moved to Python floats: NumPy rows and scalars."""
+    ring = np.asarray(ring)
+    if len(ring) <= 2:
+        return ring
+    eps = convexgeo._GEOM_TOL * convexgeo._scale_of(ring) ** 2
+    chain = _reference_chain([*ring, ring[0]], eps)[:-1]
+    while len(chain) >= 3 and _reference_turn(chain[-1], chain[0], chain[1]) <= eps:
+        chain.pop(0)
+    if len(chain) >= 3:
+        return np.asarray(chain)
+    axis = int(np.argmax(np.ptp(ring, axis=0)))
+    return ring[[np.argmin(ring[:, axis]), np.argmax(ring[:, axis])]]
+
+
+def _reference_convex_hull(pts):
+    scale = convexgeo._scale_of(pts)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.max(np.abs(pts[i] - pts[keep[-1]])) > convexgeo._GEOM_TOL * scale:
+            keep.append(i)
+    pts = pts[keep]
+    if len(pts) <= 2:
+        return pts
+    return _reference_tidy_ring(_reference_chain(pts, 0.0)[:-1] + _reference_chain(pts[::-1], 0.0)[:-1])
+
+
+def _reference_symmetrize(hull):
+    tol = convexgeo._GEOM_TOL * convexgeo._scale_of(hull)
+    if len(hull) == 1:
+        if np.max(np.abs(hull[0])) > tol:
+            raise InputError("a one-point body must sit at the origin")
+        return ((0.0, 0.0),)
+    m = len(hull) // 2
+    if len(hull) % 2 != 0 or np.max(np.abs(hull[:m] + hull[m:])) > tol:
+        raise InputError("vertex set is not centrally symmetric")
+    u = 0.5 * (hull[:m] - hull[m:])
+    upper = (u[:, 1] > 0.0) | ((u[:, 1] == 0.0) & (u[:, 0] > 0.0))
+    u = np.where(upper[:, None], u, -u)
+    u = u[np.argsort(np.arctan2(u[:, 1], u[:, 0]), kind="stable")]
+    ring = np.vstack([u, -u])
+    start = int(np.lexsort((ring[:, 1], ring[:, 0]))[0])
+    return tuple(map(tuple, np.roll(ring, -start, axis=0).tolist()))
+
+
+def _reference_canonicalize(points):
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise InputError("expected a nonempty array of planar points")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("vertices must be finite")
+    return _reference_symmetrize(_reference_convex_hull(pts))
+
+
+def _reference_symmetric_polygon(points):
+    """Every input point tested against the whole canonical ring, one NumPy call each."""
+    pts = np.asarray(list(points), dtype=float)
+    canon = _reference_canonicalize(pts)
+    hull = np.asarray(canon, dtype=float)
+    scale = convexgeo._scale_of(pts)
+    for p in pts:
+        if float(np.min(np.max(np.abs(hull - p), axis=1))) > 1e-9 * scale:
+            raise InputError("vertices are not in convex position")
+    return convexgeo.SymmetricPolygon(canon)
+
+
+def _bits(fn, *args):
+    """A body's vertices as hex floats, so that signed zeros count, or the error raised."""
+    try:
+        return [(x.hex(), y.hex()) for x, y in fn(*args).vertices]
+    except InputError as exc:
+        return str(exc)
+
+
+def _walk(gens):
+    """The zonogon ring of ``(angle, length)`` generators, walked in angle order mod pi."""
+    merged = {}
+    for a, ln in gens:
+        a = seqmodel.normalize_angle(a)
+        merged[a] = merged.get(a, 0.0) + ln
+    edges = [(ln * math.cos(a), ln * math.sin(a)) for a, ln in sorted(merged.items())]
+    x, y = -0.5 * sum(e[0] for e in edges), -0.5 * sum(e[1] for e in edges)
+    walk = []
+    for ex, ey in edges:
+        walk.append([x, y])
+        x, y = x + ex, y + ey
+    return walk + [[-px, -py] for px, py in walk]
+
+
+@st.composite
+def _hostile_bodies(draw):
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    angles = draw(st.lists(_angle, min_size=1, max_size=8))
+    if draw(st.sampled_from([False, False, True])):
+        angles.append(angles[-1] + draw(st.sampled_from([1e-15, -1e-15, 2e-15])))
+    gens = [(a, scale * draw(st.floats(0.05, 3.0))) for a in angles]
+    pts = _walk(gens)
+    extras = ["near", "near", "near", "mid", "interior", "asym"]
+    for kind in draw(st.lists(st.sampled_from(extras), max_size=3)):
+        i = draw(st.integers(0, len(pts) - 1))
+        p, q = pts[i], pts[(i + 1) % len(pts)]
+        if kind == "near":
+            d = scale * 10.0 ** draw(st.floats(-13.0, -10.0))
+            pts.append([p[0] + d, p[1] - d * draw(st.sampled_from([0.0, 0.5, 1.0]))])
+        elif kind == "mid":
+            t = draw(st.sampled_from([0.5, 0.25]))
+            pts.append([t * p[0] + (1.0 - t) * q[0], t * p[1] + (1.0 - t) * q[1]])
+        elif kind == "interior":
+            pts.append([0.5 * p[0], 0.5 * p[1]])
+        else:
+            pts[i] = [p[0] * (1.0 + 10.0 ** draw(st.floats(-12.0, -6.0))), p[1]]
+    # 1- and 2-point bodies: the origin, a segment, or one end of it
+    size = draw(st.sampled_from([None] * 7 + [1, 2]))
+    if size is not None:
+        pts = [[0.0, 0.0]] if draw(st.booleans()) else pts[:size]
+    return gens, draw(st.permutations(pts))
+
+
+@seed(20215)
+@settings(max_examples=300, deadline=None)
+@given(case=_hostile_bodies(), other=_generators)
+def test_canonicalization_matches_numpy_row_reference(case, other):
+    gens, pts = case
+    assert _bits(convexgeo.symmetric_polygon, pts) == _bits(_reference_symmetric_polygon, pts)
+    u, v = convexgeo.zonotope_from_generators(gens), convexgeo.zonotope_from_generators(other)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexgeo, "_canonicalize", lambda p: (None, _reference_canonicalize(p)))
+        assert _bits(convexgeo.zonotope_from_generators, gens) == _bits(lambda: u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexgeo, "_tidy_ring", _reference_tidy_ring)
+        mp.setattr(convexgeo, "_symmetrize", _reference_symmetrize)
+        want = _bits(convexgeo.minkowski_sum, u, v)
+    assert _bits(convexgeo.minkowski_sum, u, v) == want
+
+
+def test_reading_a_large_zonogon_is_near_linear():
+    # 10000 generators 1/10000 long at evenly spaced angles: a 20000-gon, whose
+    # reading is quadratic if every vertex is tested against the whole ring
+    n = 10_000
+    gens = [(-HALF_PI + (i + 0.5) * math.pi / n, 1.0 / n) for i in range(n)]
+    body = convexgeo.zonotope_from_generators(gens)
+    verts = [list(v) for v in body.vertices]
+    start = time.perf_counter()
+    read = convexgeo.symmetric_polygon(verts)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert len(read.vertices) == 2 * n and read.vertices == body.vertices
