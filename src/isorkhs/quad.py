@@ -40,7 +40,6 @@ __all__ = [
     "DELTA",
     "DEFAULT_SPEC",
     "integrate",
-    "integrate_fixed",
     "sample",
     "derivative_at",
 ]
@@ -225,35 +224,6 @@ def integrate(
         estimate=estimate,
         error_bound=bound,
     )
-
-
-def integrate_fixed(
-    f: Callable,
-    interval=DELTA,
-    breakpoints: Sequence[float] = (),
-    points: int = 16,
-    levels: int = 0,
-) -> float:
-    """Non-adaptive composite rule: ``2**levels`` equal panels per segment.
-
-    Used by the convergence-rate and polynomial-exactness checks, where the
-    panel layout has to be controlled instead of adapted.
-    """
-    iv = _coerce_interval(interval)
-    if points < 1:
-        raise InputError("points must be positive")
-    if levels < 0:
-        raise InputError("levels must be nonnegative")
-    edges = _segment_edges(iv, breakpoints)
-    m = 1 << levels
-    los = []
-    his = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(lo, hi, m + 1)
-        los.append(sub[:-1])
-        his.append(sub[1:])
-    vals, _ = _panel_integrals(f, np.concatenate(los), np.concatenate(his), points)
-    return float(vals.sum())
 
 
 def derivative_at(

@@ -192,9 +192,17 @@ def seq_inner(x: DiangleExpansion, y: DiangleExpansion) -> float:
 
 
 def sin_quadratic(x: DiangleExpansion) -> float:
-    """The double sum ``sum_ij sin|a_i - a_j| x_i x_j``."""
+    """The double sum ``sum_ij sin|a_i - a_j| x_i x_j``.
+
+    Its partial sums are at most ``(sum_i |x_i|)^2`` in absolute value; an
+    expansion for which that bound overflows raises ``InputError`` before the
+    sum is formed (the area of a square with corners at +-1e154, say).
+    """
     if not x.terms:
         return 0.0
+    bound = sum(map(abs, x.coefficients))
+    if not math.isfinite(bound * bound):
+        raise InputError(f"expansion is too large: its absolute coefficient sum {bound!r} squared overflows")
     a = np.array(x.angles)
     c = np.array(x.coefficients)
     s = np.sin(np.abs(a[:, None] - a[None, :]))

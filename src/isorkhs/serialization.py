@@ -7,15 +7,21 @@ decimal point or exponent so they read back as floats.  A list or tuple of
 floats only, and each CSV row, is written by one C-level ``%`` call over a
 template of per-value specifiers (``_float_run``); JSON mode writes integral
 values below ``1e17`` with ``"%.1f"``, which is byte for byte ``"%.17g"``
-plus the ``".0"`` marker.  Input documents are parsed with the standard
-library and validated here; malformed input always surfaces as
-``InputError``.
+plus the ``".0"`` marker.  A list of equally long rows of finite floats (a
+Gram matrix, a vertex list) is written as one block (``_float_block``): each
+distinct value, by bit pattern, is formatted once by ``_float_run`` and its
+text copied to every cell that holds it, so a symmetric n x n matrix costs
+about n(n+1)/2 conversions.  The writer appends its pieces to one list that
+``dumps`` joins once.  Input documents are parsed with the standard library
+and validated here; malformed input, nesting too deep for the parser
+included, always surfaces as ``InputError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,39 +81,76 @@ def _float_run(values, sep: str, bare: bool) -> str:
     return text
 
 
-def _emit(obj, indent: int) -> str:
-    pad = "  " * indent
+def _float_block(rows):
+    """The texts of ``rows`` row by row, or ``None`` when ``rows`` is not a float block.
+
+    A block is a list of equally long nonempty lists or tuples of finite floats,
+    such as a Gram matrix or a vertex list.  Its distinct values, told apart by
+    bit pattern so ``0.0`` and ``-0.0`` stay apart, are formatted by one
+    ``_float_run``, and each cell takes its text back by one index.
+    """
+    k = len(rows[0]) if isinstance(rows[0], (list, tuple)) else 0
+    if not k or not all(isinstance(r, (list, tuple)) and len(r) == k for r in rows):
+        return None
+    if not set(map(type, chain.from_iterable(rows))) <= _FLOATS:
+        return None
+    block = np.array(rows, dtype=np.float64)
+    if not np.isfinite(block).all():
+        return None
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    texts = np.array(_float_run(bits.view(np.float64).tolist(), ",", False).split(","), dtype=object)
+    return texts[inverse.reshape(block.shape)].tolist()
+
+
+def _emit(obj, indent: int, out: list) -> None:
+    """Append the JSON text of ``obj`` to ``out`` in pieces."""
     if obj is None:
-        return "null"
+        return out.append("null")
     if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
+        return out.append("true" if obj else "false")
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return out.append(json.dumps(obj))
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return out.append(str(int(obj)))
     if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+        return out.append(format_float(float(obj)))
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_emit(v, indent + 1)}" for k, v in sorted(obj.items())
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+            return out.append("{}")
+        lead = "{\n"
+        for k, v in sorted(obj.items()):
+            out.append(f"{lead}{pad}  {json.dumps(str(k))}: ")
+            _emit(v, indent + 1, out)
+            lead = ",\n"
+        return out.append("\n" + pad + "}")
     if isinstance(obj, (list, tuple)):
         if not len(obj):
-            return "[]"
+            return out.append("[]")
         if set(map(type, obj)) <= _FLOATS:
-            return "[\n" + pad + "  " + _float_run(obj, ",\n  " + pad, False) + "\n" + pad + "]"
-        inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+            return out.append("[\n" + pad + "  " + _float_run(obj, ",\n  " + pad, False) + "\n" + pad + "]")
+        lead = "[\n"
+        rows = _float_block(obj)
+        if rows is not None:
+            cell = ",\n" + pad + "    "
+            for row in rows:
+                out.append(f"{lead}{pad}  [\n{pad}    {cell.join(row)}\n{pad}  ]")
+                lead = ",\n"
+        else:
+            for v in obj:
+                out.append(lead + pad + "  ")
+                _emit(v, indent + 1, out)
+                lead = ",\n"
+        return out.append("\n" + pad + "]")
     raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    return _emit(obj, 0)
+    out: list[str] = []
+    _emit(obj, 0, out)
+    return "".join(out)
 
 
 def dumps_csv(rows: Iterable[Sequence[float]], header: Sequence[str] = ("x", "f", "fprime")) -> str:
@@ -121,6 +164,8 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +175,10 @@ def loads(text: str):
 def as_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{what} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the largest double
+        out = math.inf
     if not math.isfinite(out):
         raise InputError(f"{what} must be finite, got {value!r}")
     return out

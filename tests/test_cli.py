@@ -1,13 +1,17 @@
 """End-to-end tests that drive the command-line harness through ``cli.main``."""
 
+import contextlib
 import io
 import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from isorkhs import cli, kernel
 
@@ -162,6 +166,46 @@ def test_gram_and_power_csv_golden_bytes(tmp_path, capsys):
     assert run(capsys, "gram", "--input", path) == (0, GRAM3_GOLDEN)
     power = run(capsys, "power", "--input", path, "--at=-1.2,0.25,1.5", "--output", "csv")
     assert power == (0, POWER3_CSV_GOLDEN)
+
+
+GRAM3_SYMMETRIC_GOLDEN = """{
+  "chol_ok": true,
+  "cond": 7.609342291924694,
+  "matrix": [
+    [
+      2.0,
+      1.2469201249888531,
+      0.67822046795927204
+    ],
+    [
+      1.2469201249888531,
+      2.0,
+      1.2469201249888531
+    ],
+    [
+      0.67822046795927204,
+      1.2469201249888531,
+      2.0
+    ]
+  ],
+  "max_eig": 4.1348316341400704,
+  "min_eig": 0.543388833819199,
+  "nodes": [
+    -0.5,
+    0.0,
+    0.5
+  ],
+  "ridge": 0.0,
+  "theta": 2.0
+}
+"""
+
+
+def test_gram_golden_bytes_with_repeated_entries(tmp_path, capsys):
+    # nodes symmetric about 0: nine cells hold three distinct values, each
+    # written once and copied back to every cell that holds it
+    path = jfile(tmp_path, "g.json", {"nodes": [-0.5, 0.0, 0.5]})
+    assert run(capsys, "gram", "--input", path) == (0, GRAM3_SYMMETRIC_GOLDEN)
 
 
 def test_gram_duplicate_nodes(tmp_path, capsys):
@@ -453,15 +497,107 @@ def _square(c):
         ("area", {"generators": [{"angle": 0.0, "length": 1e308}, {"angle": 0.1, "length": 1e308}]}),
         ("perimeter", {"generators": [{"angle": 0.5, "length": 1e308}]}),
         ("sum", {"U": _square(1e154), "V": _square(1e154)}),
+        ("area", _square(1e154)),
+        ("norm", {"U": _square(1e154), "V": POINT}),
+        ("deficit", {"U": POINT, "V": _square(1e154)}),
     ],
 )
 def test_overflowing_bodies_are_malformed_input(tmp_path, capsys, op, doc):
     # squared coordinates beyond the largest double: a body's turn tolerance
-    # and area scale with them, so it is rejected before either overflows
+    # and area scale with them, so it is rejected before either overflows; at
+    # +-1e154 the squares are finite but the area is not.  The suite turns a
+    # RuntimeWarning into an error, so an overflow inside NumPy fails here too.
     code, out = run(capsys, "geom", op, "--input", jfile(tmp_path, "body.json", doc))
     assert code == 2
     err = json.loads(out)["error"]
     assert err["kind"] == "malformed-input" and "too large" in err["detail"]
+
+
+# ---------------------------------------------------------------------------
+# hostile JSON against every reader
+
+
+TRIG = {"type": "trigpoly", "cos": [1.0, 0.5]}
+ITP = {"type": "interpolant", "theta": 2.0, "ridge": 0.0, "nodes": [0.0, 0.5], "coeffs": [1.0, -0.5]}
+PAIR = {"U": SQUARE, "V": {"vertices": [[1.0, 0.5], [-1.0, -0.5]]}}
+
+# every key in these documents is read; the ones listed here have no default
+_REQUIRED = {"type", "f", "g", "nodes", "values", "coeffs", "angle", "coeff", "length"}
+_REQUIRED |= {"vertices", "generators", "U", "V", "A", "B"}
+_VALID = [
+    (("eval", "--at", "0.1"), TRIG),
+    (("eval", "--at", "0.1", "--output", "csv"), {"f": DIANGLE0}),
+    (("norm",), ITP),
+    (("export", "--points", "5"), K0),
+    (("inner",), {"f": TRIG, "g": ITP}),
+    (("gram",), {"nodes": [-0.5, 0.5], "theta": 2.0, "ridge": 0.0}),
+    (("interp",), {"nodes": [-0.5, 0.5], "values": [1.0, 2.0], "theta": 2.0}),
+    (("power", "--at", "0.1"), {"nodes": [-0.5, 0.5]}),
+    (("seq",), {"x0": 0.0, "terms": [{"angle": 0.3, "coeff": 1.0}]}),
+    (("geom", "area"), SQUARE),
+    (("geom", "width", "--angle", "0.3"), PAIR["V"]),
+    (("geom", "cauchy"), SQUARE),
+    (("geom", "sum"), PAIR),
+    (("geom", "norm"), PAIR),
+    (("geom", "deficit"), PAIR),
+    (("geom", "tofunction", "--points", "5"), PAIR),
+    (("geom", "equiv"), {"A": PAIR, "B": PAIR}),
+]
+# JSON text spliced in for a placeholder: values that are wrong even where a
+# number belongs (non-finite literals, an integer beyond the double range),
+# and arrays nested deeper than json.dumps can write
+_LITERALS = ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "[" * 30 + "]" * 30, "[" * 5000 + "]" * 5000]
+_WRONG = ["x", True, None, [], [1.0], {}, {"a": 1.0}, 1.0, *(f"<{i}>" for i in range(len(_LITERALS)))]
+
+
+def _paths(doc, path=()):
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _kind(value):
+    return "literal" if isinstance(value, str) and value.startswith("<") else type(value)
+
+
+def _with_literals(text: str) -> str:
+    for i, literal in enumerate(_LITERALS):
+        text = text.replace(f'"<{i}>"', literal)
+    return text
+
+
+@st.composite
+def _hostile(draw):
+    """A valid command and document, with one required key deleted or one part of the wrong kind."""
+    argv, doc = draw(st.sampled_from(_VALID))
+    doc = json.loads(json.dumps(doc))
+    path, value = draw(st.sampled_from(list(_paths(doc))))
+    wrong = draw(st.sampled_from([w for w in _WRONG if _kind(w) != _kind(value)]))
+    if not path:
+        return argv, _with_literals(json.dumps(wrong))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if path[-1] in _REQUIRED and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = wrong
+    return argv, _with_literals(json.dumps(doc))
+
+
+@seed(20221)
+@settings(max_examples=300, deadline=None)
+@given(case=_hostile())
+def test_hostile_json_is_malformed_input(case):
+    argv, text = case
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = cli.main([argv[0], "--input", "-", *argv[1:]])
+    doc = json.loads(out.getvalue())
+    assert (code, doc["error"]["kind"]) == (2, "malformed-input"), text[:200]
+    assert list(doc) == ["error"] and list(doc["error"]) == ["detail", "kind"]
+    assert isinstance(doc["error"]["detail"], str)
 
 
 def test_norm_has_no_csv_form(tmp_path, capsys):

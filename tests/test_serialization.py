@@ -259,6 +259,36 @@ def _floats(finite: bool):
 
 _float32s = st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
 
+# values a block's cells should hold together: signed zeros, and integral
+# values on both sides of the "%.1f" switch
+_TOGETHER = [(), (0.0, -0.0), (99999999999999984.0, 1e17, 100000000000000016.0)]
+
+
+@st.composite
+def _blocks(draw, values):
+    """Equally long rows, lists or tuples, of cells drawn from a few values, so cells repeat."""
+    pool = draw(st.lists(values, min_size=1, max_size=5)) + list(draw(st.sampled_from(_TOGETHER)))
+    k = draw(st.integers(1, 4))
+    rows = [[draw(st.sampled_from(pool)) for _ in range(k)] for _ in range(draw(st.integers(1, 5)))]
+    return [tuple(r) if draw(st.booleans()) else r for r in rows]
+
+
+@st.composite
+def _near_blocks(draw, values):
+    """A block with one row lengthened or shortened, or one cell an ``int``, ``bool`` or ``np.float32``."""
+    rows = [list(r) for r in draw(_blocks(values))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    kind = draw(st.sampled_from(["ragged", "int", "bool", "float32"]))
+    if kind == "ragged":
+        if len(row) > 1 and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(row[0])
+    else:
+        cell = {"int": st.integers(-(10**18), 10**18), "bool": st.booleans(), "float32": _float32s}[kind]
+        row[draw(st.integers(0, len(row) - 1))] = draw(cell)
+    return rows
+
 
 def _documents(finite: bool):
     floats = _floats(finite)
@@ -272,7 +302,7 @@ def _documents(finite: bool):
         st.text(max_size=4),
     )
     arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=4), elements=floats)
-    leaves = st.one_of(scalars, st.lists(floats, max_size=6), arrays)
+    leaves = st.one_of(scalars, st.lists(floats, max_size=6), arrays, _blocks(floats), _near_blocks(floats))
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
@@ -296,6 +326,37 @@ def test_dumps_matches_per_value_reference(doc):
 @given(doc=_documents(finite=False))
 def test_dumps_non_finite_raises_as_the_reference(doc):
     assert _outcome(ser.dumps, doc) == _outcome(_reference_emit, doc, 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, -0.0], [-0.0, 0.0]],
+        [[2.0, 1.0], [1.0, 2.0], (2.0, np.float64(1.0))],
+        [[9.999999999999998e16, 1e17, -1e17, 1e18]],
+        [[np.float64(0.5)], [0.5], [-0.5]],
+    ],
+)
+def test_float_blocks_take_the_block_path(rows):
+    assert ser._float_block(rows) is not None
+    assert ser.dumps({"m": rows}) == _reference_emit({"m": rows}, 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, 2.0], [3.0]],
+        [[1.0, 2], [3.0, 4.0]],
+        [[1.0, True]],
+        [[1.0, np.float32(2.0)]],
+        [[]],
+        [[1.0], 2.0],
+        [[1.0, math.inf], [math.nan, 1.0]],
+    ],
+)
+def test_other_lists_take_the_generic_path(rows):
+    assert ser._float_block(rows) is None
+    assert _outcome(ser.dumps, rows) == _outcome(_reference_emit, rows, 0)
 
 
 _cells = st.one_of(
