@@ -28,13 +28,14 @@ class ConvergenceError(IsorkhsError, RuntimeError):
     """Adaptive refinement hit its depth limit before meeting the tolerance.
 
     Carries the best estimate computed so far together with the error bound
-    the estimate is known to satisfy.
+    the estimate is known to satisfy: floats, or arrays with one entry per
+    integral for a stacked integrand.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate, error_bound):
         super().__init__(message)
-        self.estimate = float(estimate)
-        self.error_bound = float(error_bound)
+        self.estimate = estimate
+        self.error_bound = error_bound
 
 
 class SingularSystemError(IsorkhsError, RuntimeError):

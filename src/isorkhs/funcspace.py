@@ -17,7 +17,9 @@ Inner products and the derived functionals take an exact closed-form path
 whenever every argument is symbolic (trig or diangle) and an adaptive
 quadrature path otherwise; the two paths are independent and the test suite
 holds them against each other.  Quadrature registers the union of both
-arguments' kinks as breakpoints.
+arguments' kinks as breakpoints and makes one stacked pass per functional:
+rows ``f, g, f g, f' g'`` for an inner product and ``f, f^2, f'^2`` for a
+single member's integral and energy, each row to its own tolerance.
 
 The exact path is built on two quantities.  ``int f`` is ``sum a_k J(k)``
 for a series (``J(p) = int cos(p t)``) and ``pi x0 + 2 S`` for a span with
@@ -353,32 +355,35 @@ def _energy_pairing(f, g) -> float:
 # quadrature path, and the choice between the two paths
 
 
-def _merged_kinks(*fs) -> tuple[float, ...]:
-    ks: set[float] = set()
-    for f in fs:
-        ks.update(f.kinks)
-    return tuple(sorted(ks))
-
-
-def _quad_integral(f, spec: QuadratureSpec) -> float:
-    return quad.integrate(f.value, DELTA, f.kinks, spec)
-
-
 def _integral(f, spec: QuadratureSpec) -> float:
     """``int f``: the closed form for a symbolic member, quadrature otherwise."""
     if _is_symbolic(f):
         return _exact_integral(f)
-    return _quad_integral(f, spec)
+    return quad.integrate(f.value, DELTA, f.kinks, spec)
+
+
+def _quad_functionals(f, g, spec: QuadratureSpec) -> tuple[float, float, float]:
+    """``(int f, int g, int (f g - f' g'))`` by one quadrature on both members' kinks, with
+    stacked rows ``f, g, f g, f' g'``, or ``f, f^2, f'^2`` when ``g is f``."""
+
+    def rows(x):
+        fv, fd = f.value(x), f.derivative(x)
+        if g is f:
+            return np.stack((fv, fv * fv, fd * fd))
+        gv = g.value(x)
+        return np.stack((fv, gv, fv * gv, fd * g.derivative(x)))
+
+    out = quad.integrate(rows, DELTA, (*f.kinks, *g.kinks), spec).tolist()
+    int_f, int_g, int_fg, int_dd = out if g is not f else (out[0], *out)
+    return int_f, int_g, int_fg - int_dd
 
 
 def _integral_and_energy(f, spec: QuadratureSpec) -> tuple[float, float]:
     """``(int f, int (f^2 - f'^2))``: closed forms for a symbolic member, quadrature otherwise."""
     if _is_symbolic(f):
         return _exact_integral(f), _energy_pairing(f, f)
-    int_f = _quad_integral(f, spec)
-    int_sq = quad.integrate(lambda x: f.value(x) ** 2, DELTA, f.kinks, spec)
-    int_dsq = quad.integrate(lambda x: f.derivative(x) ** 2, DELTA, f.kinks, spec)
-    return int_f, int_sq - int_dsq
+    int_f, _, energy = _quad_functionals(f, f, spec)
+    return int_f, energy
 
 
 def _combine_inner(int_f: float, int_g: float, energy: float) -> float:
@@ -446,12 +451,7 @@ def inner_product_iso(
         return _combine_inner(_exact_integral(f), _exact_integral(g), _energy_pairing(f, g))
     if method != "quadrature":
         raise InputError(f"unknown inner-product method {method!r}")
-    bp = _merged_kinks(f, g)
-    int_f = _quad_integral(f, spec)
-    int_g = _quad_integral(g, spec)
-    int_fg = quad.integrate(lambda x: f.value(x) * g.value(x), DELTA, bp, spec)
-    int_dd = quad.integrate(lambda x: f.derivative(x) * g.derivative(x), DELTA, bp, spec)
-    return _combine_inner(int_f, int_g, int_fg - int_dd)
+    return _combine_inner(*_quad_functionals(f, g, spec))
 
 
 def norm_iso_squared(
@@ -509,13 +509,12 @@ def inner_product_classical(
     iv = quad.Interval(*interval) if not isinstance(interval, Interval) else interval
     fv, fd, fk = _as_rule(f, iv)
     gv, gd, gk = _as_rule(g, iv)
-    bp = tuple(sorted(set(fk) | set(gk)))
 
     def integrand(x):
         f0, g0, f1, g1 = (quad.sample(rule, x, "rule") for rule in (fv, gv, fd, gd))
         return f0 * g0 + f1 * g1
 
-    return quad.integrate(integrand, iv, bp, spec)
+    return quad.integrate(integrand, iv, (*fk, *gk), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@ Refinement is dyadic and level-synchronous: all active panels are bisected
 together and the parent-versus-children difference is used as the error
 estimate, which lets each level evaluate the integrand on a single stacked
 array instead of point by point.  A panel's tolerance never drops below
-``64 eps`` times its ``int |f|``, the rounding floor of its own sum.
+``64 eps`` times its ``int |f|``, the rounding floor of its own sum.  A
+stacked integrand returns ``(k, n)`` for ``n`` abscissae, one row per
+integral; the rows share the panels and the integrand calls.  Each row keeps
+its own tolerance and rounding floor, and a panel is accepted only when every
+row passes on it.
 
 :func:`derivative_at` holds the finite-difference conventions: central
 differences whose stencil stays inside the interval and off the nearest
@@ -93,10 +97,7 @@ DEFAULT_SPEC = QuadratureSpec()
 _ROUNDING_FLOOR = 64 * np.finfo(float).eps
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(n)
-    return nodes, weights
+_gauss_rule = lru_cache(maxsize=None)(leggauss)  # (nodes, weights) of the n-point rule
 
 
 def _coerce_interval(interval) -> Interval:
@@ -109,6 +110,15 @@ def _coerce_interval(interval) -> Interval:
     return Interval(float(lo), float(hi))
 
 
+def _values(f: Callable, x: np.ndarray) -> np.ndarray:
+    """``f(x)`` as floats, a scalar broadcast to ``x``'s shape; point by point if ``f`` rejects arrays."""
+    try:
+        y = np.asarray(f(x), dtype=float)
+    except (TypeError, ValueError):
+        return np.fromiter((float(f(t)) for t in x.flat), dtype=float, count=x.size).reshape(x.shape)
+    return y if y.ndim else np.full(x.shape, float(y))
+
+
 def sample(f: Callable, x: np.ndarray, what: str = "function") -> np.ndarray:
     """``f`` on the array ``x``, as a float array of ``x``'s shape.
 
@@ -116,45 +126,43 @@ def sample(f: Callable, x: np.ndarray, what: str = "function") -> np.ndarray:
     result is broadcast; any other shape raises :class:`InputError` naming
     ``what``.
     """
-    try:
-        y = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        y = np.fromiter((float(f(t)) for t in x.flat), dtype=float, count=x.size).reshape(x.shape)
+    y = _values(f, x)
     if y.shape != x.shape:
-        if y.ndim:
-            raise InputError(f"{what} returned shape {y.shape} for input shape {x.shape}")
-        y = np.full(x.shape, float(y))
+        raise InputError(f"{what} returned shape {y.shape} for input shape {x.shape}")
     return y
 
 
-def _sample_finite(f: Callable, x: np.ndarray, what: str) -> np.ndarray:
-    y = sample(f, x, what)
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)]
-        raise EvaluationError(f"{what} evaluated to a non-finite value near x={bad.flat[0]!r}")
+def _check_finite(y: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(y).all():
+        at = x[~np.isfinite(y).reshape(-1, x.size).all(0)][0]
+        raise EvaluationError(f"{what} evaluated to a non-finite value near x={at!r}")
     return y
 
 
-def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss panel integrals of ``f`` and ``|f|`` for a batch of panels, one integrand call."""
+def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, points: int, rows=None):
+    """Gauss panel integrals of ``f`` and ``|f|`` on ``m`` panels as ``(k, m)`` arrays, from one call,
+    and the row shape ``f`` returned (``()`` if scalar, ``k = 1``); it must be ``rows`` if that is given."""
     nodes, weights = _gauss_rule(points)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    y = _sample_finite(f, x.reshape(-1), "integrand").reshape(x.shape)
-    return half * (y @ weights), half * (np.abs(y) @ weights)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
+    y = _values(f, x)
+    if y.ndim > 2 or y.shape[-1] != x.size or rows not in (None, y.shape[:-1]):
+        raise InputError(f"integrand returned shape {y.shape} for {x.size} abscissae")
+    y2 = _check_finite(y, x, "integrand").reshape(-1, points)  # a row of y on a panel in each line
+    shape = (-1, lo.size)
+    return half * (y2 @ weights).reshape(shape), half * (np.abs(y2) @ weights).reshape(shape), y.shape[:-1]
 
 
 def _segment_edges(iv: Interval, breakpoints: Iterable[float]) -> np.ndarray:
-    pts = []
+    pts = {iv.lo, iv.hi}
     for b in breakpoints:
         b = float(b)
         if not math.isfinite(b):
             raise InputError("breakpoints must be finite")
         # Breakpoints on or outside the boundary are already panel edges.
         if iv.lo < b < iv.hi:
-            pts.append(b)
-    return np.unique(np.array([iv.lo, *pts, iv.hi], dtype=float))
+            pts.add(b)
+    return np.array(sorted(pts))
 
 
 def integrate(
@@ -162,14 +170,18 @@ def integrate(
     interval=DELTA,
     breakpoints: Sequence[float] = (),
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+) -> float | np.ndarray:
     """Integrate ``f`` over ``interval`` with kink-aware adaptive panels.
 
     Parameters
     ----------
     f : callable
-        Integrand; preferably accepts an ndarray and returns one of the same
-        shape (scalar-only callables are wrapped, at a cost).
+        Integrand; preferably accepts an ndarray of ``n`` abscissae and
+        returns ``n`` values (scalar-only callables are wrapped, at a cost).
+        A stacked one returns ``(k, n)``, one row per integral, and the call
+        returns ``k`` values.  Each row meets its own tolerance,
+        ``max(abs_tol, rel_tol |its running sum|)``, or its own rounding
+        floor; a panel is accepted once every row passes on it.
     interval : Interval or (lo, hi)
     breakpoints : sequence of float
         Abscissae where ``f`` loses smoothness.  Panels never straddle them.
@@ -180,49 +192,48 @@ def integrate(
     ------
     ConvergenceError
         If the refinement depth limit is reached; the exception carries the
-        best estimate and its error bound.
+        best estimate and its error bound, floats for a scalar integrand and
+        arrays of ``k`` (one entry per row) for a stacked one.
     EvaluationError
-        If ``f`` produces a non-finite value.
+        If ``f`` produces a non-finite value in any row.
+    InputError
+        If ``f`` returns any other shape.
     """
     iv = _coerce_interval(interval)
     edges = _segment_edges(iv, breakpoints)
     los, his = edges[:-1], edges[1:]
-    parent, _ = _panel_integrals(f, los, his, spec.base_points)
+    parent, _, rows = _panel_integrals(f, los, his, spec.base_points)
     total_len = iv.length
 
-    accepted = 0.0
-    accepted_err = 0.0
+    def result(v: np.ndarray):
+        return v if rows else float(v[0])
+
+    accepted = accepted_err = 0.0  # per row, over accepted panels; arrays below are (rows, panels)
     for _depth in range(spec.max_depth):
         mids = 0.5 * (los + his)
-        child_lo = np.concatenate([los, mids])
-        child_hi = np.concatenate([mids, his])
-        child, child_abs = _panel_integrals(f, child_lo, child_hi, spec.base_points)
-        k = los.size
-        pair_sum = child[:k] + child[k:]
+        child_lo, child_hi = np.concatenate((los, mids)), np.concatenate((mids, his))
+        child, child_abs, _ = _panel_integrals(f, child_lo, child_hi, spec.base_points, rows)
+        m = los.size
+        pair_sum = child[:, :m] + child[:, m:]
         diff = np.abs(parent - pair_sum)
 
-        running = accepted + float(pair_sum.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(running))
-        floor = _ROUNDING_FLOOR * (child_abs[:k] + child_abs[k:])
-        local = np.maximum(tol * (his - los) / total_len, floor)
-        done = diff <= local
+        running = accepted + pair_sum.sum(1)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(running))
+        floor = _ROUNDING_FLOOR * (child_abs[:, :m] + child_abs[:, m:])
+        done = (diff <= np.maximum(tol[:, None] * (his - los) / total_len, floor)).all(0)
+        if done.all():
+            return result(running)
 
-        accepted += float(pair_sum[done].sum())
-        accepted_err += float(diff[done].sum())
-        if bool(done.all()):
-            return accepted
+        accepted = accepted + pair_sum.compress(done, 1).sum(1)
+        accepted_err = accepted_err + diff.compress(done, 1).sum(1)
+        # the children of the refused panels, left halves first
+        keep = np.concatenate((~done, ~done))
+        los, his, parent = child_lo[keep], child_hi[keep], child.compress(keep, 1)
 
-        keep = ~done
-        los = np.concatenate([los[keep], mids[keep]])
-        his = np.concatenate([mids[keep], his[keep]])
-        parent = np.concatenate([child[:k][keep], child[k:][keep]])
-
-    estimate = accepted + float(parent.sum())
-    bound = accepted_err + float(diff[~done].sum())
     raise ConvergenceError(
         f"quadrature did not converge within depth {spec.max_depth}",
-        estimate=estimate,
-        error_bound=bound,
+        estimate=result(accepted + parent.sum(1)),
+        error_bound=result(accepted_err + diff.compress(~done, 1).sum(1)),
     )
 
 
@@ -275,7 +286,7 @@ def derivative_at(
     s = np.where(left, -h, h)
     xc, hc, xo, so = pts[central], h[central], pts[~central], s[~central]
     stencil = np.concatenate([xc + hc, xc - hc, xo, xo + so, xo + 2.0 * so])
-    y = _sample_finite(f, stencil, "function")
+    y = _check_finite(sample(f, stencil, "function"), stencil, "function")
     n = xc.size
     f0, f1, f2 = y[2 * n :].reshape(3, -1)
     out = np.empty(pts.shape)

@@ -168,14 +168,16 @@ def to_function(e: DiangleExpansion):
 
 
 def _cross_gram(x: DiangleExpansion, y: DiangleExpansion) -> float:
+    """``sum_ij cx_i cy_j (2 - (pi/2) sin|a_i - b_j|)``; ``InputError`` if ``2 sum|cx| sum|cy|`` overflows."""
     if not x.terms or not y.terms:
         return 0.0
-    ax = np.array(x.angles)
-    ay = np.array(y.angles)
-    cx = np.array(x.coefficients)
-    cy = np.array(y.coefficients)
+    cx, cy = x.coefficients, y.coefficients
+    bound = 2.0 * sum(map(abs, cx)) * sum(map(abs, cy))
+    if not math.isfinite(bound):
+        raise InputError(f"expansions are too large: their Gram bound 2 sum|cx| sum|cy| is {bound!r}")
+    ax, ay = np.array(x.angles), np.array(y.angles)
     s = np.sin(np.abs(ax[:, None] - ay[None, :]))
-    return float(cx @ (2.0 - _HALF_PI * s) @ cy)
+    return float(np.array(cx) @ (2.0 - _HALF_PI * s) @ np.array(cy))
 
 
 def seq_inner(x: DiangleExpansion, y: DiangleExpansion) -> float:

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from isorkhs import cli, kernel
+from isorkhs.quad import QuadratureSpec
 
 HALF_PI = 0.5 * math.pi
 QUARTER_PI = 0.25 * math.pi
@@ -511,6 +513,46 @@ def test_overflowing_bodies_are_malformed_input(tmp_path, capsys, op, doc):
     assert code == 2
     err = json.loads(out)["error"]
     assert err["kind"] == "malformed-input" and "too large" in err["detail"]
+
+
+_BIG_SPAN = {
+    "type": "dianglespan",
+    "x0": 0.0,
+    "terms": [{"angle": 0.0, "coeff": 1e154}, {"angle": 1.0, "coeff": 1e154}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["seq"], {"terms": _BIG_SPAN["terms"]}),
+        (["norm"], _BIG_SPAN),
+        (["inner"], {"f": _BIG_SPAN, "g": _BIG_SPAN}),
+        (
+            ["inner"],
+            {"f": {**_BIG_SPAN, "x0": 1.0, "terms": [{"angle": -0.5, "coeff": -1e154}]}, "g": _BIG_SPAN},
+        ),
+    ],
+)
+def test_overflowing_expansions_are_malformed_input(tmp_path, capsys, argv, doc):
+    # twice the product of the absolute coefficient sums bounds the profile
+    # Gram sum; at 1e154 it overflows, so the sum is never formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, *argv, "--input", jfile(tmp_path, "x.json", doc))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "malformed-input" and "too large" in err["detail"]
+
+
+def test_quadrature_route_that_does_not_converge_exits_3(tmp_path, capsys):
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_depth=1, base_points=2)
+    path = jfile(tmp_path, "fg.json", {"f": {"type": "trigpoly", "cos": [0.0] * 40 + [1.0]}, "g": DIANGLE0})
+    with mock.patch.object(cli, "_spec", lambda args: spec):
+        code, out = run(capsys, "inner", "--input", path, "--method", "quadrature")
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "numerical-failure" and "did not converge" in err["detail"]
 
 
 # ---------------------------------------------------------------------------

@@ -269,12 +269,43 @@ def test_exact_functionals_match_quadrature(f):
     scale = _scale(f) ** 2
     spec = _quadrature_spec(scale)
     sampled = funcspace.sampled(f.value, f.derivative, f.kinks)  # forces quadrature
+    # rules that reject arrays, so quadrature calls them point by point
+    scalar_only = funcspace.sampled(lambda t: float(f.value(t)), lambda t: float(f.derivative(t)), f.kinks)
     for functional in (
         funcspace.energy_integral,
         funcspace.energy_deficit,
         funcspace.perimeter_functional,
     ):
-        assert abs(functional(f) - functional(sampled, spec)) <= 1e-10 * (1.0 + scale)
+        for member in (sampled, scalar_only):
+            assert abs(functional(f) - functional(member, spec)) <= 1e-10 * (1.0 + scale)
+    exact = funcspace.inner_product_iso(f, f, method="exact")
+    for a, b in ((sampled, sampled), (sampled, scalar_only)):
+        quadr = funcspace.inner_product_iso(a, b, method="quadrature", spec=spec)
+        assert abs(exact - quadr) <= 1e-10 * (1.0 + scale)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        funcspace.trig_poly([1.0, 0.5], [0.0, 0.2]),
+        funcspace.diangle_span(0.5, [(-0.9, 1.0), (0.4, -0.6), (1.2, 0.3)]),
+    ],
+)
+def test_functionals_of_sampled_members_without_a_derivative_rule(f):
+    # derivatives by quad.derivative_at; its rounding, about eps |f| / step =
+    # 1e-10 |f| at each point, is above the default tolerance, so quadrature
+    # asks for 1e-9
+    spec = quad.QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
+    g = funcspace.diangle_span(0.2, [(0.7, -0.5)])
+    fd, gd = funcspace.sampled(f.value, kinks=f.kinks), funcspace.sampled(g.value, kinks=g.kinks)
+    scale = _scale(f) ** 2
+    for functional in (funcspace.energy_integral, funcspace.energy_deficit, funcspace.perimeter_functional):
+        assert abs(functional(f) - functional(fd, spec)) <= 1e-10 * (1.0 + scale)
+    quadr = funcspace.inner_product_iso(fd, fd, method="quadrature", spec=spec)
+    assert abs(funcspace.inner_product_iso(f, f, method="exact") - quadr) <= 1e-10 * (1.0 + scale)
+    scale = _scale(f) * _scale(g)
+    quadr = funcspace.inner_product_iso(fd, gd, method="quadrature", spec=spec)
+    assert abs(funcspace.inner_product_iso(f, g, method="exact") - quadr) <= 1e-10 * (1.0 + scale)
 
 
 # ---------------------------------------------------------------------------

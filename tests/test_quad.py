@@ -276,3 +276,201 @@ def test_derivative_at_matches_scalar_reference(case):
         assert got in errors
     else:
         assert got.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# stacked integrands: k rows, one set of panels
+
+
+@st.composite
+def _stacked_cases(draw):
+    kink, hidden = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+    w = draw(st.floats(40.0, 90.0))
+    c = draw(st.floats(0.5, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    big = draw(st.sampled_from([1.0, 1e8]))
+    return kink, hidden, w, c, big
+
+
+@seed(20231)
+@settings(max_examples=60, deadline=None)
+@given(case=_stacked_cases())
+def test_stacked_rows_each_meet_their_closed_form(case):
+    # Row 0 is a line: alone, it is accepted on the first level (two integrand
+    # calls).  cos(w x) needs more levels, and |x - hidden|^3, whose kink is
+    # not registered, converges only algebraically, so its accuracy follows
+    # its own tolerance and floor: accepting panels on row 0 alone, or
+    # tolerances or floors shared with a row 1e8 times larger, would stop
+    # these rows far too early.
+    kink, hidden, w, c, big = case
+    lo, hi = -HALF_PI, HALF_PI
+    exact = [
+        big * ((hi - lo) + 0.5 * (hi * hi - lo * lo)),
+        (1.0 - math.cos(kink - lo)) + (1.0 - math.cos(hi - kink)),
+        (math.sin(w * hi) - math.sin(w * lo)) / w,
+        (math.exp(c * hi) - math.exp(c * lo)) / c,
+        0.25 * ((hi - hidden) ** 4 + (hidden - lo) ** 4),
+    ]
+    calls = []
+
+    def line(x):
+        calls.append(x.size)
+        return big * (1.0 + x)
+
+    def rows(x):
+        return np.stack(
+            (line(x), np.sin(np.abs(x - kink)), np.cos(w * x), np.exp(c * x), np.abs(x - hidden) ** 3)
+        )
+
+    assert abs(quad.integrate(line, breakpoints=[kink]) - exact[0]) <= 1e-10 * (1.0 + exact[0])
+    assert len(calls) == 2
+    got = quad.integrate(rows, breakpoints=[kink])
+    assert len(calls) > 4
+    assert isinstance(got, np.ndarray) and got.shape == (5,)
+    for g, e in zip(got, exact):
+        assert abs(g - e) <= 1e-10 * (1.0 + abs(e))
+
+
+def test_scalar_results_are_bit_identical_to_the_single_row_integrator():
+    # captured before stacked integrands existed; compared with ==
+    f63 = funcspace.trig_poly([0.0] * 63 + [1.0])
+    f61 = funcspace.trig_poly([0.0] * 61 + [1.0])
+    kinked = funcspace.trig_poly([1.0, 0.5], [0.0, 0.25])
+    profile = lambda x: 2.0 - HALF_PI * np.sin(np.abs(x - 0.3))
+    cases = [
+        (quad.integrate(np.cos), 2.0),
+        (quad.integrate(lambda x: np.sin(np.abs(x)), breakpoints=[0.0]), 1.9999999999999996),
+        (quad.integrate(lambda x: np.sin(50.0 * x) * np.exp(x), (0.0, 1.0)), -0.032733182652374446),
+        # the floor-limited pair: cos 63t against cos 61t, values and derivatives
+        (quad.integrate(lambda x: f63.value(x) * f61.value(x)), 7.771561172376096e-16),
+        (quad.integrate(lambda x: f63.derivative(x) * f61.derivative(x)), -7.958078640513122e-13),
+        (quad.integrate(profile, breakpoints=[0.3, -0.7, 0.3]), math.pi),
+        (quad.integrate(lambda t: math.exp(math.sin(3.0 * t)), (-1.0, 2.0), [0.5]), 3.1074071463842836),
+        (funcspace.inner_product_classical(np.sin, np.exp), 2.287355287203647),
+        (funcspace.inner_product_classical(funcspace.diangle(0.2), kinked, (-1.0, 1.2)), 0.8850114121941999),
+    ]
+    for got, want in cases:
+        assert type(got) is float and got == want
+
+
+def test_stacked_integrand_shapes():
+    # for n abscissae: (n + 1,), (2, n + 1) and (2, 2, n)
+    for extra, lead in ((1, ()), (1, (2,)), (0, (2, 2))):
+        with pytest.raises(InputError):
+            quad.integrate(lambda x: np.ones((*lead, x.size + extra)), breakpoints=[0.0])
+    calls = []
+
+    def shifting(x):  # two rows, then three
+        calls.append(x.size)
+        return np.ones((2 + (len(calls) > 1), x.size))
+
+    with pytest.raises(InputError):
+        quad.integrate(shifting)
+    got = quad.integrate(lambda x: np.ones((1, x.size)))
+    assert got.shape == (1,) and abs(got[0] - math.pi) <= 1e-13
+    assert abs(quad.integrate(lambda x: 1.0) - math.pi) <= 1e-14  # a scalar result is broadcast
+    # a callable that rejects arrays is called point by point
+    got = quad.integrate(lambda t: math.cos(t))
+    assert type(got) is float and abs(got - 2.0) <= 1e-13
+
+
+def test_nonfinite_value_in_any_row():
+    def rows(x):
+        return np.stack((np.cos(x), np.where(x > 0.5, np.inf, 1.0)))
+
+    with pytest.raises(EvaluationError, match="near x="):
+        quad.integrate(rows)
+
+
+def test_stacked_convergence_failure_carries_arrays():
+    # One level on [0, 1] with a breakpoint at 0.5: every row is x^3 on the
+    # left, exact for the 2-point rule up to rounding, so that segment is
+    # accepted; on the right the third row is sin(40 x), which is not.
+    # Twice a row has exactly twice its sums.
+    spec = quad.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_depth=1, base_points=2)
+
+    def rows(x):
+        right = np.where(x < 0.5, x**3, np.sin(40.0 * x))
+        return np.stack((x**3, np.where(x < 0.5, x**3, x), right, 2.0 * right))
+
+    with pytest.raises(ConvergenceError) as err:
+        quad.integrate(rows, (0.0, 1.0), breakpoints=[0.5], spec=spec)
+    estimate, bound = err.value.estimate, err.value.error_bound
+    assert estimate.shape == bound.shape == (4,)
+    assert np.all(np.isfinite(estimate)) and np.all(bound >= 0.0)
+    # the accepted left segment is in every estimate; the refused right one
+    # only as its children's sum
+    assert abs(estimate[0] - 0.25) <= 1e-15 and abs(estimate[1] - (0.5**4 / 4.0 + 0.375)) <= 1e-15
+    assert max(bound[0], bound[1]) <= 1e-15 and bound[2] > 1e-3
+    assert estimate[3] == 2.0 * estimate[2] and bound[3] == 2.0 * bound[2]
+    with pytest.raises(ConvergenceError) as err:
+        quad.integrate(lambda x: np.sin(50.0 * x) * np.exp(x), spec=spec)
+    assert type(err.value.estimate) is float and type(err.value.error_bound) is float
+
+
+# the single-row integrator as it stood before stacked integrands, kept to
+# hold scalar calls bit for bit
+
+
+def _reference_integrate(f, interval, breakpoints, spec):
+    iv = quad._coerce_interval(interval)
+    inner = [float(b) for b in breakpoints if iv.lo < b < iv.hi]
+    edges = np.unique(np.array([iv.lo, *inner, iv.hi], dtype=float))
+    nodes, weights = np.polynomial.legendre.leggauss(spec.base_points)
+
+    def panels(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        x = mid[:, None] + half[:, None] * nodes[None, :]
+        y = quad.sample(f, x.reshape(-1)).reshape(x.shape)
+        return half * (y @ weights), half * (np.abs(y) @ weights)
+
+    los, his = edges[:-1], edges[1:]
+    parent, _ = panels(los, his)
+    accepted = accepted_err = 0.0
+    for _ in range(spec.max_depth):
+        mids = 0.5 * (los + his)
+        child, child_abs = panels(np.concatenate([los, mids]), np.concatenate([mids, his]))
+        k = los.size
+        pair_sum = child[:k] + child[k:]
+        diff = np.abs(parent - pair_sum)
+        running = accepted + float(pair_sum.sum())
+        tol = max(spec.abs_tol, spec.rel_tol * abs(running))
+        floor = 64 * np.finfo(float).eps * (child_abs[:k] + child_abs[k:])
+        done = diff <= np.maximum(tol * (his - los) / iv.length, floor)
+        accepted += float(pair_sum[done].sum())
+        accepted_err += float(diff[done].sum())
+        if bool(done.all()):
+            return accepted
+        keep = ~done
+        los = np.concatenate([los[keep], mids[keep]])
+        his = np.concatenate([mids[keep], his[keep]])
+        parent = np.concatenate([child[:k][keep], child[k:][keep]])
+    return ("no convergence", accepted + float(parent.sum()), accepted_err + float(diff[~done].sum()))
+
+
+@st.composite
+def _scalar_cases(draw):
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.01, 3.0))
+    kinks = draw(st.lists(st.floats(lo - 0.5, hi + 0.5), max_size=4))
+    a, b = draw(st.floats(-60.0, 60.0)), draw(st.floats(-3.0, 3.0))
+    tol = draw(st.sampled_from([1e-13, 1e-11, 1e-8, 1e-4]))
+    spec = quad.QuadratureSpec(abs_tol=tol, rel_tol=tol, max_depth=draw(st.integers(1, 8)))
+    return (lo, hi), kinks, a, b, spec
+
+
+@seed(20232)
+@settings(max_examples=200, deadline=None)
+@given(case=_scalar_cases())
+def test_scalar_integrate_matches_the_single_row_reference(case):
+    interval, kinks, a, b, spec = case
+
+    def f(x):
+        return np.sin(a * x) * np.exp(b * x) + sum(np.abs(x - k) for k in kinks)
+
+    want = _reference_integrate(f, interval, kinks, spec)
+    try:
+        got = quad.integrate(f, interval, kinks, spec)
+    except ConvergenceError as exc:
+        got = ("no convergence", exc.estimate, exc.error_bound)
+    assert got == want
