@@ -258,6 +258,9 @@ def _cmd_seq(args):
         out["area"] = seqmodel.polygon_area(x)
     except DomainError:
         pass
+    for name, value in out.items():
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"expansion is too large: its {name} overflows to {value!r}")
     return out
 
 

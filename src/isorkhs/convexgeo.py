@@ -15,19 +15,17 @@ difference ``f = WIDTH_SCALE (width_U - width_V)`` is a member of the
 function space on ``[-pi/2, pi/2]`` with ``int f`` half the pair perimeter
 ``perim(U) - perim(V)`` and ``int (f^2 - f'^2)`` the pair measure
 ``2 area(U) + 2 area(V) - area(U + V)``.  Both, and the squared pair norm
-``(2 p^2 - 4 pi m) / (4 pi^2)``, are read off the difference expansion.
+``(2 p^2 - 4 pi m) / (4 pi^2)``, are read off the difference expansion,
+which a ``BodyPair`` builds once.
 
-The vertex algorithms stay only as independent oracles: the hull that
-validates vertex input, the support width and the shoelace area, read by
-``cauchy_check``, the cross-check in ``pair_equivalent`` and the two scale
-calibrations.
-
-Building a body from ``n`` points costs one sort plus Python work linear in
-``n``: the monotone-chain hull runs on Python floats, whose IEEE arithmetic
-gives the same bits as NumPy scalars.  A vertex set is tested for convex
-position only at the points its hull dropped, against the canonical ring, so
-valid input pays nothing for it.  Bodies whose squared coordinates overflow
-are rejected as input before any arithmetic overflows.
+Canonicalization runs on Python floats (their IEEE arithmetic gives the
+same bits as NumPy scalars) from the point list to the canonical tuple: one
+sort, the monotone-chain hull, and a ring pass that keeps the hull's angle
+order, so antipodal halves are symmetrized without another sort.  Convex
+position is tested only at the points the hull dropped.  Bodies whose
+squared coordinates overflow are rejected before any arithmetic overflows.
+The support width and the shoelace area stay as independent oracles, read by
+``cauchy_check``, ``pair_equivalent`` and the two scale calibrations.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,8 +79,8 @@ WIDTH_SCALE = 0.5
 _GEOM_TOL = 1e-12
 
 
-def _scale_of(pts: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(pts))))
+def _scale_of(pts) -> float:
+    return max(1.0, max(map(abs, chain.from_iterable(pts))))
 
 
 def _square_of(scale: float) -> float:
@@ -102,82 +101,76 @@ def _turn(a, b, p) -> float:
 
 def _chain(points: list, eps: float) -> list:
     """Monotone-chain pass: keep only points where the path turns strictly left."""
-    chain: list = []
+    kept: list = []
     for p in points:
-        while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= eps:
-            chain.pop()
-        chain.append(p)
-    return chain
+        x, y = p
+        while len(kept) >= 2:
+            (ax, ay), (bx, by) = kept[-2], kept[-1]
+            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > eps:  # _turn(a, b, p)
+                break
+            kept.pop()
+        kept.append(p)
+    return kept
 
 
-def _tidy_ring(ring) -> np.ndarray:
+def _tidy_ring(ring: list) -> list:
     """The vertices of a closed counterclockwise ring that turn strictly left.
 
     A collinear ring gives its two extremes along its wider axis, as rounding
     noise can swamp the other one (a vertical segment's x coordinates).
     """
-    ring = np.asarray(ring)
     if len(ring) <= 2:
         return ring
     eps = _GEOM_TOL * _square_of(_scale_of(ring))
-    pts = ring.tolist()
-    chain = _chain([*pts, pts[0]], eps)[:-1]
+    kept = _chain([*ring, ring[0]], eps)[:-1]
     # the chain never tests its first point against its predecessor
-    while len(chain) >= 3 and _turn(chain[-1], chain[0], chain[1]) <= eps:
-        chain.pop(0)
-    if len(chain) >= 3:
-        return np.asarray(chain)
-    axis = int(np.argmax(np.ptp(ring, axis=0)))
-    return ring[[np.argmin(ring[:, axis]), np.argmax(ring[:, axis])]]
+    while len(kept) >= 3 and _turn(kept[-1], kept[0], kept[1]) <= eps:
+        kept.pop(0)
+    if len(kept) >= 3:
+        return kept
+    xs, ys = zip(*ring)
+    c = ys if max(ys) - min(ys) > max(xs) - min(xs) else xs
+    return [ring[c.index(min(c))], ring[c.index(max(c))]]
 
 
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, CCW, strictly convex vertices only; its rows are input rows."""
+def _convex_hull(pts: list) -> list:
+    """CCW monotone-chain hull from the lex-min point, strictly convex vertices only, as input points."""
     tol = _GEOM_TOL * _scale_of(pts)
-    rows = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    rows = sorted(pts)
     kept = rows[:1]
     for p in rows[1:]:
         q = kept[-1]
         if max(abs(p[0] - q[0]), abs(p[1] - q[1])) > tol:
             kept.append(p)
     if len(kept) <= 2:
-        return np.asarray(kept)
+        return kept
     # Rounding can make the sort order disagree with the geometry, so the chains
     # take exact turns and the ring pass alone drops nearly collinear points.
     return _tidy_ring(_chain(kept, 0.0)[:-1] + _chain(kept[::-1], 0.0)[:-1])
 
 
-def _symmetrize(hull: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Canonical ring of a CCW hull whose vertex ``i + m`` is the antipode of vertex ``i``."""
-    tol = _GEOM_TOL * _scale_of(hull)
-    if len(hull) == 1:
-        if np.max(np.abs(hull[0])) > tol:
+def _symmetrize(ring: list) -> tuple[tuple[float, float], ...]:
+    """Canonical ring of a CCW ring whose vertex ``i + m`` is the antipode of vertex ``i``:
+    ``[s, -s]`` with ``s_i = (h_i - h_{i+m}) / 2``, in the ring's order, from its lex-min vertex."""
+    tol = _GEOM_TOL * _scale_of(ring)
+    if len(ring) == 1:
+        if max(map(abs, ring[0])) > tol:
             raise InputError("a one-point body must sit at the origin")
         return ((0.0, 0.0),)
-    m = len(hull) // 2
-    if len(hull) % 2 != 0 or np.max(np.abs(hull[:m] + hull[m:])) > tol:
+    m = len(ring) // 2
+    pairs = list(zip(ring, ring[m:]))
+    if len(ring) % 2 != 0 or any(abs(x + u) > tol or abs(y + v) > tol for (x, y), (u, v) in pairs):
         raise InputError("vertex set is not centrally symmetric")
-    u = 0.5 * (hull[:m] - hull[m:])
-    upper = (u[:, 1] > 0.0) | ((u[:, 1] == 0.0) & (u[:, 0] > 0.0))
-    u = np.where(upper[:, None], u, -u)
-    u = u[np.argsort(np.arctan2(u[:, 1], u[:, 0]), kind="stable")]
-    ring = np.vstack([u, -u])
-    start = int(np.lexsort((ring[:, 1], ring[:, 0]))[0])
-    return tuple(map(tuple, np.roll(ring, -start, axis=0).tolist()))
+    half = [(0.5 * (x - u), 0.5 * (y - v)) for (x, y), (u, v) in pairs]
+    out = half + [(-x, -y) for x, y in half]
+    start = out.index(min(out))
+    return tuple(out[start:] + out[:start])
 
 
-def _canonicalize(points: np.ndarray) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
-    """Hull, antipodal pairing, exact symmetrization, canonical rotation.
-
-    Returns the hull, whose rows are input points, and the canonical ring.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise InputError("expected a nonempty array of planar points")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("vertices must be finite")
-    _square_of(_scale_of(pts))
-    hull = _convex_hull(pts)
+def _canonicalize(points: list) -> tuple[list, tuple[tuple[float, float], ...]]:
+    """The hull of finite points, as input points, and its canonical ring."""
+    _square_of(_scale_of(points))
+    hull = _convex_hull(points)
     return hull, _symmetrize(hull)
 
 
@@ -200,7 +193,7 @@ class SymmetricPolygon:
         """The scaled width: per antipodal edge pair, its angle mod pi and ``WIDTH_SCALE * |e|``."""
         e = _half_edges(self.vertex_array)
         lengths = WIDTH_SCALE * np.hypot(e[:, 0], e[:, 1])
-        return seqmodel.diangle_expansion(0.0, zip(np.arctan2(e[:, 1], e[:, 0]), lengths))
+        return seqmodel.diangle_expansion(0.0, zip(np.arctan2(e[:, 1], e[:, 0]).tolist(), lengths.tolist()))
 
     @property
     def is_point(self) -> bool:
@@ -212,7 +205,7 @@ class SymmetricPolygon:
 
     @property
     def scale(self) -> float:
-        return _scale_of(self.vertex_array)
+        return _scale_of(self.vertices)
 
 
 def _half_edges(ring: np.ndarray) -> np.ndarray:
@@ -226,20 +219,26 @@ def symmetric_polygon(points: Iterable[Sequence[float]]) -> SymmetricPolygon:
 
     Rejects vertex sets that are not centrally symmetric or contain points
     interior to their own hull (the vertices must be in convex position).
-    Canonicalization is a sort plus Python work linear in the vertex count;
-    only the points the hull dropped are tested against the canonical ring,
-    at a cost proportional to their number times the ring's.
+    The points become float pairs, canonicalized in a sort plus Python work
+    linear in their count.  An array is built only of the points the hull
+    dropped, tested against the canonical ring at a cost proportional to
+    their number times the ring's.
     """
-    pts = np.asarray(list(points), dtype=float)
+    try:
+        pts = [(float(x), float(y)) for x, y in points]
+    except (TypeError, ValueError, OverflowError):
+        pts = []
+    if not pts or not all(map(math.isfinite, chain.from_iterable(pts))):
+        raise InputError("expected a nonempty list of finite planar points")
     hull, canon = _canonicalize(pts)
     body = SymmetricPolygon(canon)
     # Each hull vertex lies within half the symmetry tolerance of a canonical
     # vertex, so only the input points the hull dropped can fail the test.  The
     # hull's points are input points: as many distinct ones as inputs drop none.
-    kept = set(map(tuple, hull.tolist()))
+    kept = set(hull)
     if len(kept) == len(pts):
         return body
-    dropped = np.asarray([p for p in pts.tolist() if tuple(p) not in kept])
+    dropped = np.asarray([p for p in pts if p not in kept])
     step = max(1, (1 << 18) // len(canon))  # at most 2**19 doubles per broadcast
     for i in range(0, len(dropped), step):
         gaps = np.abs(dropped[i : i + step, None, :] - body.vertex_array).max(axis=2).min(axis=1)
@@ -267,7 +266,7 @@ def regular_polygon(n: int, radius: float = 1.0, phase: float = 0.0) -> Symmetri
         raise InputError("radius must be positive")
     ang = phase + 2.0 * math.pi * np.arange(n) / n
     pts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return SymmetricPolygon(_canonicalize(pts)[1])
+    return SymmetricPolygon(_canonicalize(pts.tolist())[1])
 
 
 def zonotope_from_generators(generators: Iterable[tuple[float, float]]) -> SymmetricPolygon:
@@ -295,8 +294,7 @@ def zonotope_from_generators(generators: Iterable[tuple[float, float]]) -> Symme
     edges = np.asarray([[merged[a] * math.cos(a), merged[a] * math.sin(a)] for a in angles])
     start = -0.5 * edges.sum(axis=0)
     walk = start + np.vstack([np.zeros(2), np.cumsum(edges, axis=0)[:-1]])
-    ring = np.vstack([walk, -walk])
-    return SymmetricPolygon(_canonicalize(ring)[1])
+    return SymmetricPolygon(_canonicalize(np.vstack([walk, -walk]).tolist())[1])
 
 
 def minkowski_sum(u: SymmetricPolygon, v: SymmetricPolygon) -> SymmetricPolygon:
@@ -312,7 +310,7 @@ def minkowski_sum(u: SymmetricPolygon, v: SymmetricPolygon) -> SymmetricPolygon:
     from_a = steps[:-1] < 2 * len(ka)
     i = np.concatenate([[0], np.cumsum(from_a)]) % len(a)
     j = np.concatenate([[0], np.cumsum(~from_a)]) % len(b)
-    return SymmetricPolygon(_symmetrize(_tidy_ring(a[i] + b[j])))
+    return SymmetricPolygon(_symmetrize(_tidy_ring((a[i] + b[j]).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +380,24 @@ class BodyPair:
     U: SymmetricPolygon
     V: SymmetricPolygon
 
+    @cached_property
+    def expansion(self) -> seqmodel.DiangleExpansion:
+        """The difference expansion of ``U - V``: U's terms and V's terms negated."""
+        negated = ((a, -c) for a, c in self.V.expansion.terms)
+        return seqmodel.diangle_expansion(0.0, [*self.U.expansion.terms, *negated])
+
 
 def body_pair(u: SymmetricPolygon, v: SymmetricPolygon) -> BodyPair:
     return BodyPair(u, v)
 
 
-def _pair_expansion(pair: BodyPair) -> seqmodel.DiangleExpansion:
-    """The difference expansion of ``U - V``: U's terms and V's terms negated."""
-    negated = ((a, -c) for a, c in pair.V.expansion.terms)
-    return seqmodel.diangle_expansion(0.0, [*pair.U.expansion.terms, *negated])
-
-
 def pair_perimeter(pair: BodyPair) -> float:
-    return 4.0 * _pair_expansion(pair).coefficient_sum
+    return 4.0 * pair.expansion.coefficient_sum
 
 
 def pair_measure(pair: BodyPair) -> float:
     """Signed mixed-area combination ``2 m(U) + 2 m(V) - m(U + V)``."""
-    return seqmodel.AREA_CONSTANT * seqmodel.sin_quadratic(_pair_expansion(pair))
+    return seqmodel.AREA_CONSTANT * seqmodel.sin_quadratic(pair.expansion)
 
 
 def pair_deficit(pair: BodyPair) -> float:
@@ -423,7 +421,7 @@ def convex_norm(pair: BodyPair) -> float:
 
 def pair_to_function(pair: BodyPair) -> funcspace.DiangleSpan:
     """The scaled width difference of the pair as a function-space member."""
-    return funcspace.DiangleSpan(_pair_expansion(pair))
+    return funcspace.DiangleSpan(pair.expansion)
 
 
 def _sum_scale(u: SymmetricPolygon, v: SymmetricPolygon) -> float:
@@ -440,8 +438,8 @@ def pair_equivalent(a: BodyPair, b: BodyPair) -> bool:
     points cross-check the gap; a disagreement beyond rounding is an
     invariant violation.
     """
-    negated = ((t, -c) for t, c in _pair_expansion(b).terms)
-    diff = seqmodel.diangle_expansion(0.0, [*_pair_expansion(a).terms, *negated])
+    negated = ((t, -c) for t, c in b.expansion.terms)
+    diff = seqmodel.diangle_expansion(0.0, [*a.expansion.terms, *negated])
     scale = max(1.0, _sum_scale(a.U, b.V), _sum_scale(b.U, a.V))
     pts = np.union1d(np.linspace(-_HALF_PI, _HALF_PI, 721), diff.angles)
     gap = 2.0 * float(np.max(np.abs(seqmodel.expansion_value(diff, pts))))

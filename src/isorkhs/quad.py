@@ -95,6 +95,9 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 _ROUNDING_FLOOR = 64 * np.finfo(float).eps
+# Panels a level may leave to the next, which samples 2 * base_points abscissae
+# on each: 8 MB of doubles per row at the default rule.
+_MAX_PANELS = 1 << 15
 
 
 _gauss_rule = lru_cache(maxsize=None)(leggauss)  # (nodes, weights) of the n-point rule
@@ -191,7 +194,10 @@ def integrate(
     Raises
     ------
     ConvergenceError
-        If the refinement depth limit is reached; the exception carries the
+        If the refinement depth limit is reached, or a level leaves more than
+        ``_MAX_PANELS`` panels to refine (a tolerance below the integrand's
+        own noise, such as a finite-difference derivative's, never stops
+        refining, and memory would run out first); the exception carries the
         best estimate and its error bound, floats for a scalar integrand and
         arrays of ``k`` (one entry per row) for a stacked one.
     EvaluationError
@@ -229,9 +235,11 @@ def integrate(
         # the children of the refused panels, left halves first
         keep = np.concatenate((~done, ~done))
         los, his, parent = child_lo[keep], child_hi[keep], child.compress(keep, 1)
+        if los.size > _MAX_PANELS:
+            break
 
     raise ConvergenceError(
-        f"quadrature did not converge within depth {spec.max_depth}",
+        f"quadrature did not converge within depth {spec.max_depth} and {_MAX_PANELS} panels per level",
         estimate=result(accepted + parent.sum(1)),
         error_bound=result(accepted_err + diff.compress(~done, 1).sum(1)),
     )

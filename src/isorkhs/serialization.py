@@ -196,20 +196,24 @@ def _as_dict(doc, what: str) -> dict:
     return doc
 
 
+def _float_pairs(items, what: str, first: str, second: str) -> list[tuple[float, float]]:
+    """The numbers ``first`` and ``second`` of each ``what`` object in the array ``items``."""
+    if not isinstance(items, list):
+        raise InputError(f"{what}s must be an array")
+    out = []
+    for t in items:
+        r = _as_dict(t, what)
+        out.append((as_float(r.get(first), first), as_float(r.get(second), second)))
+    return out
+
+
 def read_expansion(doc):
     """``{"x0": r, "terms": [{"angle": a, "coeff": c}, ...]}`` to an expansion."""
     from .seqmodel import diangle_expansion
 
     doc = _as_dict(doc, "expansion record")
     x0 = as_float(doc.get("x0", 0.0), "x0")
-    raw_terms = doc.get("terms", [])
-    if not isinstance(raw_terms, list):
-        raise InputError("terms must be an array")
-    terms = []
-    for t in raw_terms:
-        t = _as_dict(t, "term")
-        terms.append((as_float(t.get("angle"), "angle"), as_float(t.get("coeff"), "coeff")))
-    return diangle_expansion(x0, terms)
+    return diangle_expansion(x0, _float_pairs(doc.get("terms", []), "term", "angle", "coeff"))
 
 
 def read_function(doc) -> H1Function:
@@ -252,20 +256,18 @@ def read_body(doc):
         verts = doc["vertices"]
         if not isinstance(verts, list) or not verts:
             raise InputError("vertices must be a nonempty array of [x, y] pairs")
-        pts = []
-        for v in verts:
-            if not isinstance(v, list) or len(v) != 2:
-                raise InputError("each vertex must be an [x, y] pair")
-            pts.append((as_float(v[0], "vertex x"), as_float(v[1], "vertex y")))
+        try:  # one pass over float pairs; any other entry sends the list through the loop below
+            pts = [(x, y) for x, y in verts if type(x) is float and type(y) is float]
+        except (TypeError, ValueError):
+            pts = []
+        if len(pts) < len(verts) or not math.isfinite(sum(map(sum, pts))):
+            pts = []  # entry by entry: converts integers, names the first bad entry
+            for v in verts:
+                if not isinstance(v, list) or len(v) != 2:
+                    raise InputError("each vertex must be an [x, y] pair")
+                pts.append((as_float(v[0], "vertex x"), as_float(v[1], "vertex y")))
         return convexgeo.symmetric_polygon(pts)
-    gens = doc["generators"]
-    if not isinstance(gens, list):
-        raise InputError("generators must be an array")
-    parsed = []
-    for g in gens:
-        g = _as_dict(g, "generator")
-        parsed.append((as_float(g.get("angle"), "angle"), as_float(g.get("length"), "length")))
-    return convexgeo.zonotope_from_generators(parsed)
+    return convexgeo.zonotope_from_generators(_float_pairs(doc["generators"], "generator", "angle", "length"))
 
 
 def write_body(u) -> dict:

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -413,6 +414,18 @@ def test_geom_tofunction(tmp_path, capsys):
     assert json.loads(out)["derivative"] == 2.0 * doc["fprime"][2]
 
 
+# Every geom op on vertex and generator input, bodies with an edge at +-pi/2
+# (vertex and generator forms), segments and the point, with the bytes each
+# printed before canonicalization moved from NumPy rows to Python floats.
+_GEOM_GOLDEN = json.loads((Path(__file__).parent / "geom_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _GEOM_GOLDEN, ids=[c["id"] for c in _GEOM_GOLDEN])
+def test_geom_golden_bytes(tmp_path, capsys, case):
+    path = jfile(tmp_path, "in.json", case["input"])
+    assert run(capsys, "geom", *case["argv"], "--input", path) == (0, case["stdout"])
+
+
 def test_verify_suite_passes(capsys):
     code, out = run(capsys, "verify", "--suite", "holder")
     assert code == 0
@@ -543,6 +556,34 @@ def test_overflowing_expansions_are_malformed_input(tmp_path, capsys, argv, doc)
     assert code == 2
     err = json.loads(out)["error"]
     assert err["kind"] == "malformed-input" and "too large" in err["detail"]
+
+
+def test_seq_reading_that_overflows_is_malformed_input(tmp_path, capsys):
+    # the Gram bound 2 (sum |c|)^2 = 1.6e308 is finite, but the gap's square of
+    # (pi/2) x0 + S overflows; the error names it before the writer sees inf
+    terms = [{"angle": 0.0, "coeff": 4.5e153}, {"angle": 1.0, "coeff": 4.5e153}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, "seq", "--input", jfile(tmp_path, "x.json", {"x0": 1e153, "terms": terms}))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "detail": "expansion is too large: its gap overflows to inf",
+        "kind": "malformed-input",
+    }
+    # without x0 every reading is finite, however large
+    terms = [{"angle": 0.0, "coeff": 1e153}, {"angle": 1.0, "coeff": 1e153}]
+    code, out = run(capsys, "seq", "--input", jfile(tmp_path, "y.json", {"terms": terms}))
+    assert (code, out) == (
+        0,
+        """{
+  "area": 3.365883939231586e+306,
+  "gap": 5.356440935918545e+306,
+  "norm2": 2.1708837429501537e+306,
+  "perimeter": 8e+153,
+  "polygon_gap": 3.4100162093248582e+306
+}
+""",
+    )
 
 
 def test_quadrature_route_that_does_not_converge_exits_3(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_minkowski_sum_drops_collinear_vertices():
     assert len(convexgeo.minkowski_sum(square, square).vertices) == 4
     # the hull oracle over all pairwise sums, whose lex-min point is an edge midpoint
     sums = (square.vertex_array[:, None, :] + square.vertex_array[None, :, :]).reshape(-1, 2)
-    assert len(convexgeo._canonicalize(sums)[1]) == 4
+    assert len(convexgeo._canonicalize(sums.tolist())[1]) == 4
 
 
 def test_vertical_segment_with_sideways_noise():
@@ -368,7 +368,7 @@ def test_expansion_matches_vertex_oracles(gu, gv, twin):
     assert gap <= 1e-12 * scale
     # pair norm from vertex walks and shoelace areas, the sum taken by the hull oracle
     sums = (u.vertex_array[:, None, :] + v.vertex_array[None, :, :]).reshape(-1, 2)
-    hull_sum = np.asarray(convexgeo._canonicalize(sums)[1])
+    hull_sum = np.asarray(convexgeo._canonicalize(sums.tolist())[1])
     p = _walk_perimeter(u.vertex_array) - _walk_perimeter(v.vertex_array)
     m = (
         2.0 * convexgeo._shoelace_area(u.vertex_array)
@@ -396,6 +396,10 @@ def test_equivalence_of_rotated_twins(gens, shift):
 # canonicalization against the NumPy-row reference
 
 
+def _reference_scale(pts):
+    return max(1.0, float(np.max(np.abs(pts))))
+
+
 def _reference_turn(a, b, p):
     return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
 
@@ -414,7 +418,7 @@ def _reference_tidy_ring(ring):
     ring = np.asarray(ring)
     if len(ring) <= 2:
         return ring
-    eps = convexgeo._GEOM_TOL * convexgeo._scale_of(ring) ** 2
+    eps = convexgeo._GEOM_TOL * _reference_scale(ring) ** 2
     chain = _reference_chain([*ring, ring[0]], eps)[:-1]
     while len(chain) >= 3 and _reference_turn(chain[-1], chain[0], chain[1]) <= eps:
         chain.pop(0)
@@ -425,7 +429,7 @@ def _reference_tidy_ring(ring):
 
 
 def _reference_convex_hull(pts):
-    scale = convexgeo._scale_of(pts)
+    scale = _reference_scale(pts)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     keep = [0]
     for i in range(1, len(pts)):
@@ -438,7 +442,7 @@ def _reference_convex_hull(pts):
 
 
 def _reference_symmetrize(hull):
-    tol = convexgeo._GEOM_TOL * convexgeo._scale_of(hull)
+    tol = convexgeo._GEOM_TOL * _reference_scale(hull)
     if len(hull) == 1:
         if np.max(np.abs(hull[0])) > tol:
             raise InputError("a one-point body must sit at the origin")
@@ -469,7 +473,7 @@ def _reference_symmetric_polygon(points):
     pts = np.asarray(list(points), dtype=float)
     canon = _reference_canonicalize(pts)
     hull = np.asarray(canon, dtype=float)
-    scale = convexgeo._scale_of(pts)
+    scale = _reference_scale(pts)
     for p in pts:
         if float(np.min(np.max(np.abs(hull - p), axis=1))) > 1e-9 * scale:
             raise InputError("vertices are not in convex position")
@@ -535,14 +539,70 @@ def test_canonicalization_matches_numpy_row_reference(case, other):
     gens, pts = case
     assert _bits(convexgeo.symmetric_polygon, pts) == _bits(_reference_symmetric_polygon, pts)
     u, v = convexgeo.zonotope_from_generators(gens), convexgeo.zonotope_from_generators(other)
+    walks = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convexgeo, "_canonicalize", lambda p: (None, _reference_canonicalize(p)))
+        mp.setattr(convexgeo, "_canonicalize", lambda p: (None, _reference_canonicalize(walks.append(p) or p)))
         assert _bits(convexgeo.zonotope_from_generators, gens) == _bits(lambda: u)
+    assert len(walks) == (len(u.vertices) > 1)  # the reference canonicalized the walk
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(convexgeo, "_tidy_ring", _reference_tidy_ring)
         mp.setattr(convexgeo, "_symmetrize", _reference_symmetrize)
         want = _bits(convexgeo.minkowski_sum, u, v)
     assert _bits(convexgeo.minkowski_sum, u, v) == want
+
+
+@st.composite
+def _thin_bodies(draw):
+    """Generators of a thin zonogon: a long one, its twins 1e-15 to 1e-13 rad away,
+    whose walk vertices lie that close as seen from the origin, and a short one across."""
+    a = draw(_angle)
+    gens = [(a, 1.0)]
+    gens += [(a + draw(st.sampled_from([1e-15, -1e-15, 1e-13])), draw(st.floats(0.01, 1.0))) for _ in range(2)]
+    gens.append((a + draw(st.floats(0.5, 2.5)), 10.0 ** draw(st.floats(-9.0, -3.0))))
+    return gens
+
+
+def _built(fn, *args):
+    """A body, or None where its construction raised ``InputError``."""
+    try:
+        return fn(*args)
+    except InputError:
+        return None
+
+
+def _ring_bits(fn, ring):
+    try:
+        return [(x.hex(), y.hex()) for x, y in fn(ring)]
+    except InputError as exc:
+        return str(exc)
+
+
+@seed(20216)
+@settings(max_examples=300, deadline=None)
+@given(case=_hostile_bodies(), thin=_thin_bodies(), other=_generators)
+def test_symmetrize_matches_the_sorting_reference(case, thin, other):
+    # _symmetrize takes the ring's own order, where the reference sorts the
+    # half ring by atan2; both must give the same bits on every ring a hull
+    # or a Minkowski merge hands it.  The thin walks hold vertices 1e-15 rad
+    # apart as seen from the origin; the ring pass merges them, and the
+    # closest adjacent vertices these rings keep are about 1.7e-12 rad apart.
+    gens, pts = case
+    symmetrize = convexgeo._symmetrize
+    rings = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexgeo, "_symmetrize", lambda ring: symmetrize(rings.append(ring) or ring))
+        built = [
+            _built(convexgeo.symmetric_polygon, pts),
+            _built(convexgeo.symmetric_polygon, _walk(thin)),
+            *(_built(convexgeo.zonotope_from_generators, g) for g in (gens, thin, other)),
+        ]
+        bodies = [u for u in built if u is not None]
+        for u in bodies:
+            for v in bodies:
+                _built(convexgeo.minkowski_sum, u, v)
+    assert len(rings) >= len(bodies) ** 2 >= 1
+    for ring in rings:
+        assert _ring_bits(symmetrize, ring) == _ring_bits(_reference_symmetrize, np.asarray(ring, dtype=float))
 
 
 def test_reading_a_large_zonogon_is_near_linear():

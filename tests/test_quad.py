@@ -1,12 +1,17 @@
 """Integrator and finite-difference conventions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import isorkhs
 from isorkhs import funcspace, quad
 from isorkhs.errors import ConvergenceError, DomainError, EvaluationError, InputError
 
@@ -350,6 +355,31 @@ def test_scalar_results_are_bit_identical_to_the_single_row_integrator():
     ]
     for got, want in cases:
         assert type(got) is float and got == want
+
+
+_RUNAWAY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from isorkhs import funcspace
+f = funcspace.trig_poly([1.0, 0.5], [0.0, 0.2])
+g = funcspace.diangle_span(0.2, [(0.7, -0.5)])
+fd, gd = (funcspace.sampled(h.value, kinks=h.kinks) for h in (f, g))
+try:
+    funcspace.inner_product_iso(fd, gd, method="quadrature")
+except BaseException as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_refinement_stops_at_the_panel_cap_before_memory_runs_out():
+    # Finite-difference derivatives carry rounding of about eps |f| / step,
+    # above the default tolerance, so the refused panels grow about 1.6x per
+    # level and depth 40 is never reached.  Under 1 GB of address space the
+    # panel cap has to stop them first.
+    # one BLAS thread, so the limit is spent on the arrays and not on thread buffers
+    env = {**os.environ, "PYTHONPATH": str(Path(isorkhs.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _RUNAWAY], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.stdout.strip() == "ConvergenceError", proc.stderr[-2000:]
 
 
 def test_stacked_integrand_shapes():

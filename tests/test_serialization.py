@@ -158,6 +158,51 @@ def test_read_body_rejects_bad_records(record):
         ser.read_body(record)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[[1.0, 1.0], [-1.0, true]]', "vertex y must be a number, got True"),
+        ('[[1.0, 1.0], ["a", 1.0]]', "vertex x must be a number, got 'a'"),
+        ('[["x", 1.0], [NaN, 1.0]]', "vertex x must be a number, got 'x'"),
+        ('[[NaN, 1.0], ["x", 1.0]]', "vertex x must be finite, got nan"),
+        ('[[1.0, Infinity], [1.0, -Infinity]]', "vertex y must be finite, got inf"),
+        ("[[1" + "0" * 400 + ", 1.0]]", "vertex x must be finite, got 1" + "0" * 400),
+        ('[[1.0, 1.0], [[1.0], 2.0]]', "vertex x must be a number, got [1.0]"),
+        ('[[1.0, 1.0], [-1.0, -1.0, 3.0]]', "each vertex must be an [x, y] pair"),
+        ('[[1.0, 1.0], {"a": 1, "b": 2}]', "each vertex must be an [x, y] pair"),
+        ('[[1.0, 1.0], "ab"]', "each vertex must be an [x, y] pair"),
+        ('[[1.0, 1.0], 3.0]', "each vertex must be an [x, y] pair"),
+        # finite coordinates whose sum overflows pass the reader, and the body is too large
+        ('[[1e308, 1e308], [-1e308, -1e308]]', "body is too large: its squared coordinates overflow"),
+    ],
+)
+def test_read_body_names_the_first_bad_coordinate(text, message):
+    with pytest.raises(InputError) as err:
+        ser.read_body({"vertices": json.loads(text)})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (ser.read_body, {"generators": [{"angle": "x", "length": 1.0}, 3.0]}, "angle must be a number, got 'x'"),
+        (ser.read_body, {"generators": "g"}, "generators must be an array"),
+        (ser.read_expansion, {"terms": [{"angle": 0.1, "coeff": None}, []]}, "coeff must be a number, got None"),
+        (ser.read_expansion, {"terms": {}}, "terms must be an array"),
+    ],
+)
+def test_record_lists_name_their_first_bad_entry(read, doc, message):
+    with pytest.raises(InputError) as err:
+        read(doc)
+    assert str(err.value) == message
+
+
+def test_read_body_takes_integer_coordinates():
+    ints = ser.read_body({"vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]})
+    assert ints.vertices == ser.read_body({"vertices": [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]}).vertices
+    assert all(type(c) is float for v in ints.vertices for c in v)
+
+
 def test_read_pair():
     pair = ser.read_pair(
         {
