@@ -41,7 +41,6 @@ from .funcspace import (
 from .kernel import (
     GramSystem,
     Interpolant,
-    IsoKernel,
     classical_kernel_eval,
     classical_kernel_function,
     classical_reproducing_residual,

@@ -14,10 +14,12 @@ The norm is ``(1/pi) int (f'^2 - f^2) + c_theta (int f)^2`` with
 term.  So the inverse of every Gram matrix is explicit, cyclic tridiagonal
 in the node gaps plus rank one, and a :class:`GramSystem` solves,
 interpolates and evaluates the power function in O(n) with no factor.  An
-interpolant is evaluated at m points in O(n + m) by ``seqmodel``'s prefix
-sums, in long double.  Dense ``numpy.linalg`` and ``kernel_eval`` matrices
-serve only the spectrum (computed when read) and the independent oracles in
-``verify`` and the tests.
+:class:`Interpolant` is a diangle span like the sections, so ``eval``,
+``norm`` and ``inner`` take it as it is; its values and derivatives at m
+points come in O(n + m) from ``seqmodel``'s prefix sums over its kernel
+coefficients, in long double.  Dense ``numpy.linalg`` and ``kernel_eval``
+matrices serve only the spectrum (computed when read) and the independent
+oracles in ``verify`` and the tests.
 
 A classical comparison kernel on an arbitrary interval ``[a, b]`` is also
 provided: ``cosh(min(x,y) - a) cosh(b - max(x,y)) / sinh(b - a)``, which
@@ -36,13 +38,12 @@ import numpy as np
 
 from . import funcspace, quad
 from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
-from .funcspace import DiangleSpan, H1Function, diangle_span
+from .funcspace import DiangleSpan, H1Function, _maybe_scalar, diangle_span
 from .quad import DEFAULT_SPEC, QuadratureSpec
-from .seqmodel import _profile_sum, _profile_table
+from .seqmodel import DiangleExpansion, _profile_sum, _profile_table, _reduce_angles, diangle_expansion
 
 __all__ = [
     "REPRODUCING_THETA",
-    "IsoKernel",
     "kernel_eval",
     "kernel_function",
     "reproducing_residual",
@@ -73,29 +74,13 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class IsoKernel:
-    """The kernel ``K_theta`` as a callable of two (broadcastable) arguments."""
-
-    theta: float = REPRODUCING_THETA
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _check_theta(self.theta))
-
-    def __call__(self, x, y):
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        scalar = xa.ndim == 0 and ya.ndim == 0
-        out = self.theta - _HALF_PI * np.sin(np.abs(xa - ya))
-        return float(out) if scalar else out
-
-    def section(self, y: float) -> DiangleSpan:
-        return kernel_function(self.theta, y)
-
-
 def kernel_eval(x, y, theta: float = REPRODUCING_THETA):
     """``K_theta(x, y)``, broadcasting over array arguments."""
-    return IsoKernel(theta)(x, y)
+    theta = _check_theta(theta)
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    out = theta - _HALF_PI * np.sin(np.abs(xa - ya))
+    return float(out) if xa.ndim == 0 and ya.ndim == 0 else out
 
 
 def kernel_function(theta: float, y: float) -> DiangleSpan:
@@ -539,25 +524,41 @@ def gram_system(nodes: Sequence[float], theta: float = REPRODUCING_THETA, ridge:
 # interpolation
 
 
-@dataclass(frozen=True)
-class Interpolant:
-    """Kernel interpolant ``sum_j c_j K_theta(., y_j)``."""
+class Interpolant(DiangleSpan):
+    """Kernel interpolant ``sum_j c_j K_theta(., y_j)``: the span ``theta sum c - (pi/2) sum c_j P_{y_j}``.
 
-    theta: float
-    ridge: float
-    nodes: tuple[float, ...]
-    coeffs: tuple[float, ...]
+    The record is ``theta``, ``ridge``, ``nodes`` and ``coeffs``.  One precision
+    rule: values and derivatives come from the kernel-coefficient table
+    ``_sums`` in long double (where wider than double), whose rounding is
+    ``eps sum|c_j|`` and on clustered nodes ``sum|c_j|`` nears ``1e9``, too
+    much for a double to resolve guarantee 11.  The ``expansion``, in double
+    and built when first read, serves the exact engine only.  As in the
+    expansion, nodes are read modulo pi; the derivative reads its points
+    modulo pi too and is right-handed at each kink, so ``-pi/2`` and ``pi/2``
+    give one slope.
+    """
+
     # not a field: no solve falls back any more, but perfbench's trace still
     # reads this attribute (ROADMAP item 4 drops it with the next benchmark change)
     fallback = None
 
+    def __init__(self, theta: float, ridge: float, nodes: tuple[float, ...], coeffs: tuple[float, ...]):
+        # the record alone: ``expansion``, the span's one field, is built when first read
+        vars(self).update(theta=theta, ridge=ridge, nodes=nodes, coeffs=coeffs)
+
+    @cached_property
+    def expansion(self) -> DiangleExpansion:
+        total = self.theta * sum(self.coeffs)
+        return diangle_expansion(total, [(y, -_HALF_PI * c) for y, c in zip(self.nodes, self.coeffs)])
+
     @cached_property
     def _sums(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Sorted nodes, their ``_profile_table`` and ``theta sum c`` in long double (where
-        wider than double): rounding is ``eps sum|c_j|``, and on clustered nodes
-        ``sum|c_j|`` nears ``1e9``, too much for a double to resolve guarantee 11."""
+        """Sorted nodes, their ``_profile_table`` and ``theta sum c``, in long double."""
         a, c = np.array(self.nodes, dtype=float), np.array(self.coeffs, dtype=float)
         order = np.argsort(a, kind="stable")
+        if a.size and not (-_HALF_PI <= a[order[0]] and a[order[-1]] < _HALF_PI):
+            a = _reduce_angles(a)  # a node at pi/2 is the kink at -pi/2
+            order = np.argsort(a, kind="stable")
         a, c = a[order].astype(np.longdouble), c[order].astype(np.longdouble)
         return a, _profile_table(a, c), self.theta * c.sum()
 
@@ -565,15 +566,13 @@ class Interpolant:
         """``theta sum c_j - (pi/2) sum c_j sin|x - y_j|``, in O(log n) per point."""
         xa = np.asarray(x, dtype=float)
         a, table, total = self._sums
-        out = (total - _HALF_PI * _profile_sum(a, table, xa)).astype(float)
-        return float(out) if xa.ndim == 0 else out
+        return _maybe_scalar((total - _HALF_PI * _profile_sum(a, table, xa)).astype(float), xa.ndim == 0)
 
-    def __call__(self, x):
-        return self.value(x)
-
-    def to_function(self) -> DiangleSpan:
-        total = self.theta * sum(self.coeffs)
-        return diangle_span(total, [(y, -_HALF_PI * c) for y, c in zip(self.nodes, self.coeffs)])
+    def derivative(self, x):
+        xa = np.asarray(x, dtype=float)
+        a, table, _ = self._sums
+        out = -_HALF_PI * _profile_sum(a, table, _reduce_angles(xa), derivative=True)
+        return _maybe_scalar(out.astype(float), xa.ndim == 0)
 
 
 def interpolate(

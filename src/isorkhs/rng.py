@@ -14,8 +14,6 @@ sequence can be reproduced from the seed alone, in any language:
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -40,9 +38,6 @@ class SplitMix64:
         """A double uniform in ``[lo, hi)``."""
         u = (self.next_u64() >> 11) * _TO_DOUBLE
         return lo + u * (hi - lo)
-
-    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=float)
 
     def below(self, n: int) -> int:
         """An integer uniform in ``{0, ..., n-1}``."""

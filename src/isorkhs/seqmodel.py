@@ -14,6 +14,9 @@ merged by summing coefficients at construction.
 Expansions, kernel sections, interpolants and body widths are all evaluated
 by ``_profile_sum``: running sums over the sorted angles, built once per
 expansion, give values and right derivatives at ``p`` points in O(m + p log m).
+An expansion is a member of the function space as ``funcspace.DiangleSpan``;
+a kernel interpolant is one too, whose table holds its kernel coefficients in
+long double (see ``kernel.Interpolant``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "normalize_angle",
     "expansion_value",
     "expansion_derivative",
-    "to_function",
     "seq_inner",
     "seq_norm_squared",
     "sequence_isoperimetric_gap",
@@ -158,13 +160,6 @@ def expansion_value(e: DiangleExpansion, x) -> np.ndarray:
 def expansion_derivative(e: DiangleExpansion, x) -> np.ndarray:
     """Derivative at ``x`` reduced modulo pi; the right-hand branch is taken at each kink."""
     return _profile_sum(*e._sums, _reduce_angles(x), derivative=True)
-
-
-def to_function(e: DiangleExpansion):
-    """The expansion as a function-space member (a ``DiangleSpan``)."""
-    from . import funcspace  # deferred: funcspace imports this module
-
-    return funcspace.DiangleSpan(e)
 
 
 def _cross_gram(x: DiangleExpansion, y: DiangleExpansion) -> float:

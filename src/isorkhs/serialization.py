@@ -226,7 +226,7 @@ def read_function(doc) -> H1Function:
     if kind == "dianglespan":
         return DiangleSpan(read_expansion(doc))
     if kind == "interpolant":
-        return read_interpolant(doc).to_function()
+        return read_interpolant(doc)
     raise InputError(f"unknown function type {kind!r}")
 
 
@@ -290,8 +290,7 @@ def read_interpolant(doc) -> Interpolant:
     if len(nodes) != len(coeffs):
         raise InputError("nodes and coeffs must have equal length")
     # a Gram system's rules except distinct nodes, as duplicates still define one
-    # function; a node outside the domain would make ``value`` and ``to_function``
-    # (which reduces it mod pi) two different functions
+    # function; a node outside the domain is malformed, as no Gram system holds one
     theta = kernel._check_theta(as_float(doc.get("theta", 2.0), "theta"))
     ridge = kernel._check_ridge(as_float(doc.get("ridge", 0.0), "ridge"))
     kernel._check_domain(np.asarray(nodes))

@@ -291,7 +291,6 @@ def _suite_gram_psd(rng: SplitMix64) -> list[Check]:
         nodes = sorted(set(round(rng.uniform(-1.4, 1.4), 4) for _ in range(n)))
         values = [rng.uniform(-2.0, 2.0) for _ in nodes]
         itp = kernel.interpolate(nodes, values)
-        s = itp.to_function()
         g = kernel.gram_system(nodes)
         z = rng.uniform(-1.5, 1.5)
         if any(abs(z - y) < 1e-3 for y in nodes):
@@ -304,9 +303,9 @@ def _suite_gram_psd(rng: SplitMix64) -> list[Check]:
         bump_n2 = funcspace.norm_iso_squared(bump, method="exact")
         pw = float(kernel.power_function(g, z))
         power_norm_gap = max(power_norm_gap, abs(bump_n2 - pw * pw))
-        s_n2 = funcspace.norm_iso_squared(s, method="exact")
+        s_n2 = funcspace.norm_iso_squared(itp, method="exact")
         for c in (-2.0, -0.5, 0.5, 2.0):
-            h = _span_combo(1.0, s, c, bump)
+            h = _span_combo(1.0, itp, c, bump)
             min_norm_gap = min(
                 min_norm_gap, funcspace.norm_iso_squared(h, method="exact") - s_n2
             )

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from isorkhs import cli, kernel
+from isorkhs import cli, funcspace, kernel, serialization
 from isorkhs.quad import QuadratureSpec
 
 HALF_PI = 0.5 * math.pi
@@ -256,6 +256,65 @@ def test_interp_endpoint_values_must_agree(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "malformed-input"
 
 
+def _clustered_set(n, gap, seed):
+    """Sorted jittered centres on [-1.5, 1.5], each a triple at -gap, 0, +gap; values on [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    k = -(-n // 3)
+    centres = np.sort(np.linspace(-1.5, 1.5, k) + rng.uniform(-0.02, 0.02, k))
+    nodes = (centres[:, None] + gap * np.array([-1.0, 0.0, 1.0])).ravel()[:n]
+    return nodes, rng.uniform(-2.0, 2.0, nodes.size)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is double")
+@pytest.mark.parametrize("n, gap, seed", [(51, 1e-8, 5), (600, 1e-7, 7)])
+def test_interp_then_eval_meets_guarantee_11_at_the_nodes(tmp_path, capsys, n, gap, seed):
+    # the coefficients cancel to about 3e9 in sum; read back through a span
+    # rebuilt in double, these sets missed the bound by 6.1e-8 and 6.0e-8
+    nodes, values = _clustered_set(n, gap, seed)
+    data = {"nodes": nodes.tolist(), "values": values.tolist()}
+    code, out = run(capsys, "interp", "--input", jfile(tmp_path, "data.json", data))
+    assert code == 0
+    at = "--at=" + ",".join(map(repr, nodes.tolist()))
+    code, out = run(capsys, "eval", "--input", jfile(tmp_path, "itp.json", json.loads(out)), at)
+    assert code == 0
+    residual = np.max(np.abs(np.array(json.loads(out)["values"]) - values))
+    assert residual <= 1e-8 * (1.0 + np.max(np.abs(values)))
+
+
+@pytest.mark.parametrize("coeffs", [None, [0.7, -0.4, 0.2]])
+def test_eval_of_an_interpolant_with_nodes_at_both_ends_is_its_span(tmp_path, capsys, coeffs):
+    # -pi/2 and pi/2 are one kink: values and right-hand derivatives read there
+    # and at the nodes agree with the expansion's, whose angles are reduced mod pi
+    nodes = [-HALF_PI, 0.3, HALF_PI]
+    record = {"type": "interpolant", "nodes": nodes, "coeffs": coeffs}
+    if coeffs is None:
+        data = {"nodes": nodes, "values": [1.0, -0.5, 1.0]}
+        code, out = run(capsys, "interp", "--input", jfile(tmp_path, "data.json", data))
+        assert code == 0
+        record = json.loads(out)
+    at = "--at=" + ",".join(map(repr, nodes))
+    code, out = run(capsys, "eval", "--input", jfile(tmp_path, "itp.json", record), at)
+    assert code == 0
+    doc = json.loads(out)
+    span = funcspace.DiangleSpan(serialization.read_interpolant(record).expansion)
+    pts = np.array(nodes)
+    np.testing.assert_allclose(doc["values"], span.value(pts), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(doc["derivatives"], span.derivative(pts), rtol=0.0, atol=1e-12)
+
+
+# ``norm`` and ``inner`` (auto and exact) on interpolant records against trig,
+# span and interpolant partners, and the ``interp`` runs that wrote the records,
+# with the bytes each printed while an interpolant record was read through a
+# span rebuilt from it: the exact engine reads the same expansion now.
+_INTERP_GOLDEN = json.loads((Path(__file__).parent / "interp_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _INTERP_GOLDEN, ids=[c["id"] for c in _INTERP_GOLDEN])
+def test_interpolant_golden_bytes(tmp_path, capsys, case):
+    path = jfile(tmp_path, "in.json", case["input"])
+    assert run(capsys, *case["argv"], "--input", path) == (0, case["stdout"])
+
+
 def test_power_outputs(tmp_path, capsys):
     path = jfile(tmp_path, "nodes.json", {"nodes": [0.0]})
     code, out = run(capsys, "power", "--input", path, "--at", "0", "--output", "csv")
@@ -494,7 +553,8 @@ def test_nan_points_are_malformed_input(tmp_path, capsys, doc, argv):
 
 @pytest.mark.parametrize("bad", [{"nodes": [2.0]}, {"theta": 0.5}, {"ridge": -1.0}])
 def test_invalid_interpolant_record_exits_2(tmp_path, capsys, bad):
-    # nodes [2.0] made value(-1.5) read 2.551 but eval (through to_function, mod pi) 1.449
+    # a node outside the domain is malformed: nodes [2.0] read as given and read
+    # mod pi are two functions (2.551 and 1.449 at -1.5)
     doc = {"type": "interpolant", "theta": 2.0, "nodes": [0.0], "coeffs": [1.0], **bad}
     code, out = run(capsys, "eval", "--input", jfile(tmp_path, "itp.json", doc), "--at", "-1.5")
     assert code == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from isorkhs import seqmodel
+from isorkhs import funcspace, seqmodel
 from isorkhs.errors import DomainError, InputError
 
 HALF_PI = 0.5 * math.pi
@@ -124,9 +124,9 @@ def test_area_calibration():
     assert abs(seqmodel.calibrate_area_constant() - seqmodel.AREA_CONSTANT) <= 1e-9
 
 
-def test_to_function_matches_expansion():
+def test_diangle_span_matches_expansion():
     e = seqmodel.diangle_expansion(0.3, [(-0.7, 1.2), (0.4, -0.5)])
-    f = seqmodel.to_function(e)
+    f = funcspace.DiangleSpan(e)
     grid = np.linspace(-HALF_PI, HALF_PI, 33)
     np.testing.assert_allclose(f.value(grid), seqmodel.expansion_value(e, grid), atol=1e-15)
     np.testing.assert_allclose(
