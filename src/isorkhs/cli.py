@@ -33,8 +33,18 @@ _EXIT_MALFORMED = 2
 _EXIT_NUMERICAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are malformed input: ``main`` reports them
+    as the error document on stdout and exits 2, with the usage line on stderr.  Its
+    subcommand parsers are of this class too; ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isorkhs",
         description="Verification harness for the isoperimetric function space.",
     )
@@ -352,8 +362,8 @@ def _emit_error(kind: str, exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         result = _HANDLERS[args.command](args)
         code = 0
         if isinstance(result, tuple):

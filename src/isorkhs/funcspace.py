@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import compress, cycle
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -109,11 +111,13 @@ def _maybe_scalar(result: np.ndarray, scalar: bool):
 
 
 _HALF_PI_SINES = (0.0, 1.0, 0.0, -1.0)
+_ODD_SINES = (1.0, 0.0, -1.0, 0.0)  # sin(k pi/2) for k = 1, 2, 3, 4
+_KINDS = np.array((1.0, -1.0))
 
 
-def _half_pi_sin(k: int) -> float:
-    """``sin(k * pi/2)`` exactly for integer ``k``."""
-    return _HALF_PI_SINES[k % 4]
+def _odd_sine_sum(sin_coeffs: Sequence[float]) -> float:
+    """``sum_k b_k sin(k pi/2)``, in order: half the series' endpoint gap ``f(pi/2) - f(-pi/2)``."""
+    return sum(map(mul, sin_coeffs, cycle(_ODD_SINES)))
 
 
 @dataclass(frozen=True)
@@ -124,37 +128,35 @@ class TrigPoly(H1Function):
     frequency 1.  Membership requires equal endpoint values, which for this
     representation reduces to the alternating sum of odd-frequency sine
     coefficients vanishing; that is checked structurally at construction.
+    The constructor makes one C-level pass per coefficient tuple: the
+    coefficients are converted by ``map(float, ...)`` and tested finite by
+    their sum (entry by entry only when that sum is not finite), and the
+    nonzero terms that every evaluation and the exact engine read
+    (``_terms``: frequencies, coefficients and kinds, +1 cosine and -1 sine,
+    cosines first) are gathered there too.
     """
 
     cos_coeffs: tuple[float, ...]
     sin_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        cc = tuple(float(c) for c in self.cos_coeffs)
-        sc = tuple(float(c) for c in self.sin_coeffs)
-        if not cc:
-            cc = (0.0,)
-        for c in (*cc, *sc):
-            if not math.isfinite(c):
-                raise InputError("trig coefficients must be finite")
+        cc = tuple(map(float, self.cos_coeffs)) or (0.0,)
+        sc = tuple(map(float, self.sin_coeffs))
+        if not math.isfinite(sum(cc) + sum(sc)) and not all(map(math.isfinite, cc + sc)):
+            raise InputError("trig coefficients must be finite")
         object.__setattr__(self, "cos_coeffs", cc)
         object.__setattr__(self, "sin_coeffs", sc)
-        gap = 2.0 * sum(b * _half_pi_sin(k) for k, b in enumerate(sc, start=1))
-        scale = 1.0 + max((abs(c) for c in (*cc, *sc)), default=0.0)
-        if abs(gap) > _ENDPOINT_TOL * scale:
+        gap = 2.0 * _odd_sine_sum(sc)
+        if abs(gap) > _ENDPOINT_TOL * (1.0 + max(map(abs, cc + sc))):
             raise DomainError(
                 "endpoint values differ by "
                 f"{gap!r}: not a member of the space; see project_endpoints()"
             )
-
-    @cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Frequencies, coefficients and kinds (+1 cosine, -1 sine) of the nonzero terms, cosines first."""
-        ncos = len(self.cos_coeffs)
-        c = np.array((*self.cos_coeffs, *self.sin_coeffs))
-        i = np.flatnonzero(c)
-        is_cos = i < ncos
-        return np.where(is_cos, i, i - ncos + 1), c[i], np.where(is_cos, 1.0, -1.0)
+        m = [*compress(range(len(cc)), cc)]
+        ncos = len(m)
+        m += compress(range(1, len(sc) + 1), sc)
+        c = np.array([*compress(cc, cc), *compress(sc, sc)])
+        object.__setattr__(self, "_terms", (np.array(m, dtype=np.intp), c, np.repeat(_KINDS, (ncos, len(m) - ncos))))
 
     def _basis(self, x, swap: bool) -> np.ndarray:
         """One row per nonzero term at the flattened points ``x``: ``cos(m x)`` for a cosine
@@ -279,8 +281,7 @@ def project_endpoints(
     cc = tuple(float(c) for c in cos_coeffs)
     sc = [float(c) for c in sin_coeffs]
     if sc:
-        s = sum(b * _half_pi_sin(k) for k, b in enumerate(sc, start=1))
-        sc[0] -= s
+        sc[0] -= _odd_sine_sum(sc)
     return cc, tuple(sc)
 
 
@@ -291,18 +292,14 @@ def project_endpoints(
 _TWICE_HALF_PI_SINES = 2.0 * np.array(_HALF_PI_SINES)
 
 
-def _J(p: np.ndarray) -> np.ndarray:
-    """``int cos(p t) dt`` over the domain, exact for an integer array ``p``."""
-    p = np.abs(p)
-    out = _TWICE_HALF_PI_SINES[p % 4] / np.maximum(p, 1)
-    out[p == 0] = _PI
-    return out
-
-
 @lru_cache(maxsize=128)
 def _cos_integrals(n: int) -> np.ndarray:
-    """``J(k)`` for ``k = 0, ..., n - 1``: the integrals of a series' cosine terms."""
-    return _J(np.arange(n))
+    """``J(k) = int cos(k t) dt`` over the domain for ``k = 0, ..., n - 1``, exactly:
+    ``2 sin(k pi/2) / k``, and ``pi`` at ``k = 0``."""
+    k = np.arange(n)
+    out = _TWICE_HALF_PI_SINES[k % 4] / np.maximum(k, 1)
+    out[:1] = _PI
+    return out
 
 
 def _is_symbolic(f) -> bool:
@@ -322,12 +319,14 @@ def _trig_energy(f: TrigPoly, g: TrigPoly) -> float:
 
     ``cos(m t) cos(n t)`` pairs give ``((1 - mn) J(m - n) + (1 + mn) J(m + n)) / 2``,
     ``sin x sin`` pairs the same with ``J(m + n)`` negated, and ``cos x sin``
-    pairs vanish by parity over the symmetric domain.
+    pairs vanish by parity over the symmetric domain.  ``J(|m - n|)`` and
+    ``J(m + n)`` are gathered from one ``_cos_integrals`` vector.
     """
     m, a, s = f._terms
     n, b, t = g._terms
+    J = _cos_integrals(int(m.max(initial=0)) + int(n.max(initial=0)) + 1)
     mn = np.multiply.outer(m, n)
-    table = (1 - mn) * _J(np.subtract.outer(m, n)) + s[:, None] * (1 + mn) * _J(np.add.outer(m, n))
+    table = (1 - mn) * J[np.abs(np.subtract.outer(m, n))] + s[:, None] * (1 + mn) * J[np.add.outer(m, n)]
     table *= np.equal.outer(s, t)
     return 0.5 * float(a @ table @ b)
 

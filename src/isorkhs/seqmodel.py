@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +51,7 @@ __all__ = [
 
 _HALF_PI = 0.5 * math.pi
 _PI_SQ = math.pi * math.pi
+_ANGLE = itemgetter(0)
 
 #: Scale between the double sum ``sum_ij sin|a_i - a_j| x_i x_j`` and the
 #: shoelace area of the zonotope spanned by segments of length ``2 x_i``.
@@ -57,8 +60,11 @@ AREA_CONSTANT = 2.0
 
 
 def normalize_angle(a: float) -> float:
-    """Reduce an angle modulo pi into ``[-pi/2, pi/2)``."""
+    """Reduce an angle modulo pi into ``[-pi/2, pi/2)``; an angle already there comes back as it is,
+    which is what the reduction gives it, bit for bit and with the sign of zero."""
     a = float(a)
+    if -_HALF_PI <= a < _HALF_PI:
+        return a
     if not math.isfinite(a):
         raise InputError("angles must be finite")
     n = math.floor((a + _HALF_PI) / math.pi)
@@ -107,12 +113,13 @@ def diangle_expansion(x0: float, terms: Iterable[tuple[float, float]] = ()) -> D
     """Build a canonical :class:`DiangleExpansion`.
 
     Angles are normalized modulo pi, exact duplicates merged by summing
-    coefficients, zero coefficients dropped, terms sorted by angle.
+    coefficients in order, zero coefficients dropped, terms sorted by angle.
     """
     x0 = float(x0)
     if not math.isfinite(x0):
         raise InputError("constant coefficient must be finite")
     merged: dict[float, float] = {}
+    get = merged.get
     for item in terms:
         try:
             a, c = item
@@ -122,9 +129,9 @@ def diangle_expansion(x0: float, terms: Iterable[tuple[float, float]] = ()) -> D
         if not math.isfinite(c):
             raise InputError("coefficients must be finite")
         an = normalize_angle(a)
-        merged[an] = merged.get(an, 0.0) + c
-    cleaned = tuple(sorted((a, c) for a, c in merged.items() if c != 0.0))
-    return DiangleExpansion(x0, cleaned)
+        merged[an] = get(an, 0.0) + c
+    # the nonzero terms (a float is false only at +-0.0), sorted by their distinct angles
+    return DiangleExpansion(x0, tuple(sorted(compress(merged.items(), merged.values()), key=_ANGLE)))
 
 
 def _profile_table(a: np.ndarray, c: np.ndarray) -> np.ndarray:

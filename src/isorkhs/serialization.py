@@ -14,14 +14,19 @@ text copied to every cell that holds it, so a symmetric n x n matrix costs
 about n(n+1)/2 conversions.  The writer appends its pieces to one list that
 ``dumps`` joins once.  Input documents are parsed with the standard library
 and validated here; malformed input, nesting too deep for the parser
-included, always surfaces as ``InputError``.
+included, always surfaces as ``InputError``.  A list of numbers (series
+coefficients, nodes, vertex coordinates, the two columns of a term or
+generator list) is read in one C-level pass when every entry is a Python
+float and their sum is finite (``_finite_floats``); any other list goes
+entry by entry, which converts integers and names the first bad entry, so
+the messages are those of the entry-by-entry reader.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,6 +66,9 @@ def format_float(x: float, bare: bool = False) -> str:
 
 
 _FLOATS = {float, np.float64}
+_FLOAT = {float}
+_DICT = {dict}
+_PAIR = {list, tuple}
 
 
 def _float_run(values, sep: str, bare: bool) -> str:
@@ -184,10 +192,26 @@ def as_float(value, what: str) -> float:
     return out
 
 
+def _finite_floats(values: list):
+    """``values`` itself when every entry is a Python ``float`` and their sum is finite, else ``None``.
+
+    A finite sum rules out NaN and infinities in two C-level passes; a list
+    that fails (an integer, a bool, a non-number, a non-finite entry, or finite
+    entries whose sum overflows) goes back to its reader's entry-by-entry loop,
+    which converts what it can and names the first bad entry.
+    """
+    if set(map(type, values)) <= _FLOAT and math.isfinite(sum(values)):
+        return values
+    return None
+
+
 def as_float_list(value, what: str) -> list[float]:
     if not isinstance(value, list):
         raise InputError(f"{what} must be an array")
-    return [as_float(v, f"{what} entry") for v in value]
+    out = _finite_floats(value)
+    if out is None:
+        out = [as_float(v, f"{what} entry") for v in value]
+    return out
 
 
 def _as_dict(doc, what: str) -> dict:
@@ -200,7 +224,12 @@ def _float_pairs(items, what: str, first: str, second: str) -> list[tuple[float,
     """The numbers ``first`` and ``second`` of each ``what`` object in the array ``items``."""
     if not isinstance(items, list):
         raise InputError(f"{what}s must be an array")
-    out = []
+    if set(map(type, items)) <= _DICT:
+        xs = _finite_floats(list(map(dict.get, items, repeat(first))))
+        ys = _finite_floats(list(map(dict.get, items, repeat(second))))
+        if xs is not None and ys is not None:
+            return list(zip(xs, ys))
+    out = []  # entry by entry: converts integers, names the first bad entry
     for t in items:
         r = _as_dict(t, what)
         out.append((as_float(r.get(first), first), as_float(r.get(second), second)))
@@ -256,11 +285,12 @@ def read_body(doc):
         verts = doc["vertices"]
         if not isinstance(verts, list) or not verts:
             raise InputError("vertices must be a nonempty array of [x, y] pairs")
-        try:  # one pass over float pairs; any other entry sends the list through the loop below
-            pts = [(x, y) for x, y in verts if type(x) is float and type(y) is float]
-        except (TypeError, ValueError):
-            pts = []
-        if len(pts) < len(verts) or not math.isfinite(sum(map(sum, pts))):
+        xy = None
+        if set(map(type, verts)) <= _PAIR and set(map(len, verts)) == {2}:
+            xy = _finite_floats(list(chain.from_iterable(verts)))
+        if xy is not None:
+            pts = list(zip(xy[::2], xy[1::2]))
+        else:
             pts = []  # entry by entry: converts integers, names the first bad entry
             for v in verts:
                 if not isinstance(v, list) or len(v) != 2:

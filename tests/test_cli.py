@@ -315,6 +315,21 @@ def test_interpolant_golden_bytes(tmp_path, capsys, case):
     assert run(capsys, *case["argv"], "--input", path) == (0, case["stdout"])
 
 
+# ``norm`` and ``inner`` (auto and exact) through the exact engine: trig series
+# at degrees 5, 20 and 80, sparse series reaching frequency 150, integer
+# coefficients, spans with angles 1e-15 apart and terms at +-pi/2, spans with
+# angles outside [-pi/2, pi/2), and interpolant records (theta 2 and 3).  The
+# bytes were printed by the engine that built ``J(m -+ n)`` as two outer tables
+# and read records entry by entry.
+_INNER_GOLDEN = json.loads((Path(__file__).parent / "inner_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _INNER_GOLDEN, ids=[c["id"] for c in _INNER_GOLDEN])
+def test_inner_golden_bytes(tmp_path, capsys, case):
+    path = jfile(tmp_path, "in.json", case["input"])
+    assert run(capsys, *case["argv"], "--input", path) == (0, case["stdout"])
+
+
 def test_power_outputs(tmp_path, capsys):
     path = jfile(tmp_path, "nodes.json", {"nodes": [0.0]})
     code, out = run(capsys, "power", "--input", path, "--at", "0", "--output", "csv")
@@ -741,6 +756,39 @@ def test_hostile_json_is_malformed_input(case):
     assert (code, doc["error"]["kind"]) == (2, "malformed-input"), text[:200]
     assert list(doc) == ["error"] and list(doc["error"]) == ["detail", "kind"]
     assert isinstance(doc["error"]["detail"], str)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--input", "{f}", "--at", "-0.5,0.5"],  # a comma list that argparse reads as an option
+        ["frobnicate", "--input", "{f}"],
+        [],
+        ["norm"],
+        ["norm", "--input", "{f}", "--theta", "abc"],
+        ["norm", "--input", "{f}", "--method", "bogus"],
+        ["norm", "--input", "{f}", "--frobnicate"],
+        ["geom", "--input", "{f}", "bogus"],
+        ["verify", "--seed", "1.5"],
+    ],
+    ids=["negative-at", "unknown-command", "no-command", "no-input", "bad-theta", "bad-method",
+         "unknown-flag", "bad-geom-op", "bad-seed"],
+)
+def test_command_line_errors_are_malformed_input(tmp_path, capsys, argv):
+    path = jfile(tmp_path, "f.json", CONST)
+    code = cli.main([a.replace("{f}", path) for a in argv])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert (code, doc["error"]["kind"]) == (2, "malformed-input")
+    assert list(doc) == ["error"] and doc["error"]["detail"].startswith("isorkhs")
+    assert captured.err.startswith("usage: isorkhs")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["norm", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: isorkhs norm")
 
 
 def test_norm_has_no_csv_form(tmp_path, capsys):

@@ -39,6 +39,84 @@ def test_trig_membership_endpoint_rule():
         funcspace.trig_poly([math.nan])
 
 
+def _ref_trig(cos, sin):
+    """The series constructor's checks and nonzero terms, coefficient by coefficient."""
+    cc = tuple(float(c) for c in cos) or (0.0,)
+    sc = tuple(float(c) for c in sin)
+    for c in (*cc, *sc):
+        if not math.isfinite(c):
+            raise InputError("trig coefficients must be finite")
+    gap = 2.0 * sum(b * (0.0, 1.0, 0.0, -1.0)[k % 4] for k, b in enumerate(sc, start=1))
+    if abs(gap) > 1e-12 * (1.0 + max(abs(c) for c in (*cc, *sc))):
+        raise DomainError(f"endpoint values differ by {gap!r}: not a member of the space; see project_endpoints()")
+    c = np.array((*cc, *sc))
+    i = np.flatnonzero(c)
+    is_cos = i < len(cc)
+    return cc, sc, (np.where(is_cos, i, i - len(cc) + 1), c[i], np.where(is_cos, 1.0, -1.0))
+
+
+def _trig_outcome(build, cos, sin):
+    try:
+        out = build(cos, sin)
+    except (InputError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, funcspace.TrigPoly):
+        out = out.cos_coeffs, out.sin_coeffs, out._terms
+    cc, sc, terms = out
+    return [c.hex() for c in cc], [c.hex() for c in sc], [(t.dtype.str, t.shape, t.tobytes()) for t in terms]
+
+
+_trig_coeffs = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e-300, math.nan, math.inf, -math.inf]),
+    st.integers(-3, 3),
+)
+
+
+@seed(20227)
+@settings(max_examples=400, deadline=None)
+@given(
+    cos=st.lists(_trig_coeffs, max_size=6),
+    sin=st.lists(_trig_coeffs, max_size=6),
+    match=st.booleans(),
+)
+def test_trig_poly_construction_matches_coefficient_by_coefficient_reference(cos, sin, match):
+    if match and sin and all(isinstance(b, float) and math.isfinite(b) for b in sin):
+        sin[0] -= sum(b * (0.0, 1.0, 0.0, -1.0)[k % 4] for k, b in enumerate(sin, start=1))
+    assert _trig_outcome(funcspace.TrigPoly, cos, sin) == _trig_outcome(_ref_trig, cos, sin)
+
+
+def _ref_trig_energy(f, g):
+    """``int (f g - f' g')`` with ``J`` evaluated on the two outer frequency tables."""
+
+    def J(p):
+        p = np.abs(p)
+        out = 2.0 * np.array([0.0, 1.0, 0.0, -1.0])[p % 4] / np.maximum(p, 1)
+        out[p == 0] = math.pi
+        return out
+
+    m, a, s = f._terms
+    n, b, t = g._terms
+    mn = np.multiply.outer(m, n)
+    table = (1 - mn) * J(np.subtract.outer(m, n)) + s[:, None] * (1 + mn) * J(np.add.outer(m, n))
+    table *= np.equal.outer(s, t)
+    return 0.5 * float(a @ table @ b)
+
+
+def test_trig_energy_gathers_the_outer_table_bits():
+    rng = np.random.default_rng(3)
+    members = [funcspace.constant(0.0), funcspace.constant(2.5), funcspace.trig_poly([0.0], [0.0, 1.0])]
+    for d in (1, 5, 20, 80):
+        cos, sin = rng.uniform(-1, 1, d + 1), rng.uniform(-1, 1, d)
+        members.append(funcspace.trig_poly(*funcspace.project_endpoints(cos, sin)))
+    sparse = [0.0] * 151
+    sparse[150] = sparse[3] = 0.5
+    members.append(funcspace.trig_poly(*funcspace.project_endpoints(sparse, sparse[1:])))
+    for f in members:
+        for g in members:
+            assert funcspace._trig_energy(f, g).hex() == _ref_trig_energy(f, g).hex()
+
+
 def test_project_endpoints():
     cc, sc = funcspace.project_endpoints([0.5, 1.0], [0.7, 0.2, -0.3])
     f = funcspace.trig_poly(cc, sc)

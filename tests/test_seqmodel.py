@@ -26,6 +26,34 @@ def test_normalize_angle():
         seqmodel.normalize_angle(math.nan)
 
 
+def _reduce_by_formula(a):
+    n = math.floor((a + HALF_PI) / math.pi)
+    r = a - n * math.pi
+    if r >= HALF_PI:
+        r -= math.pi
+    elif r < -HALF_PI:
+        r += math.pi
+    return r
+
+
+def test_normalize_angle_returns_in_range_angles_as_the_formula_does():
+    # the 60 floats nearest each end inside [-pi/2, pi/2), both zeros, the
+    # smallest subnormals and random angles: returning them unchanged gives the
+    # reduction's bits, sign of zero included
+    ends = [-HALF_PI, math.nextafter(HALF_PI, 0.0)]
+    for _ in range(59):
+        ends += [math.nextafter(ends[-2], 1.0), math.nextafter(ends[-1], -1.0)]
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]
+    rand = np.random.default_rng(7).uniform(-HALF_PI, HALF_PI, 5000).tolist()
+    values = ends + tiny + rand
+    assert all(-HALF_PI <= a < HALF_PI for a in values) and len(set(ends)) == 120
+    got = [seqmodel.normalize_angle(a).hex() for a in values]
+    assert got == [_reduce_by_formula(a).hex() for a in values]
+    # outside the range, the formula itself runs
+    outside = [HALF_PI, math.nextafter(-HALF_PI, -2.0), 2.0, -7.5, 1e6]
+    assert [seqmodel.normalize_angle(a).hex() for a in outside] == [_reduce_by_formula(a).hex() for a in outside]
+
+
 def test_duplicate_angles_merge():
     # normalization folds the opposite representative back to ~0.4, but only
     # bit-identical angles are merged into one term

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from isorkhs import convexgeo
 from isorkhs import serialization as ser
 from isorkhs.errors import DomainError, InputError
 from isorkhs.funcspace import DiangleSpan, TrigPoly, diangle_span
@@ -417,3 +419,128 @@ _cells = st.one_of(
 )
 def test_dumps_csv_matches_per_value_reference(rows, header):
     assert _outcome(ser.dumps_csv, rows, header) == _outcome(_reference_csv, rows, header)
+
+
+# ---------------------------------------------------------------------------
+# one-pass readers against entry-by-entry references
+
+
+def _ref_float_list(value, what):
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be an array")
+    return [ser.as_float(v, f"{what} entry") for v in value]
+
+
+def _ref_float_pairs(items, what, first, second):
+    if not isinstance(items, list):
+        raise InputError(f"{what}s must be an array")
+    out = []
+    for t in items:
+        if not isinstance(t, dict):
+            raise InputError(f"{what} must be an object")
+        out.append((ser.as_float(t.get(first), first), ser.as_float(t.get(second), second)))
+    return out
+
+
+def _ref_vertices(verts):
+    if not isinstance(verts, list) or not verts:
+        raise InputError("vertices must be a nonempty array of [x, y] pairs")
+    pts = []
+    for v in verts:
+        if not isinstance(v, list) or len(v) != 2:
+            raise InputError("each vertex must be an [x, y] pair")
+        pts.append((ser.as_float(v[0], "vertex x"), ser.as_float(v[1], "vertex y")))
+    return pts
+
+
+def _bits(obj):
+    """``obj`` with every float replaced by its hex text, so ``-0.0`` and ``0.0`` differ."""
+    if type(obj) is float:
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return type(obj).__name__, [_bits(v) for v in obj]
+    return repr(obj)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", _bits(fn(*args))
+    except InputError as exc:
+        return "error", str(exc)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_entries = st.one_of(
+    _finite,
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([10**400, -(10**400), True, False, None, "1.0", [], [1.0], {"a": 1.0}]),
+)
+# mostly lists of finite floats, the one-pass case; the rest mix in every other entry
+_float_lists = st.one_of(
+    st.lists(_finite, max_size=8),
+    st.lists(_entries, max_size=6),
+    st.sampled_from([[1e308, 1e308], [-1e308, -1e308, 1.0], [1e308, -1e308, 1e308, 1e308]]),
+)
+_not_lists = st.sampled_from([None, "xs", 3.0, {"a": [1.0]}])
+
+
+@st.composite
+def _pair_records(draw, first, second):
+    """An object with the two keys (either may be missing or hold any entry), or a non-object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([None, 1.0, "r", [1.0, 2.0], []]))
+    record = {}
+    for key in (first, second):
+        if draw(st.integers(0, 11)):
+            record[key] = draw(st.one_of(_finite, _finite, _entries))
+    return record
+
+
+@st.composite
+def _vertex_lists(draw):
+    def vertex():
+        return st.one_of(
+            st.lists(_finite, min_size=2, max_size=2),
+            st.lists(_entries, min_size=2, max_size=2),
+            st.lists(_finite, max_size=3),
+            st.sampled_from([None, 1.0, "xy", {"x": 1.0, "y": 2.0}]),
+        )
+
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(_finite, min_size=2, max_size=2), min_size=1, max_size=6))
+    return draw(st.one_of(st.lists(vertex(), max_size=5), st.just([[1e308, 1e308], [1e308, 1.0]]), _not_lists))
+
+
+@seed(20223)
+@settings(max_examples=400, deadline=None)
+@given(value=st.one_of(_float_lists, _not_lists))
+def test_as_float_list_matches_entry_by_entry_reference(value):
+    assert _outcome(ser.as_float_list, value, "xs") == _outcome(_ref_float_list, value, "xs")
+
+
+@seed(20224)
+@settings(max_examples=400, deadline=None)
+@given(items=st.one_of(st.lists(_pair_records("angle", "coeff"), max_size=6), _not_lists))
+def test_float_pairs_match_entry_by_entry_reference(items):
+    args = (items, "term", "angle", "coeff")
+    assert _outcome(ser._float_pairs, *args) == _outcome(_ref_float_pairs, *args)
+
+
+@seed(20225)
+@settings(max_examples=400, deadline=None)
+@given(verts=_vertex_lists())
+def test_read_body_vertices_match_entry_by_entry_reference(verts):
+    # the points that reach symmetric_polygon, or the reader's error
+    with mock.patch.object(convexgeo, "symmetric_polygon", lambda pts: pts):
+        got = _outcome(ser.read_body, {"vertices": verts})
+    assert got == _outcome(_ref_vertices, verts)
+
+
+@seed(20226)
+@settings(max_examples=200, deadline=None)
+@given(items=st.one_of(st.lists(_pair_records("angle", "length"), max_size=6), _not_lists))
+def test_read_body_generators_match_entry_by_entry_reference(items):
+    with mock.patch.object(convexgeo, "zonotope_from_generators", lambda gens: gens):
+        got = _outcome(ser.read_body, {"generators": items})
+    assert got == _outcome(_ref_float_pairs, items, "generator", "angle", "length")
