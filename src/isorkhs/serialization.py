@@ -285,18 +285,15 @@ def read_body(doc):
         verts = doc["vertices"]
         if not isinstance(verts, list) or not verts:
             raise InputError("vertices must be a nonempty array of [x, y] pairs")
-        xy = None
-        if set(map(type, verts)) <= _PAIR and set(map(len, verts)) == {2}:
-            xy = _finite_floats(list(chain.from_iterable(verts)))
-        if xy is not None:
-            pts = list(zip(xy[::2], xy[1::2]))
-        else:
+        pairs = set(map(type, verts)) <= _PAIR and set(map(len, verts)) == {2}
+        if not pairs or _finite_floats(list(chain.from_iterable(verts))) is None:
             pts = []  # entry by entry: converts integers, names the first bad entry
             for v in verts:
                 if not isinstance(v, list) or len(v) != 2:
                     raise InputError("each vertex must be an [x, y] pair")
                 pts.append((as_float(v[0], "vertex x"), as_float(v[1], "vertex y")))
-        return convexgeo.symmetric_polygon(pts)
+            verts = pts
+        return convexgeo.symmetric_polygon(verts)  # takes the float pairs as they are
     return convexgeo.zonotope_from_generators(_float_pairs(doc["generators"], "generator", "angle", "length"))
 
 
