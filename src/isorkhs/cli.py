@@ -40,6 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        if message.startswith("argument --at:"):
+            # argparse reads a list that starts with a minus sign as an option
+            message += " (write a list that starts with a minus sign as --at=-0.5,0.5)"
         raise InputError(f"{self.prog}: {message}")
 
 

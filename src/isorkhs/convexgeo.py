@@ -1,15 +1,16 @@
 """Origin-symmetric convex bodies in the plane and the width-pair isometry.
 
-Bodies are convex polygons, symmetric about the origin, kept as a canonical
-vertex ring (counterclockwise, antipodal pairs exactly negated, starting at
-the lexicographically smallest vertex); the ring is the input/output form.
-Points and segments are first-class degenerate bodies.  Every such polygon
-is a zonogon, so its scaled width is a nonnegative diangle expansion (see
-``seqmodel``) with one term per antipodal edge pair ``e``:
+A body is its expansion.  Every convex polygon symmetric about the origin is
+a zonogon, so its scaled width is a nonnegative diangle expansion (see
+``seqmodel``) with no constant and one term per antipodal edge pair ``e``:
 
     WIDTH_SCALE * width(phi) = sum_e WIDTH_SCALE |e| |sin(phi - angle(e))|
 
-Every reading is taken from that expansion in closed form.  A pair
+``SymmetricPolygon`` holds that expansion, and every reading is taken from it
+in closed form.  Points and segments are the expansions with no term and with
+one.  Generators are kept as edges: the generator ``(angle, length)`` is the
+term ``(angle, WIDTH_SCALE * length)``, so a zonotope builds no hull, and a
+Minkowski sum merges two term lists, because support functions add.  A pair
 ``[U, V]`` stands for the formal difference ``U - V``; its half-width
 difference ``f = WIDTH_SCALE (width_U - width_V)`` is a member of the
 function space on ``[-pi/2, pi/2]`` with ``int f`` half the pair perimeter
@@ -18,22 +19,37 @@ function space on ``[-pi/2, pi/2]`` with ``int f`` half the pair perimeter
 ``(2 p^2 - 4 pi m) / (4 pi^2)``, are read off the difference expansion,
 which a ``BodyPair`` builds once.
 
-Canonicalization runs on Python floats (their IEEE arithmetic gives the
-same bits as NumPy scalars) from the point list to the canonical tuple: one
-sort, the monotone-chain hull, and a ring pass that keeps the hull's angle
-order, so antipodal halves are symmetrized without another sort.  Convex
-position is tested only at the points the hull dropped.  Bodies whose
-squared coordinates overflow are rejected before any arithmetic overflows.
-The support width and the shoelace area stay as independent oracles, read by
-``cauchy_check``, ``pair_equivalent`` and the two scale calibrations.
+Vertices are data derived from the expansion, built when an op reads them
+(``geom sum`` output, the vertex oracles, the calibrations): the canonical
+ring, counterclockwise from the lexicographically smallest vertex, with
+antipodal pairs exactly negated.  A body read from vertices keeps the ring
+its input was canonicalized to; any other body walks its edges in angle
+order.  Canonicalization runs on Python floats (their IEEE arithmetic gives
+the same bits as NumPy scalars).  A vertex list that is already a ring in
+convex position, as a ring ``geom sum`` prints is when no two of its edges
+are nearly parallel, is checked in one linear pass; any other list goes
+through the monotone-chain hull and a ring pass that drops nearly collinear
+vertices, which is also the oracle the linear pass is tested against.
+Convex position is tested only at the points the hull dropped.
+
+Vertex tolerances are relative to the body's own scale, its largest absolute
+coordinate: ``1e-12 scale`` for duplicates and antipodes, ``1e-12 scale^2``
+for turns, ``1e-9 scale`` for convex position.  At scale 0 they are all 0,
+and the only body of scale 0 is the one point at the origin.  Bodies whose
+squared coordinates overflow are rejected before any arithmetic overflows;
+for generators, half the lengths' sum, which bounds every coordinate, stands
+in for the largest coordinate.  The support width and the shoelace area stay
+as independent oracles, read by ``cauchy_check``, ``pair_equivalent`` and the
+two scale calibrations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
+from operator import gt, lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,15 +96,19 @@ _GEOM_TOL = 1e-12
 
 
 def _scale_of(pts) -> float:
-    return max(1.0, max(map(abs, chain.from_iterable(pts))))
+    """The largest absolute coordinate: the scale vertex tolerances are relative to."""
+    return max(map(abs, chain.from_iterable(pts)))
 
 
-def _square_of(scale: float) -> float:
+def _square_of(scale: float, what: str = "its squared coordinates overflow") -> float:
     """``scale ** 2``, which turn tolerances and areas scale with; it must be finite."""
     try:
-        return scale**2
+        square = scale**2
     except OverflowError:
-        raise InputError("body is too large: its squared coordinates overflow") from None
+        square = math.inf
+    if square == math.inf:
+        raise InputError(f"body is too large: {what}")
+    return square
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +169,32 @@ def _convex_hull(pts: list) -> list:
     return _tidy_ring(_chain(kept, 0.0)[:-1] + _chain(kept[::-1], 0.0)[:-1])
 
 
+def _convex_ring(pts: list, scale: float) -> list | None:
+    """``pts`` as the hull gives them back, counterclockwise from the lex-min point, when one
+    linear pass shows they are a closed ring in convex position, in either orientation; else ``None``.
+
+    Every turn must exceed eight times ``_tidy_ring``'s tolerance: a turn is at
+    most ``4 scale`` times the distance from its vertex to any other, so no two
+    points are then as close as the hull's duplicate tolerance, and the ring pass
+    keeps every point.  The points must rise lexicographically to one point and
+    fall back, so the ring winds once and its two runs are the hull's two chains.
+    """
+    if len(pts) < 4:
+        return None
+    start = pts.index(min(pts))
+    ring = pts[start:] + pts[:start]
+    if _turn(ring[-1], ring[0], ring[1]) < 0.0:
+        ring = ring[:1] + ring[:0:-1]
+    eps = 8.0 * _GEOM_TOL * scale * scale
+    for (ax, ay), (bx, by), (x, y) in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1]):
+        if (bx - ax) * (y - ay) - (by - ay) * (x - ax) <= eps:  # _turn(a, b, p)
+            return None
+    top = ring.index(max(ring))
+    if all(map(lt, ring[:top], ring[1 : top + 1])) and all(map(gt, ring[top:], ring[top + 1 :] + ring[:1])):
+        return ring
+    return None
+
+
 def _symmetrize(ring: list) -> tuple[tuple[float, float], ...]:
     """Canonical ring of a CCW ring whose vertex ``i + m`` is the antipode of vertex ``i``:
     ``[s, -s]`` with ``s_i = (h_i - h_{i+m}) / 2``, in the ring's order, from its lex-min vertex."""
@@ -174,64 +220,72 @@ def _canonicalize(points: list) -> tuple[list, tuple[tuple[float, float], ...]]:
     return hull, _symmetrize(hull)
 
 
+def _walk(e: seqmodel.DiangleExpansion) -> tuple[tuple[float, float], ...]:
+    """The canonical ring of an expansion's zonogon: its edges ``c / WIDTH_SCALE`` long at
+    their angles, summed in angle order from minus half their sum, then the negated half,
+    from the lex-min vertex.  ``math.fsum`` rounds that sum the same on every Python,
+    where the built-in ``sum`` of floats changed in 3.12."""
+    if not e.terms:
+        return ((0.0, 0.0),)
+    xs = [c / WIDTH_SCALE * math.cos(a) for a, c in e.terms]
+    ys = [c / WIDTH_SCALE * math.sin(a) for a, c in e.terms]
+    x0, y0 = -0.5 * math.fsum(xs), -0.5 * math.fsum(ys)
+    half = list(zip(accumulate(xs[:-1], initial=x0), accumulate(ys[:-1], initial=y0)))
+    ring = half + [(-x, -y) for x, y in half]
+    _square_of(_scale_of(ring))
+    start = ring.index(min(ring))
+    return tuple(ring[start:] + ring[:start])
+
+
 @dataclass(frozen=True)
 class SymmetricPolygon:
-    """Canonical origin-symmetric convex polygon (possibly a segment or point).
+    """Origin-symmetric convex polygon (possibly a segment or point): its scaled width.
 
-    Build through the factory functions; ``vertices`` is trusted to be in
-    canonical form.
+    Build through the factory functions; ``expansion`` is trusted to be
+    canonical, nonnegative and constant-free.  ``ring`` is the canonical ring a
+    vertex input was canonicalized to, which ``vertices`` gives back; a body
+    without one walks its edges when its vertices are first read.
     """
 
-    vertices: tuple[tuple[float, float], ...]
+    expansion: seqmodel.DiangleExpansion
+    ring: tuple[tuple[float, float], ...] | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        return _walk(self.expansion) if self.ring is None else self.ring
 
     @cached_property
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
 
-    @cached_property
-    def expansion(self) -> seqmodel.DiangleExpansion:
-        """The scaled width: per antipodal edge pair, its angle mod pi and ``WIDTH_SCALE * |e|``."""
-        e = _half_edges(self.vertex_array)
-        lengths = WIDTH_SCALE * np.hypot(e[:, 0], e[:, 1])
-        return seqmodel.diangle_expansion(0.0, zip(np.arctan2(e[:, 1], e[:, 0]).tolist(), lengths.tolist()))
-
     @property
     def is_point(self) -> bool:
-        return len(self.vertices) == 1
+        return not self.expansion.terms
 
     @property
     def is_segment(self) -> bool:
-        return len(self.vertices) == 2
+        return len(self.expansion.terms) == 1
 
     @property
     def scale(self) -> float:
         return _scale_of(self.vertices)
 
 
-def _half_edges(ring: np.ndarray) -> np.ndarray:
-    """Edges from a canonical ring's lex-min vertex to its antipode, all pointing right or up."""
+def _ring_body(canon: tuple[tuple[float, float], ...]) -> SymmetricPolygon:
+    """The body of a canonical ring: per antipodal edge pair, its angle mod pi and ``WIDTH_SCALE * |e|``."""
+    ring = np.asarray(canon, dtype=float)
     m = len(ring) // 2
-    return ring[1 : m + 1] - ring[:m]
+    e = ring[1 : m + 1] - ring[:m]  # from the lex-min vertex to its antipode, all pointing right or up
+    lengths = WIDTH_SCALE * np.hypot(e[:, 0], e[:, 1])
+    terms = zip(np.arctan2(e[:, 1], e[:, 0]).tolist(), lengths.tolist())
+    return SymmetricPolygon(seqmodel.diangle_expansion(0.0, terms), canon)
 
 
-def symmetric_polygon(points: Iterable[Sequence[float]]) -> SymmetricPolygon:
-    """Validate and canonicalize a vertex set.
-
-    Rejects vertex sets that are not centrally symmetric or contain points
-    interior to their own hull (the vertices must be in convex position).
-    The points become float pairs, canonicalized in a sort plus Python work
-    linear in their count.  An array is built only of the points the hull
-    dropped, tested against the canonical ring at a cost proportional to
-    their number times the ring's.
-    """
-    try:
-        pts = [(float(x), float(y)) for x, y in points]
-    except (TypeError, ValueError, OverflowError):
-        pts = []
-    if not pts or not all(map(math.isfinite, chain.from_iterable(pts))):
-        raise InputError("expected a nonempty list of finite planar points")
+def _hull_polygon(pts: list) -> SymmetricPolygon:
+    """``_from_floats`` through the hull, the general path."""
+    pts = list(map(tuple, pts))
     hull, canon = _canonicalize(pts)
-    body = SymmetricPolygon(canon)
+    body = _ring_body(canon)
     # Each hull vertex lies within half the symmetry tolerance of a canonical
     # vertex, so only the input points the hull dropped can fail the test.  The
     # hull's points are input points: as many distinct ones as inputs drop none.
@@ -247,8 +301,36 @@ def symmetric_polygon(points: Iterable[Sequence[float]]) -> SymmetricPolygon:
     return body
 
 
+def _from_floats(pts: list) -> SymmetricPolygon:
+    """``symmetric_polygon`` of a nonempty list of finite float pairs, lists or tuples."""
+    scale = _scale_of(pts)
+    _square_of(scale)
+    ring = _convex_ring(pts, scale)
+    return _hull_polygon(pts) if ring is None else _ring_body(_symmetrize(ring))
+
+
+def symmetric_polygon(points: Iterable[Sequence[float]]) -> SymmetricPolygon:
+    """Validate and canonicalize a vertex set.
+
+    Rejects vertex sets that are not centrally symmetric or contain points
+    interior to their own hull (the vertices must be in convex position).
+    The points become float pairs.  A ring already in convex position is
+    checked in one linear pass (``_convex_ring``); any other set is
+    canonicalized in a sort plus Python work linear in its size, and an array
+    is built only of the points the hull dropped, tested against the canonical
+    ring at a cost proportional to their number times the ring's.
+    """
+    try:
+        pts = [(float(x), float(y)) for x, y in points]
+    except (TypeError, ValueError, OverflowError):
+        pts = []
+    if not pts or not all(map(math.isfinite, chain.from_iterable(pts))):
+        raise InputError("expected a nonempty list of finite planar points")
+    return _from_floats(pts)
+
+
 def point() -> SymmetricPolygon:
-    return SymmetricPolygon(((0.0, 0.0),))
+    return SymmetricPolygon(seqmodel.diangle_expansion(0.0))
 
 
 def segment(angle: float, length: float) -> SymmetricPolygon:
@@ -266,51 +348,36 @@ def regular_polygon(n: int, radius: float = 1.0, phase: float = 0.0) -> Symmetri
         raise InputError("radius must be positive")
     ang = phase + 2.0 * math.pi * np.arange(n) / n
     pts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return SymmetricPolygon(_canonicalize(pts.tolist())[1])
+    return _from_floats(pts.tolist())
 
 
 def zonotope_from_generators(generators: Iterable[tuple[float, float]]) -> SymmetricPolygon:
-    """Minkowski sum of origin-centered segments ``(angle, length)``.
+    """Minkowski sum of origin-centered segments ``(angle, length)``: the terms
+    ``(angle, WIDTH_SCALE * length)``, with no hull.
 
     Angles are identified modulo pi; exact duplicates merge by adding
-    lengths.  An empty generator list gives the point.
+    lengths.  An empty generator list gives the point.  Half the lengths' sum
+    bounds every coordinate, and it must stay finite when squared.
     """
-    merged: dict[float, float] = {}
-    for raw_angle, raw_len in generators:
-        a = seqmodel.normalize_angle(float(raw_angle))
-        ln = float(raw_len)
-        if not math.isfinite(ln) or ln < 0.0:
-            raise InputError(f"generator length must be nonnegative, got {raw_len!r}")
-        if ln == 0.0:
-            continue
-        merged[a] = merged.get(a, 0.0) + ln
-    if not merged:
-        return point()
-    # the walk stays finite when the lengths' sum does; when the sum overflows,
-    # the largest coordinate, at least a quarter of it, has an infinite square
-    if not math.isfinite(sum(merged.values())):
-        raise InputError("body is too large: its squared coordinates overflow")
-    angles = sorted(merged)
-    edges = np.asarray([[merged[a] * math.cos(a), merged[a] * math.sin(a)] for a in angles])
-    start = -0.5 * edges.sum(axis=0)
-    walk = start + np.vstack([np.zeros(2), np.cumsum(edges, axis=0)[:-1]])
-    return SymmetricPolygon(_canonicalize(np.vstack([walk, -walk]).tolist())[1])
+    gens = list(generators)
+    lengths = [float(ln) for _, ln in gens]
+    total = sum(lengths)
+    if not math.isfinite(total) or min(lengths, default=0.0) < 0.0:
+        for (_, raw_len), ln in zip(gens, lengths):
+            if not math.isfinite(ln) or ln < 0.0:
+                raise InputError(f"generator length must be nonnegative, got {raw_len!r}")
+    _square_of(WIDTH_SCALE * total, "half its generator lengths' sum overflows when squared")
+    terms = [(a, WIDTH_SCALE * ln) for (a, _), ln in zip(gens, lengths)]
+    return SymmetricPolygon(seqmodel.diangle_expansion(0.0, terms))
 
 
 def minkowski_sum(u: SymmetricPolygon, v: SymmetricPolygon) -> SymmetricPolygon:
     """Minkowski sum ``{a + b : a in U, b in V}``.
 
-    The canonical rings start at their lex-min vertices, whose sum is the
-    sum's; walking both edge sequences merged by direction visits its
-    vertices ``u_i + v_j`` in order.
+    Support functions add, so the sum's terms are both bodies' terms, merged
+    where their angles agree; the result is the same bits in either order.
     """
-    a, b = u.vertex_array, v.vertex_array
-    ka, kb = (np.arctan2(e[:, 1], e[:, 0]) for e in (_half_edges(a), _half_edges(b)))
-    steps = np.argsort(np.concatenate([ka, ka + math.pi, kb, kb + math.pi]), kind="stable")
-    from_a = steps[:-1] < 2 * len(ka)
-    i = np.concatenate([[0], np.cumsum(from_a)]) % len(a)
-    j = np.concatenate([[0], np.cumsum(~from_a)]) % len(b)
-    return SymmetricPolygon(_symmetrize(_tidy_ring((a[i] + b[j]).tolist())))
+    return SymmetricPolygon(seqmodel.diangle_expansion(0.0, u.expansion.terms + v.expansion.terms))
 
 
 # ---------------------------------------------------------------------------

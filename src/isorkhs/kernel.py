@@ -539,7 +539,7 @@ class Interpolant(DiangleSpan):
     """
 
     # not a field: no solve falls back any more, but perfbench's trace still
-    # reads this attribute (ROADMAP item 4 drops it with the next benchmark change)
+    # reads this attribute (ROADMAP item 1 drops it with the next benchmark change)
     fallback = None
 
     def __init__(self, theta: float, ridge: float, nodes: tuple[float, ...], coeffs: tuple[float, ...]):

@@ -293,7 +293,7 @@ def read_body(doc):
                     raise InputError("each vertex must be an [x, y] pair")
                 pts.append((as_float(v[0], "vertex x"), as_float(v[1], "vertex y")))
             verts = pts
-        return convexgeo.symmetric_polygon(verts)  # takes the float pairs as they are
+        return convexgeo._from_floats(verts)  # checked float pairs, converted and checked once
     return convexgeo.zonotope_from_generators(_float_pairs(doc["generators"], "generator", "angle", "length"))
 
 

@@ -489,8 +489,10 @@ def test_geom_tofunction(tmp_path, capsys):
 
 
 # Every geom op on vertex and generator input, bodies with an edge at +-pi/2
-# (vertex and generator forms), segments and the point, with the bytes each
-# printed before canonicalization moved from NumPy rows to Python floats.
+# (vertex and generator forms), segments and the point.  Vertex input keeps the
+# bytes each printed before canonicalization moved from NumPy rows to Python
+# floats; generator input and `sum` print what their expansions give, each
+# change checked against a 50-digit generator-formula reference.
 _GEOM_GOLDEN = json.loads((Path(__file__).parent / "geom_golden.json").read_text())
 
 
@@ -601,6 +603,42 @@ def test_overflowing_bodies_are_malformed_input(tmp_path, capsys, op, doc):
     assert code == 2
     err = json.loads(out)["error"]
     assert err["kind"] == "malformed-input" and "too large" in err["detail"]
+
+
+# Two bodies whose Minkowski sum used to depend on argument order: a 1e-7 edge
+# beside edges 1.2e-15 rad apart, at scale 500.
+_ORDERED_U = {
+    "generators": [
+        {"angle": -1.5707963267948966, "length": 1.0},
+        {"angle": -1.5707963267948954, "length": 0.09375},
+        {"angle": -0.5707963267948966, "length": 1e-07},
+    ]
+}
+_ORDERED_V = {"generators": [{"angle": -1.5707963267948966, "length": 1000.0}]}
+
+
+def test_geom_sum_prints_the_same_bytes_in_either_order(tmp_path, capsys):
+    uv = run(capsys, "geom", "sum", "--input", jfile(tmp_path, "uv.json", {"U": _ORDERED_U, "V": _ORDERED_V}))
+    vu = run(capsys, "geom", "sum", "--input", jfile(tmp_path, "vu.json", {"U": _ORDERED_V, "V": _ORDERED_U}))
+    assert uv == vu and uv[0] == 0
+    # the 1e-7 edge survives: three edge directions, six vertices
+    assert len(json.loads(uv[1])["vertices"]) == 6
+
+
+@pytest.mark.parametrize(
+    "body, area",
+    [
+        ({"generators": [{"angle": -HALF_PI, "length": 1e-06}, {"angle": 0.0, "length": 5e-07}]}, 5e-13),
+        ({"vertices": [[2.5e-07, 5e-07], [-2.5e-07, 5e-07], [-2.5e-07, -5e-07], [2.5e-07, -5e-07]]}, 5e-13),
+        ({"generators": [{"angle": 0.3, "length": 1e-06}, {"angle": 1.0, "length": 5e-07}]}, 5e-13 * math.sin(0.7)),
+    ],
+    ids=["generators", "vertices", "oblique"],
+)
+def test_bodies_below_unit_size_print_their_area(tmp_path, capsys, body, area):
+    # tolerances are relative to the body's own scale: a body 1e-6 across keeps its shape
+    code, out = run(capsys, "geom", "area", "--input", jfile(tmp_path, "body.json", body))
+    assert code == 0
+    assert math.isclose(json.loads(out)["area"], area, rel_tol=1e-14)
 
 
 _BIG_SPAN = {
@@ -782,6 +820,17 @@ def test_command_line_errors_are_malformed_input(tmp_path, capsys, argv):
     assert (code, doc["error"]["kind"]) == (2, "malformed-input")
     assert list(doc) == ["error"] and doc["error"]["detail"].startswith("isorkhs")
     assert captured.err.startswith("usage: isorkhs")
+
+
+@pytest.mark.parametrize("command, doc", [("eval", CONST), ("power", {"nodes": [-0.5, 0.5]})])
+def test_a_negative_at_list_names_the_equals_form(tmp_path, capsys, command, doc):
+    path = jfile(tmp_path, "f.json", doc)
+    code = cli.main([command, "--input", path, "--at", "-0.5,0.5"])
+    detail = json.loads(capsys.readouterr().out)["error"]["detail"]
+    assert code == 2 and detail.startswith(f"isorkhs {command}: argument --at:")
+    assert "--at=-0.5,0.5" in detail
+    # the form the message names reads the same points
+    assert run(capsys, command, "--input", path, "--at=-0.5,0.5")[0] == 0
 
 
 def test_help_still_exits_0(capsys):

@@ -1,12 +1,14 @@
 import math
 import time
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from isorkhs import convexgeo, funcspace, seqmodel
+from isorkhs import convexgeo, funcspace, seqmodel, serialization
 from isorkhs.errors import InputError
 from isorkhs.rng import SplitMix64
 
@@ -24,6 +26,25 @@ def random_zonotope(rng, max_gens=6):
         for _ in range(1 + rng.below(max_gens))
     ]
     return convexgeo.zonotope_from_generators(gens)
+
+
+def _float_edges(u):
+    """A body's edges as the generator formula gives them in floats: ``c / WIDTH_SCALE`` long at angle ``a``."""
+    lengths = [(a, c / convexgeo.WIDTH_SCALE) for a, c in u.expansion.terms]
+    return [(ln * math.cos(a), ln * math.sin(a)) for a, ln in lengths]
+
+
+def _exact_area(u):
+    """Exact shoelace area, in Fractions, of the walk of a body's float edges in angle
+    order from minus half their sum, then the negated half: the zonogon those edges span."""
+    edges = [(Fraction(x), Fraction(y)) for x, y in _float_edges(u)]
+    x, y = -sum(e[0] for e in edges) / 2, -sum(e[1] for e in edges) / 2
+    ring = []
+    for ex, ey in edges:
+        ring.append((x, y))
+        x, y = x + ex, y + ey
+    ring += [(-px, -py) for px, py in ring]
+    return sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1])) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +70,18 @@ def test_parallelogram_area():
 
 
 def test_generator_merge_and_validation():
-    a = convexgeo.zonotope_from_generators([(0.3, 1.0), (0.3 + math.pi, 2.0)])
+    # exact duplicates merge; 0.3 + pi reduces to 0.2999999999999998, so it stays a
+    # term of its own: the body is a parallelogram whose area is the exact shoelace
+    # over its float edges, and whose widths and perimeter are those of b
     b = convexgeo.zonotope_from_generators([(0.3, 3.0)])
-    assert vertex_set(a) == vertex_set(b)
+    assert convexgeo.zonotope_from_generators([(0.3, 1.0), (0.3, 2.0)]) == b
+    assert b.expansion.terms == ((0.3, 1.5),)
+    a = convexgeo.zonotope_from_generators([(0.3, 1.0), (0.3 + math.pi, 2.0)])
+    assert a.expansion.terms == ((seqmodel.normalize_angle(0.3 + math.pi), 1.0), (0.3, 0.5))
+    assert convexgeo.perimeter(a) == convexgeo.perimeter(b) == 6.0
+    assert abs(convexgeo.area(a) - float(_exact_area(a))) <= 1e-15 * 3.0**2
+    grid = np.linspace(-HALF_PI, HALF_PI, 61)
+    assert np.max(np.abs(convexgeo.width(a, grid) - convexgeo.width(b, grid))) <= 1e-15 * 3.0
     assert convexgeo.zonotope_from_generators([]).is_point
     assert convexgeo.zonotope_from_generators([(0.1, 0.0)]).is_point
     with pytest.raises(InputError):
@@ -118,14 +148,18 @@ def test_minkowski_sum_drops_collinear_vertices():
 
 
 def test_vertical_segment_with_sideways_noise():
-    # generators 1.2e-15 apart across the wrap at +-pi/2: the segment's x
-    # coordinates are rounding noise, and its ends are the extremes in y
+    # generators 1.2e-15 apart across the wrap at +-pi/2 keep both terms: the body
+    # is a needle whose x coordinates are rounding noise, with the width of a
+    # vertical segment 1.4 long, and the exact shoelace area of its float edges
     gens = [(-HALF_PI, 1.38), (HALF_PI - 1.2e-15, 0.02)]
     u = convexgeo.zonotope_from_generators(gens)
     s = convexgeo.minkowski_sum(*(convexgeo.segment(a, ln) for a, ln in gens))
-    for body in (u, s):
-        assert body.is_segment
-        assert math.isclose(convexgeo.width(body, 0.0), 1.4, rel_tol=1e-12)
+    assert s == u and s.vertices == u.vertices
+    assert u.expansion.terms == ((-HALF_PI, 0.69), (HALF_PI - 1.2e-15, 0.01))
+    assert math.isclose(convexgeo.width(u, 0.0), 1.4, rel_tol=1e-12)
+    assert convexgeo.width(u, HALF_PI) <= 1e-15 * 1.4
+    assert max(abs(x) for x, _ in u.vertices) <= 1e-15 * 1.4
+    assert abs(convexgeo.area(u) - float(_exact_area(u))) <= 1e-15 * 1.4**2
 
 
 def test_minkowski_doubling_scales_area_by_four():
@@ -397,7 +431,7 @@ def test_equivalence_of_rotated_twins(gens, shift):
 
 
 def _reference_scale(pts):
-    return max(1.0, float(np.max(np.abs(pts))))
+    return float(np.max(np.abs(pts)))
 
 
 def _reference_turn(a, b, p):
@@ -477,7 +511,7 @@ def _reference_symmetric_polygon(points):
     for p in pts:
         if float(np.min(np.max(np.abs(hull - p), axis=1))) > 1e-9 * scale:
             raise InputError("vertices are not in convex position")
-    return convexgeo.SymmetricPolygon(canon)
+    return SimpleNamespace(vertices=canon)
 
 
 def _bits(fn, *args):
@@ -538,17 +572,29 @@ def _hostile_bodies(draw):
 def test_canonicalization_matches_numpy_row_reference(case, other):
     gens, pts = case
     assert _bits(convexgeo.symmetric_polygon, pts) == _bits(_reference_symmetric_polygon, pts)
+    # generator bodies and their sums against the exact references: the generator
+    # formula's terms and the exact shoelace over their float edges; a sum is the
+    # same bits in either order
     u, v = convexgeo.zonotope_from_generators(gens), convexgeo.zonotope_from_generators(other)
-    walks = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convexgeo, "_canonicalize", lambda p: (None, _reference_canonicalize(walks.append(p) or p)))
-        assert _bits(convexgeo.zonotope_from_generators, gens) == _bits(lambda: u)
-    assert len(walks) == (len(u.vertices) > 1)  # the reference canonicalized the walk
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convexgeo, "_tidy_ring", _reference_tidy_ring)
-        mp.setattr(convexgeo, "_symmetrize", _reference_symmetrize)
-        want = _bits(convexgeo.minkowski_sum, u, v)
-    assert _bits(convexgeo.minkowski_sum, u, v) == want
+    assert u.expansion == seqmodel.diangle_expansion(0.0, [(a, 0.5 * ln) for a, ln in gens])
+    s = convexgeo.minkowski_sum(u, v)
+    assert s == convexgeo.minkowski_sum(v, u)
+    assert _bits(lambda: s) == _bits(convexgeo.minkowski_sum, v, u)
+    for body in (u, v, s):
+        _assert_exact_area(body)
+
+
+def _assert_exact_area(body):
+    """The expansion's area against the exact shoelace over the body's float edges,
+    and the vertex walk's own exact shoelace against both."""
+    size = body.expansion.coefficient_sum / convexgeo.WIDTH_SCALE  # the lengths' sum
+    exact = _exact_area(body)
+    assert abs(convexgeo.area(body) - float(exact)) <= 1e-14 * size * size
+    walked = sum(
+        Fraction(ax) * Fraction(by) - Fraction(bx) * Fraction(ay)
+        for (ax, ay), (bx, by) in zip(body.vertices, body.vertices[1:] + body.vertices[:1])
+    ) / 2
+    assert abs(float(walked - exact)) <= 1e-14 * size * size
 
 
 @st.composite
@@ -581,26 +627,28 @@ def _ring_bits(fn, ring):
 @settings(max_examples=300, deadline=None)
 @given(case=_hostile_bodies(), thin=_thin_bodies(), other=_generators)
 def test_symmetrize_matches_the_sorting_reference(case, thin, other):
-    # _symmetrize takes the ring's own order, where the reference sorts the
-    # half ring by atan2; both must give the same bits on every ring a hull
-    # or a Minkowski merge hands it.  The thin walks hold vertices 1e-15 rad
-    # apart as seen from the origin; the ring pass merges them, and the
+    # _symmetrize takes the ring's own order, where the reference sorts the half
+    # ring by atan2; both must give the same bits on every ring the hull or the
+    # linear pass hands it: vertex lists, and the vertex walks of generator
+    # bodies and of their Minkowski sums read back.  The thin walks hold vertices
+    # 1e-15 rad apart as seen from the origin; the ring pass merges them, and the
     # closest adjacent vertices these rings keep are about 1.7e-12 rad apart.
+    # The generator bodies themselves, thin ones included, keep every term and
+    # meet the exact shoelace over their float edges.
     gens, pts = case
+    built = [_built(convexgeo.zonotope_from_generators, g) for g in (gens, thin, other)]
+    bodies = [u for u in built if u is not None]
+    sums = [convexgeo.minkowski_sum(u, v) for u in bodies for v in bodies]
+    for body in bodies + sums:
+        _assert_exact_area(body)
+    walks = [pts, _walk(thin), *(u.vertices for u in bodies + sums)]
     symmetrize = convexgeo._symmetrize
     rings = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(convexgeo, "_symmetrize", lambda ring: symmetrize(rings.append(ring) or ring))
-        built = [
-            _built(convexgeo.symmetric_polygon, pts),
-            _built(convexgeo.symmetric_polygon, _walk(thin)),
-            *(_built(convexgeo.zonotope_from_generators, g) for g in (gens, thin, other)),
-        ]
-        bodies = [u for u in built if u is not None]
-        for u in bodies:
-            for v in bodies:
-                _built(convexgeo.minkowski_sum, u, v)
-    assert len(rings) >= len(bodies) ** 2 >= 1
+        for walk in walks:
+            _built(convexgeo.symmetric_polygon, walk)
+    assert len(rings) == len(walks)
     for ring in rings:
         assert _ring_bits(symmetrize, ring) == _ring_bits(_reference_symmetrize, np.asarray(ring, dtype=float))
 
@@ -617,3 +665,157 @@ def test_reading_a_large_zonogon_is_near_linear():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert len(read.vertices) == 2 * n and read.vertices == body.vertices
+
+
+# ---------------------------------------------------------------------------
+# the linear pass, term merges and relative tolerances
+
+
+@st.composite
+def _vertex_rings(draw):
+    """Zonogon walks as a reader hands them on: float-pair lists, rotated, maybe
+    clockwise, and some shuffled, padded with a collinear point, given a point
+    1e-13 of the scale from a vertex, or given a generator's twin 1e-15 away."""
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    angles = draw(st.lists(_angle, min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["plain", "plain", "plain", "shuffled", "padded", "near", "twin"]))
+    if kind == "twin":
+        angles.append(angles[0] + draw(st.sampled_from([1e-15, -1e-15])))
+    gens = [(a, scale * draw(st.floats(0.05, 3.0))) for a in angles]
+    pts = _walk(gens)
+    i = draw(st.integers(0, len(pts) - 1))
+    p, q = pts[i], pts[(i + 1) % len(pts)]
+    if kind == "padded":
+        pts.insert(i + 1, [0.5 * p[0] + 0.5 * q[0], 0.5 * p[1] + 0.5 * q[1]])
+    elif kind == "near":
+        pts.insert(i + 1, [p[0] + 1e-13 * scale, p[1]])
+    k = draw(st.integers(0, len(pts) - 1))
+    pts = pts[k:] + pts[:k]
+    if draw(st.booleans()):
+        pts.reverse()
+    if kind == "shuffled":
+        pts = draw(st.permutations(pts))
+    return gens, kind, pts
+
+
+def _polygon_bits(fn, pts):
+    """A body's vertices and terms as hex floats, or the error raised."""
+    try:
+        u = fn(pts)
+    except InputError as exc:
+        return str(exc)
+    return [(x.hex(), y.hex()) for x, y in u.vertices], [(a.hex(), c.hex()) for a, c in u.expansion.terms]
+
+
+def _well_separated(gens, gap=1e-3):
+    """Whether the distinct angles mod pi are at least ``gap`` apart, around the wrap too."""
+    angles = sorted({seqmodel.normalize_angle(a) for a, _ in gens})
+    gaps = [b - a for a, b in zip(angles, angles[1:])] + [angles[0] + math.pi - angles[-1]] if angles else []
+    return min(gaps, default=math.inf) >= gap
+
+
+@seed(20217)
+@settings(max_examples=400, deadline=None)
+@given(case=_vertex_rings())
+def test_linear_pass_matches_the_hull(case):
+    # the linear pass must hand _symmetrize the ring the hull would, bit for bit,
+    # or decline; a plain walk of well-separated generators is taken by it
+    gens, kind, pts = case
+    tuples = [tuple(p) for p in pts]
+    want = _polygon_bits(convexgeo._hull_polygon, pts)
+    assert _polygon_bits(convexgeo._from_floats, pts) == want
+    assert _polygon_bits(convexgeo.symmetric_polygon, tuples) == want
+    if kind == "plain" and len(pts) >= 4 and _well_separated(gens):
+        assert convexgeo._convex_ring(pts, convexgeo._scale_of(pts)) is not None
+        assert convexgeo._convex_ring(tuples, convexgeo._scale_of(tuples)) is not None
+
+
+def test_linear_pass_declines_rings_that_wind_twice():
+    # a regular 10-gon visited three vertices at a time turns left at every vertex
+    # and is centrally symmetric, but winds three times: the hull reorders it
+    ring = [[math.cos(0.6 * math.pi * k), math.sin(0.6 * math.pi * k)] for k in range(10)]
+    assert convexgeo._convex_ring(ring, 1.0) is None
+    body = convexgeo._from_floats(ring)
+    assert len(body.vertices) == 10 and body.vertices == convexgeo._hull_polygon(ring).vertices
+
+
+def test_linear_pass_declines_vertices_within_the_duplicate_tolerance():
+    # a needle along the diagonal whose two blunt vertices are 6.4e-13 apart, inside
+    # the hull's duplicate tolerance 1e-12 * 0.707, while each turns by 9e-13, past
+    # the ring pass's 5e-13: the hull merges them and finds an odd ring, so the
+    # linear pass must decline (a turn is at most 4 scale times a vertex's distance
+    # to any other, hence its margin of 8)
+    r, d = math.sqrt(0.5), 0.45e-12
+    ring = [[-r, -r], [d * r, -d * r], [r, r], [-d * r, d * r]]
+    assert convexgeo._convex_ring(ring, convexgeo._scale_of(ring)) is None
+    with pytest.raises(InputError, match="not centrally symmetric"):
+        convexgeo._from_floats(ring)
+
+
+@seed(20218)
+@settings(max_examples=200, deadline=None)
+@given(gu=_generators, gv=_generators, twin=st.booleans())
+def test_minkowski_sum_is_a_term_merge(gu, gv, twin):
+    # generator input and sums build no hull and run no ring pass; a sum is the
+    # merge of both term lists, the same bits in either order
+    def refuse(*args):
+        raise AssertionError("the hull path ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_convex_hull", "_tidy_ring", "_chain", "_symmetrize", "_canonicalize"):
+            mp.setattr(convexgeo, name, refuse)
+        u, v = _body(gu, twin), _body(gv, False)
+        s, t = convexgeo.minkowski_sum(u, v), convexgeo.minkowski_sum(v, u)
+    assert s.expansion == seqmodel.diangle_expansion(0.0, [*u.expansion.terms, *v.expansion.terms])
+    assert _bits(lambda: s) == _bits(lambda: t)
+    assert [(a.hex(), c.hex()) for a, c in s.expansion.terms] == [(a.hex(), c.hex()) for a, c in t.expansion.terms]
+    _assert_exact_area(s)
+
+
+@seed(20219)
+@settings(max_examples=150, deadline=None)
+@given(gu=_generators, gv=_generators, scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_sum_vertices_read_back_as_the_same_expansion(gu, gv, scale):
+    # the vertices `geom sum` prints, read back as a vertex body, give the sum's
+    # terms to 1e-12 of the scale, when no two of its edges are as nearly parallel
+    # as the ring pass's turn tolerance (1e-12 scale^2) merges
+    gens = [(a, scale * ln) for a, ln in gu + gv]
+    assume(_well_separated(gens, 1e-6))
+    u = convexgeo.zonotope_from_generators([(a, scale * ln) for a, ln in gu])
+    v = convexgeo.zonotope_from_generators([(a, scale * ln) for a, ln in gv])
+    s = convexgeo.minkowski_sum(u, v)
+    again = serialization.read_body(serialization.loads(serialization.dumps(serialization.write_body(s))))
+    size = s.expansion.coefficient_sum
+    assert len(again.expansion.terms) == len(s.expansion.terms)
+    for (a, c), (b, d) in zip(s.expansion.terms, again.expansion.terms):
+        assert abs(c - d) <= 1e-12 * size and abs(a - b) * c <= 1e-12 * size
+    grid = np.union1d(np.linspace(-HALF_PI, HALF_PI, 181), s.expansion.angles)
+    assert np.max(np.abs(convexgeo.width(again, grid) - convexgeo.width(s, grid))) <= 1e-12 * size
+
+
+@pytest.mark.parametrize("shrink", [2.0**-20, 2.0**-60, 2.0**-200])
+def test_vertex_tolerances_are_relative_to_the_body(shrink):
+    # a body below unit size keeps its shape: scaled by a power of two, the
+    # canonical ring scales exactly, near-duplicate and collinear points included
+    base = [[1.0, 2.0], [-1.0, 2.0], [-1.0 + 1e-13, 2.0], [-2.0, 0.0], [-1.0, -2.0], [1.0, -2.0], [2.0, 0.0]]
+    small = convexgeo.symmetric_polygon([[shrink * x, shrink * y] for x, y in base])
+    big = convexgeo.symmetric_polygon(base)
+    assert small.vertices == tuple((shrink * x, shrink * y) for x, y in big.vertices)
+    assert len(small.vertices) == 6
+    assert math.isclose(convexgeo.area(small), shrink * shrink * convexgeo.area(big), rel_tol=1e-14)
+    # the 1e-6 x 5e-7 box, in both forms: 5e-13 where 0 or an error came back
+    box = convexgeo.symmetric_polygon([[2.5e-07, 5e-07], [-2.5e-07, 5e-07], [-2.5e-07, -5e-07], [2.5e-07, -5e-07]])
+    gens = convexgeo.zonotope_from_generators([(-HALF_PI, 1e-06), (0.0, 5e-07)])
+    for body in (box, gens):
+        assert math.isclose(convexgeo.area(body), 5e-13, rel_tol=1e-15)
+
+
+def test_scale_zero_is_the_one_point_body():
+    # every tolerance is relative to the largest coordinate, so at scale 0 they
+    # are all 0: only points at the origin, signed zeros alike, are the point
+    assert convexgeo.symmetric_polygon([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]).is_point
+    for far in ([(1e-300, 0.0)], [(5e-324, 0.0)]):
+        with pytest.raises(InputError, match="must sit at the origin"):
+            convexgeo.symmetric_polygon(far)
+    seg = convexgeo.symmetric_polygon([(1e-300, 0.0), (-1e-300, 0.0)])
+    assert seg.is_segment and seg.vertices == ((-1e-300, 0.0), (1e-300, 0.0))

@@ -531,8 +531,8 @@ def test_float_pairs_match_entry_by_entry_reference(items):
 @settings(max_examples=400, deadline=None)
 @given(verts=_vertex_lists())
 def test_read_body_vertices_match_entry_by_entry_reference(verts):
-    # the points that reach symmetric_polygon, as pairs, or the reader's error
-    with mock.patch.object(convexgeo, "symmetric_polygon", lambda pts: [tuple(p) for p in pts]):
+    # the points that reach the polygon constructor, as pairs, or the reader's error
+    with mock.patch.object(convexgeo, "_from_floats", lambda pts: [tuple(p) for p in pts]):
         got = _outcome(ser.read_body, {"vertices": verts})
     assert got == _outcome(_ref_vertices, verts)
 
