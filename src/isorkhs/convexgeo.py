@@ -20,27 +20,28 @@ function space on ``[-pi/2, pi/2]`` with ``int f`` half the pair perimeter
 which a ``BodyPair`` builds once.
 
 Vertices are data derived from the expansion, built when an op reads them
-(``geom sum`` output, the vertex oracles, the calibrations): the canonical
-ring, counterclockwise from the lexicographically smallest vertex, with
-antipodal pairs exactly negated.  A body read from vertices keeps the ring
-its input was canonicalized to; any other body walks its edges in angle
-order.  Canonicalization runs on Python floats (their IEEE arithmetic gives
-the same bits as NumPy scalars).  A vertex list that is already a ring in
-convex position, as a ring ``geom sum`` prints is when no two of its edges
-are nearly parallel, is checked in one linear pass; any other list goes
-through the monotone-chain hull and a ring pass that drops nearly collinear
-vertices, which is also the oracle the linear pass is tested against.
-Convex position is tested only at the points the hull dropped.
+(the vertex oracles, the calibrations): the canonical ring,
+counterclockwise from the lexicographically smallest vertex, with antipodal
+pairs exactly negated.  A body read from vertices keeps the ring its input
+was canonicalized to; any other body walks its edges in angle order, and
+``vertex_list``, what ``geom sum`` prints, leaves out the vertices of that
+walk the ring pass below would drop, so the printed ring reads back as
+itself.  Canonicalization runs on Python floats (their IEEE arithmetic
+gives the same bits as NumPy scalars).  A vertex list that is already a
+ring in convex position, as a printed ring mostly is, is checked in one
+linear pass; any other list goes through the monotone-chain hull and a ring
+pass that drops nearly collinear vertices, which is also the oracle the
+linear pass is tested against.  Convex position is tested only at the
+points the hull dropped.
 
 Vertex tolerances are relative to the body's own scale, its largest absolute
 coordinate: ``1e-12 scale`` for duplicates and antipodes, ``1e-12 scale^2``
 for turns, ``1e-9 scale`` for convex position.  At scale 0 they are all 0,
 and the only body of scale 0 is the one point at the origin.  Bodies whose
-squared coordinates overflow are rejected before any arithmetic overflows;
-for generators, half the lengths' sum, which bounds every coordinate, stands
-in for the largest coordinate.  The support width and the shoelace area stay
-as independent oracles, read by ``cauchy_check``, ``pair_equivalent`` and the
-two scale calibrations.
+squared coordinates overflow are rejected before any arithmetic overflows,
+generator bodies at the same largest coordinate as vertex bodies.  The
+support width and the shoelace area stay as independent oracles, read by
+``cauchy_check``, ``pair_equivalent`` and the two scale calibrations.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "regular_polygon",
     "zonotope_from_generators",
     "minkowski_sum",
+    "vertex_list",
     "area",
     "perimeter",
     "width",
@@ -214,8 +216,7 @@ def _symmetrize(ring: list) -> tuple[tuple[float, float], ...]:
 
 
 def _canonicalize(points: list) -> tuple[list, tuple[tuple[float, float], ...]]:
-    """The hull of finite points, as input points, and its canonical ring."""
-    _square_of(_scale_of(points))
+    """The hull of finite points whose squares are finite, as input points, and its canonical ring."""
     hull = _convex_hull(points)
     return hull, _symmetrize(hull)
 
@@ -282,7 +283,7 @@ def _ring_body(canon: tuple[tuple[float, float], ...]) -> SymmetricPolygon:
 
 
 def _hull_polygon(pts: list) -> SymmetricPolygon:
-    """``_from_floats`` through the hull, the general path."""
+    """``_from_floats`` through the hull, the general path, for points it has checked."""
     pts = list(map(tuple, pts))
     hull, canon = _canonicalize(pts)
     body = _ring_body(canon)
@@ -302,11 +303,42 @@ def _hull_polygon(pts: list) -> SymmetricPolygon:
 
 
 def _from_floats(pts: list) -> SymmetricPolygon:
-    """``symmetric_polygon`` of a nonempty list of finite float pairs, lists or tuples."""
+    """``symmetric_polygon`` of a nonempty list of finite float pairs, lists or tuples.
+
+    The one entry for checked pairs (``symmetric_polygon``, ``regular_polygon``
+    and ``serialization.read_body``), and the one place their squares are checked.
+    """
     scale = _scale_of(pts)
     _square_of(scale)
     ring = _convex_ring(pts, scale)
     return _hull_polygon(pts) if ring is None else _ring_body(_symmetrize(ring))
+
+
+def vertex_list(u: SymmetricPolygon) -> tuple[tuple[float, float], ...]:
+    """The vertices to print for ``U``: a list that reads back as a body with this ring.
+
+    A body read from vertices gives its ring.  A walk leaves out each vertex whose
+    turn is within ``_tidy_ring``'s tolerance, as between two edges whose angles
+    differ in their last bits, which the ring pass would drop.  Its antipode turns
+    by the same bits and goes with it; a walk left with no vertex is a segment,
+    its two extremes along its wider axis.
+    """
+    ring = u.vertices
+    if u.ring is not None or len(ring) <= 2:
+        return ring
+    m = len(ring) // 2
+    eps = _GEOM_TOL * _square_of(_scale_of(ring))
+    turns = zip(ring[-1:] + ring[: m - 1], ring[:m], ring[1 : m + 1])
+    half = [b for (ax, ay), b, (x, y) in turns if (b[0] - ax) * (y - ay) - (b[1] - ay) * (x - ax) > eps]
+    if len(half) == m:
+        return ring
+    if not half:
+        xs, ys = zip(*ring)
+        c = ys if max(ys) - min(ys) > max(xs) - min(xs) else xs
+        half = [ring[c.index(max(c))]]
+    kept = half + [(-x, -y) for x, y in half]
+    start = kept.index(min(kept))
+    return tuple(kept[start:] + kept[:start])
 
 
 def symmetric_polygon(points: Iterable[Sequence[float]]) -> SymmetricPolygon:
@@ -356,8 +388,10 @@ def zonotope_from_generators(generators: Iterable[tuple[float, float]]) -> Symme
     ``(angle, WIDTH_SCALE * length)``, with no hull.
 
     Angles are identified modulo pi; exact duplicates merge by adding
-    lengths.  An empty generator list gives the point.  Half the lengths' sum
-    bounds every coordinate, and it must stay finite when squared.
+    lengths.  An empty generator list gives the point.  The largest
+    coordinate must stay finite when squared, as for a vertex body: half the
+    lengths' sum bounds it, and only where that bound's square overflows is
+    the coordinate itself taken, the larger of the half widths at ``pi/2`` and 0.
     """
     gens = list(generators)
     lengths = [float(ln) for _, ln in gens]
@@ -366,9 +400,12 @@ def zonotope_from_generators(generators: Iterable[tuple[float, float]]) -> Symme
         for (_, raw_len), ln in zip(gens, lengths):
             if not math.isfinite(ln) or ln < 0.0:
                 raise InputError(f"generator length must be nonnegative, got {raw_len!r}")
-    _square_of(WIDTH_SCALE * total, "half its generator lengths' sum overflows when squared")
-    terms = [(a, WIDTH_SCALE * ln) for (a, _), ln in zip(gens, lengths)]
-    return SymmetricPolygon(seqmodel.diangle_expansion(0.0, terms))
+    e = seqmodel.diangle_expansion(0.0, [(a, WIDTH_SCALE * ln) for (a, _), ln in zip(gens, lengths)])
+    bound = WIDTH_SCALE * total
+    if bound * bound == math.inf:  # half the widths at pi/2 and 0: the largest |x| and |y|
+        bound = max(sum(c * math.cos(a) for a, c in e.terms), sum(c * abs(math.sin(a)) for a, c in e.terms))
+    _square_of(bound)
+    return SymmetricPolygon(e)
 
 
 def minkowski_sum(u: SymmetricPolygon, v: SymmetricPolygon) -> SymmetricPolygon:

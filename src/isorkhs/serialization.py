@@ -298,7 +298,9 @@ def read_body(doc):
 
 
 def write_body(u) -> dict:
-    return {"vertices": [[x, y] for x, y in u.vertices]}
+    from . import convexgeo
+
+    return {"vertices": [[x, y] for x, y in convexgeo.vertex_list(u)]}
 
 
 def read_pair(doc):

@@ -605,6 +605,20 @@ def test_overflowing_bodies_are_malformed_input(tmp_path, capsys, op, doc):
     assert err["kind"] == "malformed-input" and "too large" in err["detail"]
 
 
+def test_generator_bodies_are_too_large_where_their_vertex_form_is(tmp_path, capsys):
+    # the guard reads a generator body's largest coordinate, 7.5e153 here, whose
+    # square is finite, not half the lengths' sum, whose square is not
+    gens = {"generators": [{"angle": 0.0, "length": 1.5e154}, {"angle": HALF_PI, "length": 1.5e154}]}
+    for doc in (gens, _square(7.5e153)):
+        code, out = run(capsys, "geom", "perimeter", "--input", jfile(tmp_path, "body.json", doc))
+        assert code == 0 and math.isclose(json.loads(out)["perimeter"], 6e154, rel_tol=1e-15)
+    code, out = run(capsys, "geom", "perimeter", "--input", jfile(tmp_path, "body.json", _square(1.5e154)))
+    assert code == 2 and "too large" in json.loads(out)["error"]["detail"]
+    gens["generators"][1]["length"] = 3e154
+    code, out = run(capsys, "geom", "perimeter", "--input", jfile(tmp_path, "body.json", gens))
+    assert code == 2 and "too large" in json.loads(out)["error"]["detail"]
+
+
 # Two bodies whose Minkowski sum used to depend on argument order: a 1e-7 edge
 # beside edges 1.2e-15 rad apart, at scale 500.
 _ORDERED_U = {
@@ -621,8 +635,22 @@ def test_geom_sum_prints_the_same_bytes_in_either_order(tmp_path, capsys):
     uv = run(capsys, "geom", "sum", "--input", jfile(tmp_path, "uv.json", {"U": _ORDERED_U, "V": _ORDERED_V}))
     vu = run(capsys, "geom", "sum", "--input", jfile(tmp_path, "vu.json", {"U": _ORDERED_V, "V": _ORDERED_U}))
     assert uv == vu and uv[0] == 0
-    # the 1e-7 edge survives: three edge directions, six vertices
-    assert len(json.loads(uv[1])["vertices"]) == 6
+    # the 1e-7 edge survives the merge, but the body is 1e-10 of its scale thick, and
+    # the printed ring is the segment a vertex list of it reads back as
+    assert len(json.loads(uv[1])["vertices"]) == 2
+    assert run(capsys, "geom", "area", "--input", jfile(tmp_path, "s.json", json.loads(uv[1]))) == (0, '{\n  "area": 0.0\n}\n')
+
+
+@pytest.mark.parametrize("case", [c for c in _GEOM_GOLDEN if c["argv"] == ["sum"]], ids=lambda c: c["id"])
+def test_geom_sum_output_reads_back(tmp_path, capsys, case):
+    # in either order the printed ring is the same bytes, and read back as a
+    # vertex body it is a body, with that ring
+    uv, vu = ({"U": case["input"][a], "V": case["input"][b]} for a, b in (("U", "V"), ("V", "U")))
+    code, out = run(capsys, "geom", "sum", "--input", jfile(tmp_path, "uv.json", uv))
+    assert code == 0 and run(capsys, "geom", "sum", "--input", jfile(tmp_path, "vu.json", vu)) == (0, out)
+    body = json.loads(out)
+    assert run(capsys, "geom", "area", "--input", jfile(tmp_path, "again.json", body))[0] == 0
+    assert serialization.read_body(body).vertices == tuple(map(tuple, body["vertices"]))
 
 
 @pytest.mark.parametrize(
