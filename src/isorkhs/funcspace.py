@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, cycle
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -116,8 +116,8 @@ _KINDS = np.array((1.0, -1.0))
 
 
 def _odd_sine_sum(sin_coeffs: Sequence[float]) -> float:
-    """``sum_k b_k sin(k pi/2)``, in order: half the series' endpoint gap ``f(pi/2) - f(-pi/2)``."""
-    return sum(map(mul, sin_coeffs, cycle(_ODD_SINES)))
+    """``sum_k b_k sin(k pi/2)``, left to right as ``coefficient_sum``: half the gap ``f(pi/2) - f(-pi/2)``."""
+    return reduce(add, map(mul, sin_coeffs, cycle(_ODD_SINES)), 0.0)
 
 
 @dataclass(frozen=True)

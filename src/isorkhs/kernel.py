@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -548,7 +549,7 @@ class Interpolant(DiangleSpan):
 
     @cached_property
     def expansion(self) -> DiangleExpansion:
-        total = self.theta * sum(self.coeffs)
+        total = self.theta * reduce(add, self.coeffs, 0.0)  # left to right, as coefficient_sum
         return diangle_expansion(total, [(y, -_HALF_PI * c) for y, c in zip(self.nodes, self.coeffs)])
 
     @cached_property

@@ -21,7 +21,7 @@ from .errors import InputError
 from .funcspace import DiangleSpan, TrigPoly, constant, diangle_span, trig_poly
 from .rng import SplitMix64
 
-__all__ = ["Check", "VerifyReport", "SUITES", "run_suite"]
+__all__ = ["Check", "VerifyReport", "SUITES", "run_suite", "dense_sine_sum"]
 
 _HALF_PI = 0.5 * math.pi
 _PI = math.pi
@@ -86,6 +86,11 @@ class VerifyReport:
 
 # ---------------------------------------------------------------------------
 # random members
+
+
+def dense_sine_sum(x: seqmodel.DiangleExpansion, y: seqmodel.DiangleExpansion) -> float:
+    """``sum_ij cx_i cy_j sin|a_i - b_j|`` by the dense sine matrix, the oracle for ``seqmodel._sine_pass``."""
+    return float(np.asarray(x.coefficients) @ np.sin(np.abs(np.subtract.outer(x.angles, y.angles))) @ y.coefficients)
 
 
 def _random_trig(rng: SplitMix64, max_extra_freq: int = 5) -> TrigPoly:
@@ -367,15 +372,15 @@ def _suite_sequence(rng: SplitMix64) -> list[Check]:
         n2 = seqmodel.seq_norm_squared(x)
         s = x.coefficient_sum
         half = _HALF_PI * x.x0 + s
-        quad_form = seqmodel.sin_quadratic(x)
-        # the profile Gram form sum_i c_i (2 S - (pi/2) sum_j c_j sin|a_i - a_j|) read
-        # through the prefix-sum evaluator, against seq_inner's dense matrix
+        # seq_inner's sorted pass against the sine double sum read as sum_i c_i f(a_i)
+        # through the prefix-sum evaluator, by sin_quadratic and by the dense oracle
         profiles = seqmodel.expansion_value(x, np.asarray(x.angles)) - x.x0
         gram = 2.0 * s * s - _HALF_PI * float(np.asarray(x.coefficients) @ profiles)
         form3 = (4.0 / (_PI * _PI)) * (half * half - s * s + gram)
-        form4 = (4.0 / (_PI * _PI)) * (half * half + s * s - _HALF_PI * quad_form)
+        form4 = (4.0 / (_PI * _PI)) * (half * half + s * s - _HALF_PI * seqmodel.sin_quadratic(x))
+        form5 = (4.0 / (_PI * _PI)) * (half * half + s * s - _HALF_PI * dense_sine_sum(x, x))
         scale = 1.0 + abs(n2)
-        rearr = max(rearr, abs(form3 - n2) / scale, abs(form4 - n2) / scale)
+        rearr = max(rearr, *(abs(form - n2) / scale for form in (form3, form4, form5)))
         gap = seqmodel.sequence_isoperimetric_gap(x)
         gap_min = min(gap_min, gap)
         gap_identity = max(

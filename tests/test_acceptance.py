@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from isorkhs import convexgeo, funcspace, kernel, seqmodel
+from isorkhs import convexgeo, funcspace, kernel, seqmodel, verify
 from isorkhs.rng import SplitMix64
 
 _T0 = time.perf_counter()
@@ -165,9 +165,7 @@ def test_criterion_06_sequence_model_agreement():
         worst_pair = max(worst_pair, abs(seqmodel.seq_inner(x, y) - quad))
         s = x.coefficient_sum
         half = HALF_PI * x.x0 + s
-        a = np.asarray(x.angles)
-        c = np.asarray(x.coefficients)
-        cross_gram = float(c @ (2.0 - HALF_PI * np.sin(np.abs(a[:, None] - a[None, :]))) @ c)
+        cross_gram = 2.0 * s * s - HALF_PI * verify.dense_sine_sum(x, x)
         forms = (
             seqmodel.seq_inner(x, x),
             seqmodel.seq_norm_squared(x),

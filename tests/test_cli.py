@@ -320,7 +320,9 @@ def test_interpolant_golden_bytes(tmp_path, capsys, case):
 # coefficients, spans with angles 1e-15 apart and terms at +-pi/2, spans with
 # angles outside [-pi/2, pi/2), and interpolant records (theta 2 and 3).  The
 # bytes were printed by the engine that built ``J(m -+ n)`` as two outer tables
-# and read records entry by entry.
+# and read records entry by entry; the rows whose span x span sine sum went
+# from the dense sine matrix to ``seqmodel``'s one sorted pass were printed by
+# that pass, each change checked against a 50-digit reference.
 _INNER_GOLDEN = json.loads((Path(__file__).parent / "inner_golden.json").read_text())
 
 
@@ -500,6 +502,39 @@ _GEOM_GOLDEN = json.loads((Path(__file__).parent / "geom_golden.json").read_text
 def test_geom_golden_bytes(tmp_path, capsys, case):
     path = jfile(tmp_path, "in.json", case["input"])
     assert run(capsys, "geom", *case["argv"], "--input", path) == (0, case["stdout"])
+
+
+_BUILTIN_SUM = sum
+
+
+def _compensated_sum(values, start=0):
+    """Python 3.12's built-in ``sum`` of floats, Neumaier's compensated sum; anything else as before."""
+    values = list(values)
+    if not values or type(start) is not int or any(type(v) is not float for v in values):
+        return _BUILTIN_SUM(values, start)
+    total, comp = start + values[0], 0.0
+    for v in values[1:]:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_golden_bytes_do_not_depend_on_the_builtin_sum(tmp_path, capsys, monkeypatch):
+    # CI runs Python 3.12 too, whose ``sum`` of floats is compensated; every
+    # golden case must print its bytes under that algorithm as well
+    assert _compensated_sum([0.55, 0.3, 0.4, 0.65]) == 1.9000000000000001 != sum([0.55, 0.3, 0.4, 0.65])
+    odd_sines = [0.55, 0.0, -0.3, 0.0, 0.4, 0.0, -0.65]  # b_1 takes off 0.55 + 0.3 + 0.4 + 0.65
+    projected = funcspace.project_endpoints([1.0], odd_sines)
+    monkeypatch.setattr("builtins.sum", _compensated_sum)
+    assert funcspace.project_endpoints([1.0], odd_sines) == projected
+    cases = [(["geom"], c) for c in _GEOM_GOLDEN] + [([], c) for c in _INNER_GOLDEN + _INTERP_GOLDEN]
+    moved = []
+    for prefix, case in cases:
+        path = jfile(tmp_path, "in.json", case["input"])
+        if run(capsys, *prefix, *case["argv"], "--input", path) != (0, case["stdout"]):
+            moved.append(case["id"])
+    assert moved == []
 
 
 def test_verify_suite_passes(capsys):

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -824,3 +828,55 @@ def test_scale_zero_is_the_one_point_body():
             convexgeo.symmetric_polygon(far)
     seg = convexgeo.symmetric_polygon([(1e-300, 0.0), (-1e-300, 0.0)])
     assert seg.is_segment and seg.vertices == ((-1e-300, 0.0), (1e-300, 0.0))
+
+
+_LARGE_AREA = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from isorkhs import convexgeo
+print(repr(convexgeo.area(convexgeo.regular_polygon(20000))))
+"""
+
+
+def test_area_of_a_20000_gon_fits_in_1_gb():
+    # 10000 terms: a dense sine matrix and its temporaries need about 1.6 GB; the
+    # sorted pass needs a few MB.  One BLAS thread, so the limit is spent on arrays.
+    env = {**os.environ, "PYTHONPATH": str(Path(convexgeo.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _LARGE_AREA], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    n = 20000
+    assert math.isclose(float(proc.stdout), 0.5 * n * math.sin(2.0 * math.pi / n), rel_tol=1e-12, abs_tol=0.0)
+
+
+_ONE = 1 << 120  # fixed point for the exact sines below
+
+
+def _exact_sine(x: int) -> int:
+    """``sin(x / 2**120)`` in units of ``2**-120`` by its Taylor series, for ``|x| <= pi 2**120``."""
+    term, total, k = x, 0, 1
+    while term:
+        total += term
+        term = -term * x // _ONE * x // _ONE // ((k + 1) * (k + 2))
+        k += 2
+    return total
+
+
+def test_pair_measure_of_nearly_equal_bodies_is_accurate_relative_to_itself():
+    # U against its own vertex form, or against itself turned by 1e-12: the pair's terms
+    # nearly cancel two by two, and the measure must hold its relative accuracy, not
+    # only eps (sum|c|)^2, against the sine sum in exact rationals
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        k = int(rng.integers(1, 7))
+        gens = list(zip(rng.uniform(-HALF_PI, HALF_PI, k).tolist(), rng.uniform(0.1, 2.0, k).tolist()))
+        u = convexgeo.zonotope_from_generators(gens)
+        if i % 2:
+            v = convexgeo.zonotope_from_generators([(a + 1e-12, ln) for a, ln in gens])
+        else:
+            v = convexgeo.symmetric_polygon(u.vertices)
+        pair = convexgeo.body_pair(u, v)
+        terms = [(Fraction(a), Fraction(c)) for a, c in pair.expansion.terms]
+        exact = sum(
+            ci * cj * Fraction(abs(_exact_sine(round((ai - aj) * _ONE))), _ONE) for ai, ci in terms for aj, cj in terms
+        )
+        assert abs(Fraction(convexgeo.pair_measure(pair)) - 2 * exact) <= 2e-12 * abs(exact)

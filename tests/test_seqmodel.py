@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from isorkhs import funcspace, seqmodel
+from isorkhs import funcspace, seqmodel, verify
 from isorkhs.errors import DomainError, InputError
 
 HALF_PI = 0.5 * math.pi
@@ -260,3 +260,33 @@ def test_profile_sum_matches_term_by_term(case):
     bound = 1e-13 * (1.0 + np.abs(ec).sum())
     assert np.all(np.abs(seqmodel.expansion_value(e, x) - 0.5 - value) <= bound)
     assert np.all(np.abs(seqmodel.expansion_derivative(e, x) - slope) <= bound)
+
+
+@st.composite
+def _pass_expansions(draw):
+    """Constant-free expansions of up to 500 terms: a drawn head (angles at -pi/2, neighbours
+    1e-15 away whose coefficients nearly cancel) and a bulk of uniform random terms."""
+    terms = []
+    for ang in draw(st.lists(st.one_of(st.just(-HALF_PI), angles), max_size=8)):
+        w = draw(st.floats(-1e3, 1e3))
+        terms.append((ang, w))
+        if draw(st.booleans()):
+            terms.append((ang + 1e-15, -w * (1.0 + draw(st.sampled_from([0.0, 1e-9, -2e-16])))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 500))
+    terms += zip(rng.uniform(-HALF_PI, HALF_PI, m).tolist(), rng.uniform(-2.0, 2.0, m).tolist())
+    return seqmodel.diangle_expansion(0.0, terms)
+
+
+@seed(20219)
+@settings(max_examples=60, deadline=None)
+@given(x=_pass_expansions(), y=_pass_expansions(), same=st.booleans())
+def test_sine_pass_matches_the_dense_oracle(x, y, same):
+    # sin_quadratic and, with no constant, seq_inner are the one sorted pass; the dense
+    # m x n sine matrix is the oracle, within 1e-14 sum|cx| sum|cy|
+    y = x if same else y
+    ax, ay = sum(map(abs, x.coefficients)), sum(map(abs, y.coefficients))
+    assert abs(seqmodel.sin_quadratic(x) - verify.dense_sine_sum(x, x)) <= 1e-14 * ax * ax
+    sx, sy = x.coefficient_sum, y.coefficient_sum
+    dense = (4.0 / math.pi**2) * (2.0 * sx * sy - HALF_PI * verify.dense_sine_sum(x, y))
+    assert abs(seqmodel.seq_inner(x, y) - dense) <= 1e-14 * ax * ay
