@@ -4,7 +4,9 @@ Commands read JSON documents (``--input FILE``, ``-`` for stdin), emit one
 deterministic JSON or CSV document on stdout, and signal failure through the
 exit code: 0 success, 1 invariant violation (including a failed verify run),
 2 malformed input, 3 numerical failure.  Errors are reported as
-``{"error": {"kind": ..., "detail": ...}}`` on stdout.
+``{"error": {"kind": ..., "detail": ...}}`` on stdout.  Each command, and each
+``geom`` operation, accepts only the flags its handler reads; any other flag is
+a usage error, reported as malformed input.
 """
 
 from __future__ import annotations
@@ -46,76 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="isorkhs",
-        description="Verification harness for the isoperimetric function space.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="JSON input file, or - for stdin")
-        p.add_argument("--theta", type=float, default=None, help="kernel parameter (default 2)")
-        p.add_argument("--ridge", type=float, default=None, help="Gram regularizer (default 0)")
-        p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument(
-            "--output", choices=("json", "csv"), default="json", help="output format"
-        )
-        return p
-
-    p = common(sub.add_parser("eval", help="evaluate a function record on a grid"))
-    p.add_argument("--at", required=True, help="comma-separated evaluation points")
-
-    p = common(sub.add_parser("inner", help="isoperimetric inner product of f and g"))
-    p.add_argument("--method", choices=("auto", "exact", "quadrature"), default="auto")
-
-    p = common(sub.add_parser("norm", help="isoperimetric norm of a function record"))
-    p.add_argument("--method", choices=("auto", "exact", "quadrature"), default="auto")
-
-    common(sub.add_parser("gram", help="kernel Gram matrix and spectrum at nodes"))
-
-    common(sub.add_parser("interp", help="minimum-norm kernel interpolation"))
-
-    p = common(sub.add_parser("power", help="power function of a node set"))
-    p.add_argument("--at", required=True, help="comma-separated evaluation points")
-
-    common(sub.add_parser("seq", help="sequence-model norm, gap, perimeter, area"))
-
-    p = common(sub.add_parser("geom", help="convex-geometry operations"))
-    p.add_argument(
-        "operation",
-        choices=(
-            "sum",
-            "area",
-            "perimeter",
-            "width",
-            "norm",
-            "deficit",
-            "tofunction",
-            "equiv",
-            "cauchy",
-        ),
-    )
-    p.add_argument("--angle", type=float, default=None, help="direction for width")
-    p.add_argument("--points", type=int, default=101, help="sample count for tofunction")
-
-    p = common(sub.add_parser("verify", help="run a named verification suite"), needs_input=False)
-    p.add_argument(
-        "--suite",
-        default="all",
-        help="suite name: " + ", ".join(sorted([*verify.SUITES, "all"])),
-    )
-
-    p = common(sub.add_parser("export", help="sample a function record to CSV"))
-    p.add_argument("--points", type=int, default=101, help="sample count (default 101)")
-
-    return parser
-
-
-def _read_input(args) -> object:
-    path = args.input
+def _read_input(path: str) -> object:
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -130,24 +63,18 @@ def _read_input(args) -> object:
 def _spec(args) -> QuadratureSpec:
     if args.tol is None:
         return DEFAULT_SPEC
-    tol = float(args.tol)
-    return QuadratureSpec(abs_tol=tol, rel_tol=tol)
+    return QuadratureSpec(abs_tol=args.tol, rel_tol=args.tol)
 
 
-def _theta(args, doc, default=2.0) -> float:
-    if args.theta is not None:
-        return float(args.theta)
-    if isinstance(doc, dict) and "theta" in doc:
-        return serialization.as_float(doc["theta"], "theta")
-    return default
-
-
-def _ridge(args, doc, default=0.0) -> float:
-    if args.ridge is not None:
-        return float(args.ridge)
-    if isinstance(doc, dict) and "ridge" in doc:
-        return serialization.as_float(doc["ridge"], "ridge")
-    return default
+def _kernel_params(args, doc: dict) -> dict:
+    """``theta`` and ``ridge`` for a kernel command: the flag, else the document's key, else 2 and 0."""
+    params = {}
+    for name, default in (("theta", 2.0), ("ridge", 0.0)):
+        value = getattr(args, name)
+        if value is None:
+            value = serialization.as_float(doc[name], name) if name in doc else default
+        params[name] = value
+    return params
 
 
 def _parse_points(text: str) -> list[float]:
@@ -172,17 +99,12 @@ def _function_from(doc):
     return serialization.read_function(doc)
 
 
-def _no_csv(args):
-    if args.output == "csv":
-        raise InputError(f"command {args.command!r} has no CSV form")
-
-
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each takes the parsed flags and the input document
 
 
-def _cmd_eval(args):
-    f = _function_from(_read_input(args))
+def _cmd_eval(args, doc):
+    f = _function_from(doc)
     pts = np.asarray(_parse_points(args.at))
     values = funcspace.evaluate(f, pts)
     derivs = f.derivative(pts)
@@ -191,31 +113,24 @@ def _cmd_eval(args):
     return {"at": list(pts), "values": list(values), "derivatives": list(derivs)}
 
 
-def _cmd_inner(args):
-    _no_csv(args)
-    doc = _read_input(args)
+def _cmd_inner(args, doc):
     if not isinstance(doc, dict) or "f" not in doc or "g" not in doc:
         raise InputError("inner needs an object with 'f' and 'g' function records")
     f = serialization.read_function(doc["f"])
     g = serialization.read_function(doc["g"])
-    value = funcspace.inner_product_iso(f, g, method=args.method, spec=_spec(args))
-    return {"inner": value}
+    return {"inner": funcspace.inner_product_iso(f, g, method=args.method, spec=_spec(args))}
 
 
-def _cmd_norm(args):
-    _no_csv(args)
-    f = _function_from(_read_input(args))
-    n2 = funcspace.norm_iso_squared(f, method=args.method, spec=_spec(args))
+def _cmd_norm(args, doc):
+    n2 = funcspace.norm_iso_squared(_function_from(doc), method=args.method, spec=_spec(args))
     return {"norm2": n2, "norm": math.sqrt(max(0.0, n2))}
 
 
-def _cmd_gram(args):
-    _no_csv(args)
-    doc = _read_input(args)
+def _cmd_gram(args, doc):
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise InputError("gram needs an object with 'nodes'")
     nodes = serialization.as_float_list(doc["nodes"], "nodes")
-    g = kernel.gram_system(nodes, theta=_theta(args, doc), ridge=_ridge(args, doc))
+    g = kernel.gram_system(nodes, **_kernel_params(args, doc))
     cond = g.cond_estimate
     return {
         "theta": g.theta,
@@ -229,25 +144,22 @@ def _cmd_gram(args):
     }
 
 
-def _cmd_interp(args):
-    _no_csv(args)
-    doc = _read_input(args)
+def _cmd_interp(args, doc):
     if not isinstance(doc, dict) or "nodes" not in doc or "values" not in doc:
         raise InputError("interp needs an object with 'nodes' and 'values'")
     nodes = serialization.as_float_list(doc["nodes"], "nodes")
     values = serialization.as_float_list(doc["values"], "values")
-    itp = kernel.interpolate(nodes, values, theta=_theta(args, doc), ridge=_ridge(args, doc))
+    itp = kernel.interpolate(nodes, values, **_kernel_params(args, doc))
     out = serialization.write_interpolant(itp)
     out["type"] = "interpolant"
     return out
 
 
-def _cmd_power(args):
-    doc = _read_input(args)
+def _cmd_power(args, doc):
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise InputError("power needs an object with 'nodes'")
     nodes = serialization.as_float_list(doc["nodes"], "nodes")
-    g = kernel.gram_system(nodes, theta=_theta(args, doc), ridge=_ridge(args, doc))
+    g = kernel.gram_system(nodes, **_kernel_params(args, doc))
     pts = np.asarray(_parse_points(args.at))
     vals = kernel.power_function(g, pts)
     if args.output == "csv":
@@ -255,9 +167,8 @@ def _cmd_power(args):
     return {"at": list(pts), "power": list(vals)}
 
 
-def _cmd_seq(args):
-    _no_csv(args)
-    x = serialization.read_expansion(_read_input(args))
+def _cmd_seq(args, doc):
+    x = serialization.read_expansion(doc)
     out = {
         "norm2": seqmodel.seq_norm_squared(x),
         "gap": seqmodel.sequence_isoperimetric_gap(x),
@@ -277,86 +188,148 @@ def _cmd_seq(args):
     return out
 
 
-def _cmd_geom(args):
-    doc = _read_input(args)
-    op = args.operation
-    if op == "sum":
-        _no_csv(args)
-        pair = serialization.read_pair(doc)
-        return serialization.write_body(convexgeo.minkowski_sum(pair.U, pair.V))
-    if op in ("area", "perimeter", "cauchy", "width"):
-        _no_csv(args)
-        body = serialization.read_body(doc)
-        if op == "area":
-            return {"area": convexgeo.area(body)}
-        if op == "perimeter":
-            return {"perimeter": convexgeo.perimeter(body)}
-        if op == "cauchy":
-            return {
-                "cauchy_gap": convexgeo.cauchy_check(body, _spec(args)),
-                "perimeter": convexgeo.perimeter(body),
-            }
-        if args.angle is None:
-            raise InputError("width needs --angle")
-        return {
-            "angle": float(args.angle),
-            "width": convexgeo.width(body, float(args.angle)),
-            "derivative": convexgeo.width_derivative(body, float(args.angle)),
-        }
-    if op in ("norm", "deficit"):
-        _no_csv(args)
-        pair = serialization.read_pair(doc)
-        if op == "norm":
-            n2 = convexgeo.convex_norm_squared(pair)
-            return {"norm2": n2, "norm": math.sqrt(max(0.0, n2))}
-        return {
-            "deficit": convexgeo.pair_deficit(pair),
-            "measure": convexgeo.pair_measure(pair),
-            "perimeter": convexgeo.pair_perimeter(pair),
-        }
-    if op == "tofunction":
-        pair = serialization.read_pair(doc)
-        f = convexgeo.pair_to_function(pair)
-        xs = _grid(args.points)
-        rows = zip(xs, f.value(xs), f.derivative(xs))
-        if args.output == "csv":
-            return serialization.dumps_csv(rows)
-        xs_l, fs_l, ds_l = zip(*rows)
-        return {"x": list(xs_l), "f": list(fs_l), "fprime": list(ds_l)}
-    if op == "equiv":
-        _no_csv(args)
-        if not isinstance(doc, dict) or "A" not in doc or "B" not in doc:
-            raise InputError("equiv needs an object with pairs 'A' and 'B'")
-        a = serialization.read_pair(doc["A"])
-        b = serialization.read_pair(doc["B"])
-        return {"equivalent": convexgeo.pair_equivalent(a, b)}
-    raise InputError(f"unknown geom operation {op!r}")
+def _geom_sum(args, doc):
+    pair = serialization.read_pair(doc)
+    return serialization.write_body(convexgeo.minkowski_sum(pair.U, pair.V))
 
 
-def _cmd_verify(args):
-    _no_csv(args)
+def _geom_area(args, doc):
+    return {"area": convexgeo.area(serialization.read_body(doc))}
+
+
+def _geom_perimeter(args, doc):
+    return {"perimeter": convexgeo.perimeter(serialization.read_body(doc))}
+
+
+def _geom_width(args, doc):
+    body = serialization.read_body(doc)
+    return {
+        "angle": args.angle,
+        "width": convexgeo.width(body, args.angle),
+        "derivative": convexgeo.width_derivative(body, args.angle),
+    }
+
+
+def _geom_cauchy(args, doc):
+    body = serialization.read_body(doc)
+    return {"cauchy_gap": convexgeo.cauchy_check(body, _spec(args)), "perimeter": convexgeo.perimeter(body)}
+
+
+def _geom_norm(args, doc):
+    n2 = convexgeo.convex_norm_squared(serialization.read_pair(doc))
+    return {"norm2": n2, "norm": math.sqrt(max(0.0, n2))}
+
+
+def _geom_deficit(args, doc):
+    pair = serialization.read_pair(doc)
+    return {
+        "deficit": convexgeo.pair_deficit(pair),
+        "measure": convexgeo.pair_measure(pair),
+        "perimeter": convexgeo.pair_perimeter(pair),
+    }
+
+
+def _geom_tofunction(args, doc):
+    f = convexgeo.pair_to_function(serialization.read_pair(doc))
+    xs = _grid(args.points)
+    rows = zip(xs, f.value(xs), f.derivative(xs))
+    if args.output == "csv":
+        return serialization.dumps_csv(rows)
+    xs_l, fs_l, ds_l = zip(*rows)
+    return {"x": list(xs_l), "f": list(fs_l), "fprime": list(ds_l)}
+
+
+def _geom_equiv(args, doc):
+    if not isinstance(doc, dict) or "A" not in doc or "B" not in doc:
+        raise InputError("equiv needs an object with pairs 'A' and 'B'")
+    a = serialization.read_pair(doc["A"])
+    b = serialization.read_pair(doc["B"])
+    return {"equivalent": convexgeo.pair_equivalent(a, b)}
+
+
+def _cmd_verify(args, doc):
     report = verify.run_suite(args.suite, seed=args.seed)
     return report.document(), (0 if report.overall else _EXIT_INVARIANT)
 
 
-def _cmd_export(args):
-    f = _function_from(_read_input(args))
+def _cmd_export(args, doc):
+    f = _function_from(doc)
     xs = _grid(args.points)
     return serialization.dumps_csv(zip(xs, f.value(xs), f.derivative(xs)))
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "inner": _cmd_inner,
-    "norm": _cmd_norm,
-    "gram": _cmd_gram,
-    "interp": _cmd_interp,
-    "power": _cmd_power,
-    "seq": _cmd_seq,
-    "geom": _cmd_geom,
-    "verify": _cmd_verify,
-    "export": _cmd_export,
+# ---------------------------------------------------------------------------
+# the parser: each command, and each geom operation, takes exactly the flags its handler reads
+
+
+def _flag(name, **kwargs):
+    return name, kwargs
+
+
+_INPUT = _flag("--input", required=True, help="JSON input file, or - for stdin")
+_AT = _flag("--at", required=True, help="comma-separated evaluation points")
+_OUTPUT = _flag("--output", choices=("json", "csv"), default="json", help="output format")
+_METHOD = _flag("--method", choices=("auto", "exact", "quadrature"), default="auto")
+_TOL = _flag("--tol", type=float, help="quadrature tolerance")
+_THETA = _flag("--theta", type=float, help="kernel parameter (default: the document's theta, else 2)")
+_RIDGE = _flag("--ridge", type=float, help="Gram regularizer (default: the document's ridge, else 0)")
+_POINTS = _flag("--points", type=int, default=101, help="sample count (default 101)")
+
+#: name -> (help, handler, flags); a table in place of a handler is a level of subcommands
+_COMMANDS = {
+    "eval": ("evaluate a function record on a grid", _cmd_eval, [_INPUT, _AT, _OUTPUT]),
+    "inner": ("isoperimetric inner product of f and g", _cmd_inner, [_INPUT, _METHOD, _TOL]),
+    "norm": ("isoperimetric norm of a function record", _cmd_norm, [_INPUT, _METHOD, _TOL]),
+    "gram": ("kernel Gram matrix and spectrum at nodes", _cmd_gram, [_INPUT, _THETA, _RIDGE]),
+    "interp": ("minimum-norm kernel interpolation", _cmd_interp, [_INPUT, _THETA, _RIDGE]),
+    "power": ("power function of a node set", _cmd_power, [_INPUT, _AT, _THETA, _RIDGE, _OUTPUT]),
+    "seq": ("sequence-model norm, gap, perimeter, area", _cmd_seq, [_INPUT]),
+    "geom": (
+        "convex-geometry operations",
+        {
+            "sum": ("Minkowski sum of a pair's bodies", _geom_sum, [_INPUT]),
+            "area": ("area of a body", _geom_area, [_INPUT]),
+            "perimeter": ("perimeter of a body", _geom_perimeter, [_INPUT]),
+            "width": (
+                "width of a body and its derivative in one direction",
+                _geom_width,
+                [_INPUT, _flag("--angle", type=float, required=True, help="direction")],
+            ),
+            "norm": ("isoperimetric norm of a pair", _geom_norm, [_INPUT]),
+            "deficit": ("isoperimetric deficit, measure and perimeter of a pair", _geom_deficit, [_INPUT]),
+            "tofunction": ("sample the width profile of a pair", _geom_tofunction, [_INPUT, _POINTS, _OUTPUT]),
+            "equiv": ("whether pairs A and B are one function", _geom_equiv, [_INPUT]),
+            "cauchy": ("Cauchy's perimeter formula against quadrature", _geom_cauchy, [_INPUT, _TOL]),
+        },
+        [],
+    ),
+    "verify": (
+        "run a named verification suite",
+        _cmd_verify,
+        [
+            _flag("--suite", default="all", help="suite name: " + ", ".join(sorted([*verify.SUITES, "all"]))),
+            _flag("--seed", type=int, default=0, help="RNG seed (default 0)"),
+        ],
+    ),
+    "export": ("sample a function record to CSV", _cmd_export, [_INPUT, _POINTS]),
 }
+
+
+def _add_commands(sub, table) -> None:
+    for name, (text, handler, flags) in table.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        if isinstance(handler, dict):
+            _add_commands(p.add_subparsers(dest="operation", required=True), handler)
+        else:
+            p.set_defaults(handler=handler)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="isorkhs", description="Verification harness for the isoperimetric function space.")
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS)
+    return parser
 
 
 def _emit_error(kind: str, exc: BaseException) -> None:
@@ -367,7 +340,7 @@ def _emit_error(kind: str, exc: BaseException) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        result = _HANDLERS[args.command](args)
+        result = args.handler(args, _read_input(args.input) if "input" in args else None)
         code = 0
         if isinstance(result, tuple):
             result, code = result
@@ -379,7 +352,8 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         _emit_error("malformed-input", exc)
         return _EXIT_MALFORMED
-    except (ConvergenceError, EvaluationError, SingularSystemError, ArithmeticError) as exc:
+    except (ConvergenceError, EvaluationError, SingularSystemError, ArithmeticError, MemoryError) as exc:
+        # an array too large to allocate is a numerical failure too, as the quadrature panel cap is
         _emit_error("numerical-failure", exc)
         return _EXIT_NUMERICAL
 

@@ -194,13 +194,17 @@ def seq_inner(x: DiangleExpansion, y: DiangleExpansion) -> float:
 
     The Gram coefficients are 1 between the constants, ``2/pi`` between a constant and a profile and
     ``(4/pi^2)(2 - (pi/2) sin|a - b|)`` between profiles, their sine sum one O(m) ``_sine_pass`` over
-    both term lists merged (rounding as ``sin_quadratic``; ``InputError`` if ``2 sum|cx| sum|cy|`` overflows).
+    both term lists merged, or over ``sin_quadratic``'s m rows when ``y is x`` (rounding as
+    ``sin_quadratic``; ``InputError`` if ``2 sum|cx| sum|cy|`` overflows).
     """
     sx, sy = x.coefficient_sum, y.coefficient_sum
     bound = 2.0 * sum(map(abs, x.coefficients)) * sum(map(abs, y.coefficients))
     if not math.isfinite(bound):
         raise InputError(f"expansions are too large: their Gram bound 2 sum|cx| sum|cy| is {bound!r}")
-    rows = sorted([(a, c, 0.0) for a, c in x.terms] + [(b, 0.0, c) for b, c in y.terms], key=_ANGLE)
+    if y is x:
+        rows = [(a, c, c) for a, c in x.terms]
+    else:
+        rows = sorted([(a, c, 0.0) for a, c in x.terms] + [(b, 0.0, c) for b, c in y.terms], key=_ANGLE)
     profiles = (4.0 / _PI_SQ) * (2.0 * sx * sy - _HALF_PI * _sine_pass(rows))
     return x.x0 * y.x0 + (2.0 / math.pi) * (sx * y.x0 + x.x0 * sy) + profiles
 

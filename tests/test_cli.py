@@ -1,9 +1,11 @@
 """End-to-end tests that drive the command-line harness through ``cli.main``."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -305,7 +307,10 @@ def test_eval_of_an_interpolant_with_nodes_at_both_ends_is_its_span(tmp_path, ca
 # ``norm`` and ``inner`` (auto and exact) on interpolant records against trig,
 # span and interpolant partners, and the ``interp`` runs that wrote the records,
 # with the bytes each printed while an interpolant record was read through a
-# span rebuilt from it: the exact engine reads the same expansion now.
+# span rebuilt from it: the exact engine reads the same expansion now.  The
+# ``norm`` rows of spans and interpolant records were printed by the sine pass
+# over one copy of the terms (``seq_inner`` with ``y is x``), each change checked
+# against a 50-digit reference.
 _INTERP_GOLDEN = json.loads((Path(__file__).parent / "interp_golden.json").read_text())
 
 
@@ -322,7 +327,8 @@ def test_interpolant_golden_bytes(tmp_path, capsys, case):
 # bytes were printed by the engine that built ``J(m -+ n)`` as two outer tables
 # and read records entry by entry; the rows whose span x span sine sum went
 # from the dense sine matrix to ``seqmodel``'s one sorted pass were printed by
-# that pass, each change checked against a 50-digit reference.
+# that pass, and the span ``norm`` rows by the pass over one copy of the terms,
+# each change checked against a 50-digit reference.
 _INNER_GOLDEN = json.loads((Path(__file__).parent / "inner_golden.json").read_text())
 
 
@@ -419,6 +425,11 @@ def test_geom_width_and_cauchy(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["cauchy_gap"] <= 1e-10
     assert doc["perimeter"] == 8.0
+    # the quadrature tolerance is read: 0 is not one
+    code, out = run(capsys, "geom", "cauchy", "--input", path, "--tol", "1e-6")
+    assert code == 0 and json.loads(out)["cauchy_gap"] <= 1e-6
+    code, out = run(capsys, "geom", "cauchy", "--input", path, "--tol", "0")
+    assert code == 2 and json.loads(out)["error"]["kind"] == "malformed-input"
 
 
 def test_geom_sum_rectangle(tmp_path, capsys):
@@ -538,10 +549,10 @@ def test_golden_bytes_do_not_depend_on_the_builtin_sum(tmp_path, capsys, monkeyp
 
 
 def test_verify_suite_passes(capsys):
-    code, out = run(capsys, "verify", "--suite", "holder")
+    code, out = run(capsys, "verify", "--suite", "holder", "--seed", "1")
     assert code == 0
     doc = json.loads(out)
-    assert doc["suite"] == "holder"
+    assert doc["suite"] == "holder" and doc["seed"] == 1
     assert doc["overall"] == "pass"
     assert doc["counts"]["fail"] == 0
 
@@ -866,14 +877,16 @@ def test_hostile_json_is_malformed_input(case):
         ["frobnicate", "--input", "{f}"],
         [],
         ["norm"],
-        ["norm", "--input", "{f}", "--theta", "abc"],
+        ["gram", "--input", "{f}", "--theta", "abc"],
         ["norm", "--input", "{f}", "--method", "bogus"],
         ["norm", "--input", "{f}", "--frobnicate"],
-        ["geom", "--input", "{f}", "bogus"],
+        ["geom", "bogus", "--input", "{f}"],
+        ["geom", "--input", "{f}", "area"],  # a geom operation's flags follow it
+        ["geom", "width", "--input", "{f}"],
         ["verify", "--seed", "1.5"],
     ],
     ids=["negative-at", "unknown-command", "no-command", "no-input", "bad-theta", "bad-method",
-         "unknown-flag", "bad-geom-op", "bad-seed"],
+         "unknown-flag", "bad-geom-op", "geom-flags-before-op", "width-without-angle", "bad-seed"],
 )
 def test_command_line_errors_are_malformed_input(tmp_path, capsys, argv):
     path = jfile(tmp_path, "f.json", CONST)
@@ -919,3 +932,130 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["norm2"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# flags: each command, and each geom operation, takes only the flags it reads
+
+_GEOM_OPS = ("sum", "area", "perimeter", "width", "norm", "deficit", "tofunction", "equiv", "cauchy")
+_COMMANDS = [(c,) for c in ("eval", "inner", "norm", "gram", "interp", "power", "seq", "verify", "export")]
+_COMMANDS += [("geom", op) for op in _GEOM_OPS]
+# besides --input and --help
+_READS = {
+    ("eval",): {"--at", "--output"},
+    ("inner",): {"--method", "--tol"},
+    ("norm",): {"--method", "--tol"},
+    ("gram",): {"--theta", "--ridge"},
+    ("interp",): {"--theta", "--ridge"},
+    ("power",): {"--at", "--theta", "--ridge", "--output"},
+    ("geom", "width"): {"--angle"},
+    ("geom", "tofunction"): {"--points", "--output"},
+    ("geom", "cauchy"): {"--tol"},
+    ("verify",): {"--suite", "--seed"},
+    ("export",): {"--points"},
+}
+# 114 (command, flag) pairs: five flags offered to every command and geom operation, and
+# each other flag to the command that reads it or, for geom, to every operation; the 93
+# whose handler does not read the flag are usage errors
+_OFFERED = [(c, f) for c in _COMMANDS for f in ("--theta", "--ridge", "--tol", "--seed", "--output")]
+_OFFERED += [(("eval",), "--at"), (("inner",), "--method"), (("norm",), "--method"), (("power",), "--at")]
+_OFFERED += [(("verify",), "--suite"), (("export",), "--points")]
+_OFFERED += [(("geom", op), f) for op in _GEOM_OPS for f in ("--angle", "--points")]
+_UNREAD = [(c, f) for c, f in _OFFERED if f not in _READS.get(c, set())]
+_VALUES = {"--theta": "5", "--ridge": "0.1", "--tol": "1e-6", "--seed": "3", "--output": "json"}
+_VALUES.update({"--at": "0.1", "--method": "exact", "--suite": "holder", "--points": "5", "--angle": "0.3"})
+
+
+def _leaves(parser, path=()):
+    """``(command path, option strings)`` of each parser that runs a handler."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, (*path, name))
+            return
+    yield path, {s for a in parser._actions for s in a.option_strings} - {"-h", "--help", "--input"}
+
+
+def test_the_parser_takes_exactly_the_flags_each_handler_reads():
+    leaves = dict(_leaves(cli._build_parser()))
+    assert sorted(leaves) == sorted(_COMMANDS)
+    assert {c: flags for c, flags in leaves.items() if flags} == _READS
+    assert sum(map(len, _READS.values())) == 21 and len(_OFFERED) == 114 and len(_UNREAD) == 93
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD, ids=[" ".join((*c, f)) for c, f in _UNREAD])
+def test_a_flag_the_command_does_not_read_is_malformed_input(tmp_path, capsys, command, flag):
+    required = {("eval",): ["--at=0.1"], ("power",): ["--at=0.1"], ("geom", "width"): ["--angle", "0.3"]}
+    inputs = [] if command == ("verify",) else ["--input", jfile(tmp_path, "f.json", CONST)]
+    code = cli.main([*command, *inputs, *required.get(command, []), flag, _VALUES[flag]])
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert (code, error["kind"]) == (2, "malformed-input") and error["detail"].startswith("isorkhs")
+    assert f"unrecognized arguments: {flag} {_VALUES[flag]}" in error["detail"]
+    assert captured.err.startswith("usage: isorkhs")
+
+
+_KERNEL_DATA = {"nodes": [-1.0, 0.0, 0.5], "values": [1.0, -0.5, 2.0]}
+
+
+@pytest.mark.parametrize(
+    "flags, keys, theta, ridge",
+    [
+        ((), {}, 2.0, 0.0),
+        ((), {"theta": 3.0, "ridge": 0.25}, 3.0, 0.25),
+        (("--theta", "5", "--ridge", "0.5"), {"theta": 3.0, "ridge": 0.25}, 5.0, 0.5),
+        (("--theta", "5"), {"ridge": 0.25}, 5.0, 0.25),
+        (("--ridge", "0.5"), {"theta": 3.0}, 3.0, 0.5),
+    ],
+    ids=["defaults", "document", "flags-win", "theta-flag", "ridge-flag"],
+)
+def test_kernel_commands_take_theta_and_ridge_from_flag_then_document(tmp_path, capsys, flags, keys, theta, ridge):
+    path = jfile(tmp_path, "in.json", {**_KERNEL_DATA, **keys})
+    nodes, values = _KERNEL_DATA["nodes"], _KERNEL_DATA["values"]
+    g = kernel.gram_system(nodes, theta=theta, ridge=ridge)
+    code, out = run(capsys, "gram", "--input", path, *flags)
+    doc = json.loads(out)
+    assert code == 0 and (doc["theta"], doc["ridge"]) == (theta, ridge)
+    assert doc["matrix"] == g.matrix.tolist() and doc["min_eig"] == g.min_eig
+
+    record = serialization.write_interpolant(kernel.interpolate(nodes, values, theta=theta, ridge=ridge))
+    assert run(capsys, "interp", "--input", path, *flags) == (0, serialization.dumps({**record, "type": "interpolant"}) + "\n")
+
+    at = np.array([-1.2, 0.25, 1.5])
+    power = {"at": list(at), "power": list(kernel.power_function(g, at))}
+    assert run(capsys, "power", "--input", path, "--at=-1.2,0.25,1.5", *flags) == (0, serialization.dumps(power) + "\n")
+
+
+@pytest.mark.parametrize("command, doc", [("norm", K0), ("inner", {"f": {"type": "trigpoly", "cos": [1.0, 0.5]}, "g": K0})])
+def test_quadrature_tolerance_flag(tmp_path, capsys, command, doc):
+    path = jfile(tmp_path, "in.json", doc)
+    code, out = run(capsys, command, "--input", path, "--method", "exact")
+    exact = json.loads(out)
+    code, out = run(capsys, command, "--input", path, "--method", "quadrature", "--tol", "1e-6")
+    assert code == 0
+    quadrature = json.loads(out)
+    assert quadrature.keys() == exact.keys()
+    assert all(abs(quadrature[k] - exact[k]) <= 1e-6 for k in exact)
+    code, out = run(capsys, command, "--input", path, "--method", "quadrature", "--tol", "-1")
+    assert code == 2 and json.loads(out)["error"]["kind"] == "malformed-input"
+
+
+_OUT_OF_MEMORY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from isorkhs import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command, doc", [(["export"], K0), (["geom", "tofunction"], {"U": SQUARE, "V": POINT})])
+def test_running_out_of_memory_is_a_numerical_failure(tmp_path, command, doc):
+    # a 4 GB sample grid under 1 GB of address space: the error document and exit 3,
+    # not a traceback; one BLAS thread, so the limit is not spent on thread buffers
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [*command, "--input", jfile(tmp_path, "in.json", doc), "--points", "500000000"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_MEMORY, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["error"]["kind"] == "numerical-failure"
