@@ -6,7 +6,10 @@ exit code: 0 success, 1 invariant violation (including a failed verify run),
 2 malformed input, 3 numerical failure.  Errors are reported as
 ``{"error": {"kind": ..., "detail": ...}}`` on stdout.  Each command, and each
 ``geom`` operation, accepts only the flags its handler reads; any other flag is
-a usage error, reported as malformed input.
+a usage error, reported as malformed input.  Only ``serialization`` (with
+``seqmodel``, which every command runs) and the error classes load with this
+module; each handler imports the layers it calls, so a command compiles and
+runs only those.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import convexgeo, funcspace, kernel, seqmodel, serialization, verify
+from . import serialization
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -26,7 +29,6 @@ from .errors import (
     InvariantViolationError,
     SingularSystemError,
 )
-from .quad import DEFAULT_SPEC, QuadratureSpec
 
 _HALF_PI = 0.5 * math.pi
 
@@ -60,9 +62,17 @@ def _read_input(path: str) -> object:
     return serialization.loads(text)
 
 
-def _spec(args) -> QuadratureSpec:
+def _spec(args):
+    """The quadrature spec of ``--tol``.  Only quadrature reads a tolerance, so ``inner``
+    and ``norm`` take the flag with ``--method quadrature`` only; ``geom cauchy`` has no
+    ``--method`` and always integrates."""
+    from .quad import DEFAULT_SPEC, QuadratureSpec
+
     if args.tol is None:
         return DEFAULT_SPEC
+    method = getattr(args, "method", "quadrature")
+    if method != "quadrature":
+        raise InputError(f"--tol needs --method quadrature; --method {method} takes the exact route, with no tolerance")
     return QuadratureSpec(abs_tol=args.tol, rel_tol=args.tol)
 
 
@@ -104,6 +114,8 @@ def _function_from(doc):
 
 
 def _cmd_eval(args, doc):
+    from . import funcspace
+
     f = _function_from(doc)
     pts = np.asarray(_parse_points(args.at))
     values = funcspace.evaluate(f, pts)
@@ -114,6 +126,8 @@ def _cmd_eval(args, doc):
 
 
 def _cmd_inner(args, doc):
+    from . import funcspace
+
     if not isinstance(doc, dict) or "f" not in doc or "g" not in doc:
         raise InputError("inner needs an object with 'f' and 'g' function records")
     f = serialization.read_function(doc["f"])
@@ -122,11 +136,15 @@ def _cmd_inner(args, doc):
 
 
 def _cmd_norm(args, doc):
+    from . import funcspace
+
     n2 = funcspace.norm_iso_squared(_function_from(doc), method=args.method, spec=_spec(args))
     return {"norm2": n2, "norm": math.sqrt(max(0.0, n2))}
 
 
 def _cmd_gram(args, doc):
+    from . import kernel
+
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise InputError("gram needs an object with 'nodes'")
     nodes = serialization.as_float_list(doc["nodes"], "nodes")
@@ -145,6 +163,8 @@ def _cmd_gram(args, doc):
 
 
 def _cmd_interp(args, doc):
+    from . import kernel
+
     if not isinstance(doc, dict) or "nodes" not in doc or "values" not in doc:
         raise InputError("interp needs an object with 'nodes' and 'values'")
     nodes = serialization.as_float_list(doc["nodes"], "nodes")
@@ -156,6 +176,8 @@ def _cmd_interp(args, doc):
 
 
 def _cmd_power(args, doc):
+    from . import kernel
+
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise InputError("power needs an object with 'nodes'")
     nodes = serialization.as_float_list(doc["nodes"], "nodes")
@@ -168,6 +190,8 @@ def _cmd_power(args, doc):
 
 
 def _cmd_seq(args, doc):
+    from . import seqmodel
+
     x = serialization.read_expansion(doc)
     out = {
         "norm2": seqmodel.seq_norm_squared(x),
@@ -189,19 +213,27 @@ def _cmd_seq(args, doc):
 
 
 def _geom_sum(args, doc):
+    from . import convexgeo
+
     pair = serialization.read_pair(doc)
     return serialization.write_body(convexgeo.minkowski_sum(pair.U, pair.V))
 
 
 def _geom_area(args, doc):
+    from . import convexgeo
+
     return {"area": convexgeo.area(serialization.read_body(doc))}
 
 
 def _geom_perimeter(args, doc):
+    from . import convexgeo
+
     return {"perimeter": convexgeo.perimeter(serialization.read_body(doc))}
 
 
 def _geom_width(args, doc):
+    from . import convexgeo
+
     body = serialization.read_body(doc)
     return {
         "angle": args.angle,
@@ -211,16 +243,22 @@ def _geom_width(args, doc):
 
 
 def _geom_cauchy(args, doc):
+    from . import convexgeo
+
     body = serialization.read_body(doc)
     return {"cauchy_gap": convexgeo.cauchy_check(body, _spec(args)), "perimeter": convexgeo.perimeter(body)}
 
 
 def _geom_norm(args, doc):
+    from . import convexgeo
+
     n2 = convexgeo.convex_norm_squared(serialization.read_pair(doc))
     return {"norm2": n2, "norm": math.sqrt(max(0.0, n2))}
 
 
 def _geom_deficit(args, doc):
+    from . import convexgeo
+
     pair = serialization.read_pair(doc)
     return {
         "deficit": convexgeo.pair_deficit(pair),
@@ -230,6 +268,8 @@ def _geom_deficit(args, doc):
 
 
 def _geom_tofunction(args, doc):
+    from . import convexgeo
+
     f = convexgeo.pair_to_function(serialization.read_pair(doc))
     xs = _grid(args.points)
     rows = zip(xs, f.value(xs), f.derivative(xs))
@@ -240,6 +280,8 @@ def _geom_tofunction(args, doc):
 
 
 def _geom_equiv(args, doc):
+    from . import convexgeo
+
     if not isinstance(doc, dict) or "A" not in doc or "B" not in doc:
         raise InputError("equiv needs an object with pairs 'A' and 'B'")
     a = serialization.read_pair(doc["A"])
@@ -248,6 +290,8 @@ def _geom_equiv(args, doc):
 
 
 def _cmd_verify(args, doc):
+    from . import verify
+
     report = verify.run_suite(args.suite, seed=args.seed)
     return report.document(), (0 if report.overall else _EXIT_INVARIANT)
 
@@ -307,7 +351,7 @@ _COMMANDS = {
         "run a named verification suite",
         _cmd_verify,
         [
-            _flag("--suite", default="all", help="suite name: " + ", ".join(sorted([*verify.SUITES, "all"]))),
+            _flag("--suite", default="all", help="suite name, or all (the default); an unknown name lists the suites"),
             _flag("--seed", type=int, default=0, help="RNG seed (default 0)"),
         ],
     ),

@@ -55,7 +55,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import funcspace, quad, seqmodel
+import isorkhs  # for isorkhs.funcspace, which the package loads on first use (pair_to_function)
+
+from . import quad, seqmodel
 from .errors import InputError, InvariantViolationError
 from .quad import DEFAULT_SPEC, DELTA, QuadratureSpec
 
@@ -523,9 +525,9 @@ def convex_norm(pair: BodyPair) -> float:
     return math.sqrt(max(0.0, convex_norm_squared(pair)))
 
 
-def pair_to_function(pair: BodyPair) -> funcspace.DiangleSpan:
+def pair_to_function(pair: BodyPair) -> isorkhs.funcspace.DiangleSpan:
     """The scaled width difference of the pair as a function-space member."""
-    return funcspace.DiangleSpan(pair.expansion)
+    return isorkhs.funcspace.DiangleSpan(pair.expansion)
 
 
 def _sum_scale(u: SymmetricPolygon, v: SymmetricPolygon) -> float:
@@ -588,4 +590,4 @@ def calibrate_width_scale() -> float:
 def pair_norm_agreement(pair: BodyPair, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """``| pair norm^2 - function norm^2 |``, the function norm by quadrature."""
     f = pair_to_function(pair)
-    return abs(convex_norm_squared(pair) - funcspace.norm_iso_squared(f, method="quadrature", spec=spec))
+    return abs(convex_norm_squared(pair) - isorkhs.funcspace.norm_iso_squared(f, method="quadrature", spec=spec))

@@ -34,7 +34,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, DomainError, EvaluationError, InputError
 
@@ -100,7 +99,15 @@ _ROUNDING_FLOOR = 64 * np.finfo(float).eps
 _MAX_PANELS = 1 << 15
 
 
-_gauss_rule = lru_cache(maxsize=None)(leggauss)  # (nodes, weights) of the n-point rule
+@lru_cache(maxsize=None)
+def _gauss_rule(points: int):
+    """(nodes, weights) of the ``points``-point Gauss-Legendre rule.
+
+    ``numpy.polynomial`` loads with the first rule, so a caller that never
+    integrates never loads it."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(points)
 
 
 def _coerce_interval(interval) -> Interval:

@@ -20,6 +20,12 @@ generator list) is read in one C-level pass when every entry is a Python
 float and their sum is finite (``_finite_floats``); any other list goes
 entry by entry, which converts integers and names the first bad entry, so
 the messages are those of the entry-by-entry reader.
+
+Only the codecs of functions, interpolants and bodies need ``funcspace``,
+``kernel`` and ``convexgeo``.  They reach each as an attribute of the package,
+which imports it on first use, so reading an expansion loads none of them and
+reading a body loads no kernel; an import statement in a codec would instead
+cost about half a microsecond per call.
 """
 
 from __future__ import annotations
@@ -31,10 +37,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import kernel
+import isorkhs
+
 from .errors import InputError
-from .funcspace import DiangleSpan, H1Function, TrigPoly, trig_poly
-from .kernel import Interpolant
+from .seqmodel import diangle_expansion
 
 __all__ = [
     "format_float",
@@ -238,31 +244,30 @@ def _float_pairs(items, what: str, first: str, second: str) -> list[tuple[float,
 
 def read_expansion(doc):
     """``{"x0": r, "terms": [{"angle": a, "coeff": c}, ...]}`` to an expansion."""
-    from .seqmodel import diangle_expansion
-
     doc = _as_dict(doc, "expansion record")
     x0 = as_float(doc.get("x0", 0.0), "x0")
     return diangle_expansion(x0, _float_pairs(doc.get("terms", []), "term", "angle", "coeff"))
 
 
-def read_function(doc) -> H1Function:
+def read_function(doc) -> isorkhs.funcspace.H1Function:
     doc = _as_dict(doc, "function record")
     kind = doc.get("type")
     if kind == "trigpoly":
         cos = as_float_list(doc.get("cos", [0.0]), "cos")
         sin = as_float_list(doc.get("sin", []), "sin")
-        return trig_poly(cos, sin)
+        return isorkhs.funcspace.trig_poly(cos, sin)
     if kind == "dianglespan":
-        return DiangleSpan(read_expansion(doc))
+        return isorkhs.funcspace.DiangleSpan(read_expansion(doc))
     if kind == "interpolant":
         return read_interpolant(doc)
     raise InputError(f"unknown function type {kind!r}")
 
 
-def write_function(f: H1Function) -> dict:
-    if isinstance(f, TrigPoly):
+def write_function(f: isorkhs.funcspace.H1Function) -> dict:
+    funcspace = isorkhs.funcspace
+    if isinstance(f, funcspace.TrigPoly):
         return {"type": "trigpoly", "cos": list(f.cos_coeffs), "sin": list(f.sin_coeffs)}
-    if isinstance(f, DiangleSpan):
+    if isinstance(f, funcspace.DiangleSpan):
         e = f.expansion
         return {
             "type": "dianglespan",
@@ -274,8 +279,6 @@ def write_function(f: H1Function) -> dict:
 
 def read_body(doc):
     """A body record: ``{"vertices": [[x, y], ...]}`` or ``{"generators": [...]}.``"""
-    from . import convexgeo
-
     doc = _as_dict(doc, "body record")
     has_v = "vertices" in doc
     has_g = "generators" in doc
@@ -293,26 +296,22 @@ def read_body(doc):
                     raise InputError("each vertex must be an [x, y] pair")
                 pts.append((as_float(v[0], "vertex x"), as_float(v[1], "vertex y")))
             verts = pts
-        return convexgeo._from_floats(verts)  # checked float pairs, converted and checked once
-    return convexgeo.zonotope_from_generators(_float_pairs(doc["generators"], "generator", "angle", "length"))
+        return isorkhs.convexgeo._from_floats(verts)  # checked float pairs, converted and checked once
+    return isorkhs.convexgeo.zonotope_from_generators(_float_pairs(doc["generators"], "generator", "angle", "length"))
 
 
 def write_body(u) -> dict:
-    from . import convexgeo
-
-    return {"vertices": [[x, y] for x, y in convexgeo.vertex_list(u)]}
+    return {"vertices": [[x, y] for x, y in isorkhs.convexgeo.vertex_list(u)]}
 
 
 def read_pair(doc):
-    from . import convexgeo
-
     doc = _as_dict(doc, "pair record")
     if "U" not in doc or "V" not in doc:
         raise InputError("pair record needs 'U' and 'V' bodies")
-    return convexgeo.body_pair(read_body(doc["U"]), read_body(doc["V"]))
+    return isorkhs.convexgeo.body_pair(read_body(doc["U"]), read_body(doc["V"]))
 
 
-def read_interpolant(doc) -> Interpolant:
+def read_interpolant(doc) -> isorkhs.kernel.Interpolant:
     doc = _as_dict(doc, "interpolant record")
     nodes = as_float_list(doc.get("nodes"), "nodes")
     coeffs = as_float_list(doc.get("coeffs"), "coeffs")
@@ -320,16 +319,17 @@ def read_interpolant(doc) -> Interpolant:
         raise InputError("nodes and coeffs must have equal length")
     # a Gram system's rules except distinct nodes, as duplicates still define one
     # function; a node outside the domain is malformed, as no Gram system holds one
+    kernel = isorkhs.kernel
     theta = kernel._check_theta(as_float(doc.get("theta", 2.0), "theta"))
     ridge = kernel._check_ridge(as_float(doc.get("ridge", 0.0), "ridge"))
     kernel._check_domain(np.asarray(nodes))
     # records from before the fallback solves were deleted may still name one
     if doc.get("fallback") not in (None, "jitter", "least_squares"):
         raise InputError(f"unknown fallback {doc['fallback']!r}")
-    return Interpolant(theta, ridge, tuple(nodes), tuple(coeffs))
+    return kernel.Interpolant(theta, ridge, tuple(nodes), tuple(coeffs))
 
 
-def write_interpolant(itp: Interpolant) -> dict:
+def write_interpolant(itp: isorkhs.kernel.Interpolant) -> dict:
     return {
         "theta": itp.theta,
         "ridge": itp.ridge,

@@ -1040,6 +1040,28 @@ def test_quadrature_tolerance_flag(tmp_path, capsys, command, doc):
     assert code == 2 and json.loads(out)["error"]["kind"] == "malformed-input"
 
 
+_TRIG = {"type": "trigpoly", "cos": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, quadrature_bytes",
+    [
+        ("norm", _TRIG, '{\n  "norm": 1.3561939904203439,\n  "norm2": 1.8392621396522562\n}\n'),
+        ("inner", {"f": _TRIG, "g": K0}, '{\n  "inner": 1.5000000000000004\n}\n'),
+    ],
+    ids=["norm", "inner"],
+)
+def test_tolerance_needs_the_quadrature_method(tmp_path, capsys, command, doc, quadrature_bytes):
+    # every CLI record is symbolic, so exact and auto both take the exact route, which reads no tolerance
+    path = jfile(tmp_path, "in.json", doc)
+    for method in (["--method", "exact"], ["--method", "auto"], []):
+        code, out = run(capsys, command, "--input", path, *method, "--tol", "0.5")
+        error = json.loads(out)["error"]
+        assert (code, error["kind"]) == (2, "malformed-input")
+        assert "--method quadrature" in error["detail"]
+    assert run(capsys, command, "--input", path, "--method", "quadrature", "--tol", "1e-9") == (0, quadrature_bytes)
+
+
 _OUT_OF_MEMORY = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
