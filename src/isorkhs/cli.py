@@ -9,7 +9,9 @@ exit code: 0 success, 1 invariant violation (including a failed verify run),
 a usage error, reported as malformed input.  Only ``serialization`` (with
 ``seqmodel``, which every command runs) and the error classes load with this
 module; each handler imports the layers it calls, so a command compiles and
-runs only those.
+runs only those.  NumPy loads with the layers that compute on arrays, and here
+only for the ``--at`` points and the sample grids, so ``seq`` and ``geom
+area|perimeter|norm|deficit`` run without it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import serialization
 from .errors import (
@@ -29,6 +30,9 @@ from .errors import (
     InvariantViolationError,
     SingularSystemError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _HALF_PI = 0.5 * math.pi
 
@@ -87,19 +91,23 @@ def _kernel_params(args, doc: dict) -> dict:
     return params
 
 
-def _parse_points(text: str) -> list[float]:
+def _parse_points(text: str) -> np.ndarray:
+    import numpy as np
+
     try:
         pts = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"cannot parse point list {text!r}") from exc
     if not pts:
         raise InputError("empty point list")
-    return pts
+    return np.asarray(pts)
 
 
 def _grid(n: int) -> np.ndarray:
     if n < 2:
         raise InputError("need at least 2 sample points")
+    import numpy as np
+
     return np.linspace(-_HALF_PI, _HALF_PI, int(n))
 
 
@@ -117,7 +125,7 @@ def _cmd_eval(args, doc):
     from . import funcspace
 
     f = _function_from(doc)
-    pts = np.asarray(_parse_points(args.at))
+    pts = _parse_points(args.at)
     values = funcspace.evaluate(f, pts)
     derivs = f.derivative(pts)
     if args.output == "csv":
@@ -182,7 +190,7 @@ def _cmd_power(args, doc):
         raise InputError("power needs an object with 'nodes'")
     nodes = serialization.as_float_list(doc["nodes"], "nodes")
     g = kernel.gram_system(nodes, **_kernel_params(args, doc))
-    pts = np.asarray(_parse_points(args.at))
+    pts = _parse_points(args.at)
     vals = kernel.power_function(g, pts)
     if args.output == "csv":
         return serialization.dumps_csv(zip(pts, vals), header=("x", "power"))

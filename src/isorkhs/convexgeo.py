@@ -42,24 +42,34 @@ squared coordinates overflow are rejected before any arithmetic overflows,
 generator bodies at the same largest coordinate as vertex bodies.  The
 support width and the shoelace area stay as independent oracles, read by
 ``cauchy_check``, ``pair_equivalent`` and the two scale calibrations.
+
+Building a body from generators or from vertices, and every reading of a body
+or a pair (area, perimeter, measure, deficit, norm), runs on Python floats
+and the C library's ``math`` and ``cmath``, so these load neither NumPy nor
+``quad``.  NumPy is imported where arrays are computed on: the vertex oracles
+and ``vertex_array``, ``regular_polygon``, the hull's dropped-point check,
+``width`` and ``pair_equivalent``; ``quad`` only by the two quadrature checks.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import gt, lt
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import isorkhs  # for isorkhs.funcspace, which the package loads on first use (pair_to_function)
 
-from . import quad, seqmodel
+from . import seqmodel
 from .errors import InputError, InvariantViolationError
-from .quad import DEFAULT_SPEC, DELTA, QuadratureSpec
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .quad import QuadratureSpec
 
 __all__ = [
     "WIDTH_SCALE",
@@ -259,6 +269,8 @@ class SymmetricPolygon:
 
     @cached_property
     def vertex_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.vertices, dtype=float)
 
     @property
@@ -275,13 +287,16 @@ class SymmetricPolygon:
 
 
 def _ring_body(canon: tuple[tuple[float, float], ...]) -> SymmetricPolygon:
-    """The body of a canonical ring: per antipodal edge pair, its angle mod pi and ``WIDTH_SCALE * |e|``."""
-    ring = np.asarray(canon, dtype=float)
-    m = len(ring) // 2
-    e = ring[1 : m + 1] - ring[:m]  # from the lex-min vertex to its antipode, all pointing right or up
-    lengths = WIDTH_SCALE * np.hypot(e[:, 0], e[:, 1])
-    terms = zip(np.arctan2(e[:, 1], e[:, 0]).tolist(), lengths.tolist())
-    return SymmetricPolygon(seqmodel.diangle_expansion(0.0, terms), canon)
+    """The body of a canonical ring: per antipodal edge pair, its angle mod pi and ``WIDTH_SCALE * |e|``.
+
+    ``cmath.polar`` reads each edge by the C library's ``hypot`` and ``atan2``, which
+    give the same bits on every CPU, where NumPy's ``arctan2`` dispatches to kernels
+    of its own on some (AVX-512) and rounds differently there.
+    """
+    m = len(canon) // 2
+    # from the lex-min vertex to its antipode, all pointing right or up
+    edges = [cmath.polar(complex(bx - ax, by - ay)) for (ax, ay), (bx, by) in zip(canon[:m], canon[1 : m + 1])]
+    return SymmetricPolygon(seqmodel.diangle_expansion(0.0, [(phi, WIDTH_SCALE * r) for r, phi in edges]), canon)
 
 
 def _hull_polygon(pts: list) -> SymmetricPolygon:
@@ -295,6 +310,8 @@ def _hull_polygon(pts: list) -> SymmetricPolygon:
     kept = set(hull)
     if len(kept) == len(pts):
         return body
+    import numpy as np
+
     dropped = np.asarray([p for p in pts if p not in kept])
     step = max(1, (1 << 18) // len(canon))  # at most 2**19 doubles per broadcast
     for i in range(0, len(dropped), step):
@@ -380,6 +397,8 @@ def regular_polygon(n: int, radius: float = 1.0, phase: float = 0.0) -> Symmetri
     radius = float(radius)
     if not math.isfinite(radius) or radius <= 0.0:
         raise InputError("radius must be positive")
+    import numpy as np
+
     ang = phase + 2.0 * math.pi * np.arange(n) / n
     pts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     return _from_floats(pts.tolist())
@@ -425,6 +444,8 @@ def minkowski_sum(u: SymmetricPolygon, v: SymmetricPolygon) -> SymmetricPolygon:
 
 def _support_width(vertices: np.ndarray, phi) -> np.ndarray:
     """Width oracle ``2 max_v <v, n(phi)>``, normal ``n = (-sin phi, cos phi)``."""
+    import numpy as np
+
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     return 2.0 * (vertices @ np.stack([-np.sin(phi), np.cos(phi)], axis=0)).max(axis=0)
 
@@ -433,6 +454,8 @@ def _shoelace_area(vertices: np.ndarray) -> float:
     """Vertex oracle for the area of a counterclockwise ring."""
     if len(vertices) < 3:
         return 0.0
+    import numpy as np
+
     x, y = vertices[:, 0], vertices[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
@@ -452,6 +475,8 @@ def perimeter(u: SymmetricPolygon) -> float:
 
 def width(u: SymmetricPolygon, phi):
     """Extent of ``U`` in the direction at angle ``phi``; pi-periodic."""
+    import numpy as np
+
     pa = np.asarray(phi, dtype=float)
     out = 2.0 * seqmodel.expansion_value(u.expansion, pa)
     return float(out) if pa.ndim == 0 else out
@@ -464,14 +489,22 @@ def width_kinks(u: SymmetricPolygon) -> tuple[float, ...]:
 
 def width_derivative(u: SymmetricPolygon, phi):
     """Derivative of the width profile, right-hand branch at kinks."""
+    import numpy as np
+
     pa = np.asarray(phi, dtype=float)
     out = 2.0 * seqmodel.expansion_derivative(u.expansion, pa)
     return float(out) if pa.ndim == 0 else out
 
 
-def cauchy_check(u: SymmetricPolygon, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """``| int width - perimeter |`` with the vertex support width; zero for convex bodies."""
-    total = quad.integrate(lambda p: _support_width(u.vertex_array, p), DELTA, width_kinks(u), spec)
+def cauchy_check(u: SymmetricPolygon, spec: QuadratureSpec | None = None) -> float:
+    """``| int width - perimeter |`` with the vertex support width; zero for convex bodies.
+
+    The integral is taken by quadrature, to ``spec`` (``quad.DEFAULT_SPEC`` when ``None``).
+    """
+    from . import quad
+
+    spec = quad.DEFAULT_SPEC if spec is None else spec
+    total = quad.integrate(lambda p: _support_width(u.vertex_array, p), quad.DELTA, width_kinks(u), spec)
     return abs(total - perimeter(u))
 
 
@@ -532,6 +565,8 @@ def pair_to_function(pair: BodyPair) -> isorkhs.funcspace.DiangleSpan:
 
 def _sum_scale(u: SymmetricPolygon, v: SymmetricPolygon) -> float:
     """Largest vertex coordinate of ``U + V`` in absolute value, without forming the sum."""
+    import numpy as np
+
     return float(np.max(np.abs(u.vertex_array).max(axis=0) + np.abs(v.vertex_array).max(axis=0)))
 
 
@@ -544,6 +579,8 @@ def pair_equivalent(a: BodyPair, b: BodyPair) -> bool:
     points cross-check the gap; a disagreement beyond rounding is an
     invariant violation.
     """
+    import numpy as np
+
     negated = ((t, -c) for t, c in b.expansion.terms)
     diff = seqmodel.diangle_expansion(0.0, [*a.expansion.terms, *negated])
     scale = max(1.0, _sum_scale(a.U, b.V), _sum_scale(b.U, a.V))
@@ -570,6 +607,8 @@ def calibrate_width_scale() -> float:
     matching both, with widths read off the vertices, is returned; the stored
     ``WIDTH_SCALE`` must agree.
     """
+    import numpy as np
+
     grid = np.linspace(-_HALF_PI, _HALF_PI, 181)
     psi = 0.3
     pt = _support_width(point().vertex_array, grid)
@@ -587,7 +626,11 @@ def calibrate_width_scale() -> float:
     return best_c
 
 
-def pair_norm_agreement(pair: BodyPair, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """``| pair norm^2 - function norm^2 |``, the function norm by quadrature."""
+def pair_norm_agreement(pair: BodyPair, spec: QuadratureSpec | None = None) -> float:
+    """``| pair norm^2 - function norm^2 |``, the function norm by quadrature to ``spec``
+    (``quad.DEFAULT_SPEC`` when ``None``)."""
+    from . import quad
+
+    spec = quad.DEFAULT_SPEC if spec is None else spec
     f = pair_to_function(pair)
     return abs(convex_norm_squared(pair) - isorkhs.funcspace.norm_iso_squared(f, method="quadrature", spec=spec))

@@ -18,6 +18,11 @@ Sine double sums (inner products, norms, areas) are one O(m) pass, ``_sine_pass`
 An expansion is a member of the function space as ``funcspace.DiangleSpan``;
 a kernel interpolant is one too, whose table holds its kernel coefficients in
 long double (see ``kernel.Interpolant``).
+
+Construction, inner products, norms, gaps and the polygon readings run on
+Python floats.  NumPy is imported only by the array routines (the angle
+reduction, the profile table and its sums, and the area calibration), so
+``seq`` and the body readings never load it.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import add, itemgetter
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, InputError, InvariantViolationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiangleExpansion",
@@ -79,6 +85,8 @@ def normalize_angle(a: float) -> float:
 
 def _reduce_angles(x) -> np.ndarray:
     """Array form of :func:`normalize_angle`, bit for bit; numpy is ~50x slower per scalar."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     r = x - math.pi * np.floor((x + _HALF_PI) / math.pi)
     r = np.where(r >= _HALF_PI, r - math.pi, r)
@@ -107,6 +115,8 @@ class DiangleExpansion:
 
     @cached_property
     def _sums(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         a = np.array(self.angles, dtype=float)
         return a, _profile_table(a, np.array(self.coefficients, dtype=float))
 
@@ -141,6 +151,8 @@ def _profile_table(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     ``a`` is sorted; trailing axes of ``c`` are columns of coefficients.
     """
+    import numpy as np
+
     table = np.zeros((2, a.size + 1) + c.shape[1:], dtype=c.dtype)
     trig = np.array((np.cos(a), np.sin(a))).reshape((2,) + a.shape + (1,) * (c.ndim - 1))
     np.cumsum(trig * c, axis=1, out=table[:, 1:])  # the sums below each k
@@ -154,6 +166,8 @@ def _profile_sum(a: np.ndarray, table: np.ndarray, x, derivative: bool = False) 
     negative above, so row ``k = #{a_j <= x}`` gives ``sin x D_c - cos x D_s``, and
     ``cos x D_c + sin x D_s`` for the derivative.  Rounding is ``eps sum|c_j|``.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=table.dtype)
     dc, ds = np.take(table, np.searchsorted(a, x, side="right"), axis=1)
     shape = x.shape + (1,) * (table.ndim - 2)
@@ -294,6 +308,8 @@ def calibrate_area_constant() -> float:
     ``2 x_i``), compares their shoelace areas to the sine double sum, and
     returns the common ratio.  Raises if the references disagree.
     """
+    import numpy as np
+
     from . import convexgeo  # deferred: convexgeo imports this module
 
     references = [

@@ -26,16 +26,21 @@ Only the codecs of functions, interpolants and bodies need ``funcspace``,
 which imports it on first use, so reading an expansion loads none of them and
 reading a body loads no kernel; an import statement in a codec would instead
 cost about half a microsecond per call.
+
+NumPy is imported only by the block writer and the interpolant reader, so
+writing builtin values and reading expansions and bodies never load it.  The
+writer tests builtin types first; a list of NumPy ``float64`` values (a
+``float`` subclass) takes the one-call path, a block of them the block path,
+and any other NumPy scalar or array is written as the Python value it converts to.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import chain, repeat
 from typing import Iterable, Sequence
-
-import numpy as np
 
 import isorkhs
 
@@ -71,7 +76,6 @@ def format_float(x: float, bare: bool = False) -> str:
     return s
 
 
-_FLOATS = {float, np.float64}
 _FLOAT = {float}
 _DICT = {dict}
 _PAIR = {list, tuple}
@@ -95,6 +99,11 @@ def _float_run(values, sep: str, bare: bool) -> str:
     return text
 
 
+def _floats(types) -> bool:
+    """Whether ``types`` are all ``float`` or its subclasses, as NumPy's ``float64`` is."""
+    return all(map(issubclass, types, repeat(float)))
+
+
 def _float_block(rows):
     """The texts of ``rows`` row by row, or ``None`` when ``rows`` is not a float block.
 
@@ -106,8 +115,10 @@ def _float_block(rows):
     k = len(rows[0]) if isinstance(rows[0], (list, tuple)) else 0
     if not k or not all(isinstance(r, (list, tuple)) and len(r) == k for r in rows):
         return None
-    if not set(map(type, chain.from_iterable(rows))) <= _FLOATS:
+    if not _floats(set(map(type, chain.from_iterable(rows)))):
         return None
+    import numpy as np
+
     block = np.array(rows, dtype=np.float64)
     if not np.isfinite(block).all():
         return None
@@ -117,19 +128,21 @@ def _float_block(rows):
 
 
 def _emit(obj, indent: int, out: list) -> None:
-    """Append the JSON text of ``obj`` to ``out`` in pieces."""
+    """Append the JSON text of ``obj`` to ``out`` in pieces.
+
+    Builtin types are tested first.  A NumPy scalar or array can exist only once
+    NumPy is loaded, and is written as the Python value it converts to.
+    """
     if obj is None:
         return out.append("null")
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return out.append("true" if obj else "false")
     if isinstance(obj, str):
         return out.append(json.dumps(obj))
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return out.append(str(int(obj)))
-    if isinstance(obj, (float, np.floating)):
-        return out.append(format_float(float(obj)))
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+    if isinstance(obj, float):  # NumPy's float64 is a float
+        return out.append(format_float(obj))
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -143,7 +156,8 @@ def _emit(obj, indent: int, out: list) -> None:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return out.append("[]")
-        if set(map(type, obj)) <= _FLOATS:
+        types = set(map(type, obj))
+        if types <= _FLOAT or _floats(types):
             return out.append("[\n" + pad + "  " + _float_run(obj, ",\n  " + pad, False) + "\n" + pad + "]")
         lead = "[\n"
         rows = _float_block(obj)
@@ -158,6 +172,12 @@ def _emit(obj, indent: int, out: list) -> None:
                 _emit(v, indent + 1, out)
                 lead = ",\n"
         return out.append("\n" + pad + "]")
+    np = sys.modules.get("numpy")
+    if np is not None:
+        numpy_types = ((np.bool_, bool), (np.integer, int), (np.floating, float), (np.ndarray, np.ndarray.tolist))
+        for kind, convert in numpy_types:
+            if isinstance(obj, kind):
+                return _emit(convert(obj), indent, out)
     raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -319,6 +339,8 @@ def read_interpolant(doc) -> isorkhs.kernel.Interpolant:
         raise InputError("nodes and coeffs must have equal length")
     # a Gram system's rules except distinct nodes, as duplicates still define one
     # function; a node outside the domain is malformed, as no Gram system holds one
+    import numpy as np
+
     kernel = isorkhs.kernel
     theta = kernel._check_theta(as_float(doc.get("theta", 2.0), "theta"))
     ridge = kernel._check_ridge(as_float(doc.get("ridge", 0.0), "ridge"))

@@ -934,6 +934,60 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["norm2"] == 1.0
 
 
+def _random_ring(rng, edges):
+    """A vertex ring in convex position with ``edges`` antipodal edge pairs, exactly symmetric:
+    edges at stratified angles in one half turn, walked from minus half their sum."""
+    turn = rng.uniform(0.0, math.pi)
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)
+    steps = []
+    for i in range(edges):
+        angle, length = turn + math.pi * (i + rng.uniform(0.1, 0.9)) / edges, scale * rng.uniform(0.1, 2.0)
+        steps.append((length * math.cos(angle), length * math.sin(angle)))
+    x, y = -0.5 * math.fsum(dx for dx, _ in steps), -0.5 * math.fsum(dy for _, dy in steps)
+    half = []
+    for dx, dy in steps:
+        half.append([x, y])
+        x, y = x + dx, y + dy
+    return half + [[-x, -y] for x, y in half]
+
+
+# For each [body, pair] of the JSON list on stdin, the documents geom area and
+# perimeter print for the body and geom norm and deficit for the pair (the handlers
+# and the writer main runs; the parser is left out, as it dominates 1600 calls).
+_BODY_BYTES = """
+import json, sys
+from isorkhs import cli, serialization
+out = []
+for body, pair in json.load(sys.stdin):
+    for handler, doc in ((cli._geom_area, body), (cli._geom_perimeter, body), (cli._geom_norm, pair),
+                         (cli._geom_deficit, pair)):
+        out.append(serialization.dumps(handler(None, doc)))
+json.dump(out, sys.stdout)
+"""
+
+
+def test_body_bytes_do_not_depend_on_numpys_cpu_dispatch():
+    """Seeded vertex rings print the same bytes with NumPy's AVX-512 and AVX2 kernels
+    switched off: an edge's angle is libm's ``atan2``, never NumPy's SIMD ``arctan2``,
+    whose AVX-512 kernel rounds some edges differently from libm."""
+    from isorkhs.rng import SplitMix64
+
+    rng = SplitMix64(2101)
+    bodies = [{"vertices": _random_ring(rng, 2 + rng.below(10))} for _ in range(400)]
+    docs = json.dumps([[u, {"U": u, "V": v}] for u, v in zip(bodies, bodies[1:] + bodies[:1])])
+    src = str(Path(cli.__file__).parents[1])
+    outs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"}):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", **disabled}
+        proc = subprocess.run([sys.executable, "-c", _BODY_BYTES], input=docs, capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(json.loads(proc.stdout))
+    assert len(outs[0]) == 1600
+    differ = sorted({i // 4 for i, (a, b) in enumerate(zip(*outs)) if a != b})
+    assert not differ, f"{len(differ)} of 400 rings print other bytes without AVX-512: {differ[:10]}"
+
+
 # ---------------------------------------------------------------------------
 # flags: each command, and each geom operation, takes only the flags it reads
 

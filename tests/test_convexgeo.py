@@ -68,6 +68,21 @@ def test_two_perpendicular_generators_make_square():
     assert math.isclose(convexgeo.perimeter(u), 8.0, rel_tol=1e-12)
 
 
+def test_ring_body_reads_edges_by_hypot_and_atan2():
+    """A vertex body's terms are its edges from the lex-min vertex to its antipode: angle
+    ``math.atan2`` and length ``WIDTH_SCALE * np.hypot``, bit for bit."""
+    rng = SplitMix64(21)
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        gens = [(rng.uniform(-HALF_PI, HALF_PI), scale * rng.uniform(0.01, 2.0)) for _ in range(1 + rng.below(11))]
+        u = convexgeo.symmetric_polygon(convexgeo.zonotope_from_generators(gens).vertices)
+        ring = u.ring
+        m = len(ring) // 2
+        edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(ring[:m], ring[1 : m + 1])]
+        terms = [(math.atan2(dy, dx), convexgeo.WIDTH_SCALE * float(np.hypot(dx, dy))) for dx, dy in edges]
+        assert u.expansion == seqmodel.diangle_expansion(0.0, terms)
+
+
 def test_parallelogram_area():
     u = convexgeo.zonotope_from_generators([(-QUARTER_PI, 1.0), (QUARTER_PI, 1.0)])
     assert math.isclose(convexgeo.area(u), 1.0, rel_tol=1e-12)

@@ -1,7 +1,9 @@
 """The import graph: ``import isorkhs`` loads only the error classes, and each
-command loads only the layers it runs.  Every case spawns a fresh interpreter,
-so the module sets are those of one cold call."""
+command loads only the layers it runs, and NumPy only if one of them computes
+on arrays.  Every case spawns a fresh interpreter, so the module sets are those
+of one cold call."""
 
+import functools
 import importlib
 import json
 import os
@@ -44,8 +46,6 @@ argvs = json.loads(sys.argv[1])
 import isorkhs
 codes = []
 if argvs:
-    import numpy
-    polynomial_with_numpy = "numpy.polynomial" in sys.modules
     from isorkhs import cli
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -53,25 +53,30 @@ if argvs:
                 codes.append(cli.main(argv))
             except SystemExit as exc:
                 codes.append(exc.code)
-else:
-    polynomial_with_numpy = False
 print(json.dumps({
     "codes": codes,
     "modules": sorted(m for m in sys.modules if m.startswith("isorkhs")),
     "numpy": "numpy" in sys.modules,
     "polynomial": "numpy.polynomial" in sys.modules,
-    "polynomial_with_numpy": polynomial_with_numpy,
 }))
 """
 
 
-def probe(*argvs):
+def _run(*args):
     env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)
+
+
+def probe(*argvs):
+    return _run("-c", _PROBE, json.dumps(argvs))
+
+
+@functools.cache
+def polynomial_with_numpy() -> bool:
+    """Whether ``import numpy`` alone loads ``numpy.polynomial``, as NumPy 1 does and NumPy 2 does not."""
+    return _run("-c", "import json, sys, numpy; print(json.dumps('numpy.polynomial' in sys.modules))")
 
 
 def _modules(*layers):
@@ -88,22 +93,35 @@ def test_import_loads_only_the_errors():
 _TRIG = {"type": "trigpoly", "cos": [1.0, 0.5]}
 _NODES = {"nodes": [-1.0, 0.0, 0.5], "values": [1.0, -0.5, 2.0]}
 _BODY = {"vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}
+_GENERATORS = {"generators": [{"angle": 0.3, "length": 1.0}, {"angle": -1.2, "length": 0.5}]}
+_EXPANSION = {"x0": 0.0, "terms": [{"angle": -0.4, "coeff": 1.0}, {"angle": 0.7, "coeff": 0.5}]}
 _EVERY_LAYER = ("funcspace", "kernel", "quad", "convexgeo", "rng", "verify")
+_KERNEL = ("funcspace", "kernel", "quad")
 
 
 @pytest.mark.parametrize(
-    "argv, doc, layers, quadrature",
+    "argv, doc, layers, numpy, quadrature",
     [
-        (["interp"], _NODES, ("funcspace", "kernel", "quad"), False),
-        (["gram"], _NODES, ("funcspace", "kernel", "quad"), False),
-        (["norm"], _TRIG, ("funcspace", "quad"), False),
-        (["norm", "--method", "quadrature"], _TRIG, ("funcspace", "quad"), True),
-        (["geom", "area"], _BODY, ("convexgeo", "quad"), False),
-        (["verify", "--suite", "holder"], None, _EVERY_LAYER, False),
+        (["interp"], _NODES, _KERNEL, True, False),
+        (["gram"], _NODES, _KERNEL, True, False),
+        (["norm"], _TRIG, ("funcspace", "quad"), True, False),
+        (["norm", "--method", "quadrature"], _TRIG, ("funcspace", "quad"), True, True),
+        (["verify", "--suite", "holder"], None, _EVERY_LAYER, True, False),
+        (["seq"], _EXPANSION, (), False, False),
+        (["geom", "area"], _BODY, ("convexgeo",), False, False),
+        (["geom", "area"], _GENERATORS, ("convexgeo",), False, False),
+        (["geom", "perimeter"], _BODY, ("convexgeo",), False, False),
+        (["geom", "perimeter"], _GENERATORS, ("convexgeo",), False, False),
+        (["geom", "norm"], {"U": _BODY, "V": _GENERATORS}, ("convexgeo",), False, False),
+        (["geom", "norm"], {"U": _GENERATORS, "V": _GENERATORS}, ("convexgeo",), False, False),
+        (["geom", "deficit"], {"U": _GENERATORS, "V": _BODY}, ("convexgeo",), False, False),
+        (["geom", "deficit"], {"U": _BODY, "V": _BODY}, ("convexgeo",), False, False),
     ],
-    ids=["interp", "gram", "norm", "norm-quadrature", "geom-area", "verify-holder"],
+    ids=["interp", "gram", "norm", "norm-quadrature", "verify-holder", "seq", "geom-area", "geom-area-generators",
+         "geom-perimeter", "geom-perimeter-generators", "geom-norm", "geom-norm-generators", "geom-deficit",
+         "geom-deficit-vertices"],
 )
-def test_a_command_loads_only_the_layers_it_runs(tmp_path, argv, doc, layers, quadrature):
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, argv, doc, layers, numpy, quadrature):
     if doc is not None:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
@@ -111,7 +129,8 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path, argv, doc, layers, qu
     out = probe(argv)
     assert out["codes"] == [0]
     assert out["modules"] == _modules(*layers)
-    if not out["polynomial_with_numpy"]:  # NumPy 2 loads numpy.polynomial on first use only
+    assert out["numpy"] == numpy
+    if not polynomial_with_numpy():  # NumPy 2 loads numpy.polynomial on first use only
         assert out["polynomial"] == quadrature
 
 
@@ -123,6 +142,7 @@ def test_help_exits_0_and_loads_no_layer():
     out = probe(*argvs)
     assert out["codes"] == [0] * len(argvs)
     assert out["modules"] == _modules()
+    assert not out["numpy"]
 
 
 def test_every_exported_name_resolves_to_its_layers_object():
