@@ -367,20 +367,30 @@ _COMMANDS = {
 }
 
 
-def _add_commands(sub, table) -> None:
+def _add_commands(sub, table, words) -> None:
     for name, (text, handler, flags) in table.items():
         p = sub.add_parser(name, help=text)
+        if words is not None and words[:1] != [name]:
+            continue  # a name and its help are all that a usage line or a choice error reads
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
         if isinstance(handler, dict):
-            _add_commands(p.add_subparsers(dest="operation", required=True), handler)
+            rest = None if words is None else words[1:]
+            _add_commands(p.add_subparsers(dest="operation", required=True), handler, rest)
         else:
             p.set_defaults(handler=handler)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The whole command tree; given ``argv``, only the command and ``geom`` operation it names get flags.
+
+    No level takes a flag before its subcommand, so the words of ``argv`` that
+    do not start with a minus sign name the subcommands first.  A word that
+    names none is an invalid choice, which needs only the names.
+    """
+    words = None if argv is None else [a for a in argv if not a.startswith("-")]
     parser = _Parser(prog="isorkhs", description="Verification harness for the isoperimetric function space.")
-    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS)
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, words)
     return parser
 
 
@@ -391,7 +401,8 @@ def _emit_error(kind: str, exc: BaseException) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv).parse_args(argv)
         result = args.handler(args, _read_input(args.input) if "input" in args else None)
         code = 0
         if isinstance(result, tuple):

@@ -12,8 +12,9 @@ spans, so exact inner products apply.
 The norm is ``(1/pi) int (f'^2 - f^2) + c_theta (int f)^2`` with
 ``c_theta = theta / ((theta - 1) pi^2)``: local apart from one rank-one
 term.  So the inverse of every Gram matrix is explicit, cyclic tridiagonal
-in the node gaps plus rank one, and a :class:`GramSystem` solves,
-interpolates and evaluates the power function in O(n) with no factor.  An
+in the node gaps plus rank one.  A :class:`GramSystem` sorts its nodes once,
+when built; its checks, solves and power function and the residual guard of
+its interpolant read that one order, so each is O(n) with no factor.  An
 :class:`Interpolant` is a diangle span like the sections, so ``eval``,
 ``norm`` and ``inner`` take it as it is; its values and derivatives at m
 points come in O(n + m) from ``seqmodel``'s prefix sums over its kernel
@@ -190,18 +191,24 @@ def _check_domain(arr: np.ndarray) -> None:
         raise InputError("nodes must be finite and lie in [-pi/2, pi/2]")
 
 
-def _check_nodes(nodes: Sequence[float]) -> np.ndarray:
+def _on_circle(s: np.ndarray) -> np.ndarray:
+    """Sorted nodes clipped to ``[-pi/2, pi/2]``, as points of the circle."""
+    return s if -_HALF_PI <= s[0] and s[-1] <= _HALF_PI else np.clip(s, -_HALF_PI, _HALF_PI)
+
+
+def _check_nodes(nodes: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes as an array, their stable sort order and the sorted nodes, which the checks read."""
     arr = np.asarray(list(nodes), dtype=float)
     if arr.ndim != 1:
         raise InputError("nodes must be a flat sequence")
-    _check_domain(arr)
-    if arr.size > 1:
-        # on the circle, where only the exact pair -pi/2, pi/2 (after clipping) is one point
-        s = np.sort(arr)
-        s[0], s[-1] = max(s[0], -_HALF_PI), min(s[-1], _HALF_PI)
-        if (s[1:] - s[:-1]).min() < _NODE_SEP or 0.0 < s[0] + math.pi - s[-1] < _NODE_SEP:
+    order = arr.argsort(kind="stable")
+    s = arr[order]
+    _check_domain(s)
+    if s.size > 1:  # on the circle, where only the exact pair -pi/2, pi/2 (after clipping) is one point
+        c = _on_circle(s)
+        if (c[1:] - c[:-1]).min() < _NODE_SEP or 0.0 < c[0] + math.pi - c[-1] < _NODE_SEP:
             raise InputError("nodes must be pairwise distinct on the circle")
-    return arr
+    return arr, order, s
 
 
 _COT_HALF_PI = 1.0 / math.tan(_HALF_PI)  # 6.1e-17: cot(pi/2) as rounding leaves it
@@ -216,7 +223,7 @@ def _half_tan(d: np.ndarray, wrapped) -> np.ndarray:
     ``d = 0`` there is the whole circle, whose ``tan(pi/2)`` is finite.
     """
     t = np.tan(0.5 * d)
-    if np.ndim(wrapped):
+    if isinstance(wrapped, np.ndarray):
         return np.where(wrapped, -1.0 / np.minimum(t, -_COT_HALF_PI), t)
     t[wrapped] = -1.0 / min(t[wrapped], -_COT_HALF_PI)
     return t
@@ -286,13 +293,10 @@ class _Cycle:
     ``(1/pi) int (f'^2 - f^2) + c (int f)^2`` over the interpolant's mean.
     """
 
-    def __init__(self, nodes: np.ndarray, theta: float, ridge: float):
-        self.theta, self.ridge = theta, ridge
-        self.order = np.argsort(nodes, kind="stable")
-        self.sorted = nodes[self.order]
-        lo, hi = float(self.sorted[0]), float(self.sorted[-1])
-        s = self.sorted if -_HALF_PI <= lo and hi <= _HALF_PI else np.clip(self.sorted, -_HALF_PI, _HALF_PI)
-        self.merged = s.size > 1 and lo <= -_HALF_PI and hi >= _HALF_PI
+    def __init__(self, order: np.ndarray, sorted_nodes: np.ndarray, theta: float, ridge: float):
+        self.theta, self.ridge, self.order, self.sorted = theta, ridge, order, sorted_nodes
+        s = _on_circle(sorted_nodes)
+        self.merged = s.size > 1 and s[0] == -_HALF_PI and s[-1] == _HALF_PI
         self.points = s[:-1] if self.merged else s
         t = self.t = _half_tan(np.concatenate((self.points[1:], self.points[:1])) - self.points, -1)
         self.span = 2.0 * float(t.sum())  # S
@@ -306,26 +310,6 @@ class _Cycle:
     @cached_property
     def beta(self) -> float:
         return self.theta / (math.pi * (self.theta * self.span - math.pi))
-
-    def gather(self, y: np.ndarray) -> np.ndarray:
-        """Right-hand sides in point order; the merged endpoints give their mean."""
-        y = y[self.order]
-        return np.concatenate((0.5 * (y[:1] + y[-1:]), y[1:-1])) if self.merged else y
-
-    def scatter(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Coefficients back in node order.
-
-        Merged endpoints split their coefficient evenly at zero ridge (the
-        least-norm split); a ridge ``r`` adds ``+-(y_- - y_+)/(2r)``, which
-        the two endpoint rows of ``(K + r I) c = y`` require.
-        """
-        if self.merged:
-            y = y[self.order]
-            split = 0.5 * (y[0] - y[-1]) / self.ridge if self.ridge else 0.0
-            c = np.concatenate(((0.5 * c[0] + split)[None], c[1:], (0.5 * c[0] - split)[None]))
-        out = np.empty_like(c)
-        out[self.order] = c
-        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``P v`` in O(m) from per-gap terms.
@@ -377,28 +361,39 @@ class _Cycle:
         w = t + np.concatenate((t[-1:], t[:-1]))
         return _ldl(diag.tolist(), sub.tolist(), float(corner), r * self.beta, (e * w).tolist())
 
-    def _solve_once(self, y: np.ndarray) -> np.ndarray:
-        v = self.gather(y)
+    def _solve_sorted(self, y: np.ndarray) -> np.ndarray:
+        """One solve in sorted node order; merged endpoints give the mean of their right-hand sides.
+
+        Their coefficient splits evenly at zero ridge (the least-norm split); a
+        ridge ``r`` adds ``+-(y_- - y_+)/(2r)``, which the two endpoint rows of
+        ``(K + r I) c = y`` require.
+        """
+        v = np.concatenate((0.5 * (y[:1] + y[-1:]), y[1:-1])) if self.merged else y
         if self.ridge:
             e = self._scale.reshape(self._scale.shape + (1,) * (v.ndim - 1))
             v = e * _ldl_solve(self._ridge_factor, v / e)
-        return self.scatter(self.apply(v), y)
+        c = self.apply(v)
+        if self.merged:
+            split = 0.5 * (y[0] - y[-1]) / self.ridge if self.ridge else 0.0
+            c = np.concatenate(((0.5 * c[0] + split)[None], c[1:], (0.5 * c[0] - split)[None]))
+        return c
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """``c = P v`` at zero ridge, ``c = P (I + r P)^{-1} v`` for ridge ``r``.
+        """``c = P v`` at zero ridge, ``c = P (I + r P)^{-1} v`` for ridge ``r``, in node order.
 
         ``I + r P`` has entries of size ``r / gap``, so its solve loses the
         smooth directions to rounding when nodes cluster; one step of
         refinement against ``(K + r I) c``, applied in O(n), restores them.
         """
-        c = self._solve_once(y)
+        y = y[self.order]
+        c = self._solve_sorted(y)
         if self.ridge:
-            x, co = self.sorted, c[self.order]
-            kc = self.theta * co.sum(axis=0) - _HALF_PI * _profile_sum(x, _profile_table(x, co), x)
-            residual = np.empty_like(c)
-            residual[self.order] = y[self.order] - kc - self.ridge * co
-            c += self._solve_once(residual)
-        return c
+            x = self.sorted
+            kc = self.theta * c.sum(axis=0) - _HALF_PI * _profile_sum(x, _profile_table(x, c), x)
+            c += self._solve_sorted(y - kc - self.ridge * c)
+        out = np.empty_like(c)
+        out[self.order] = c
+        return out
 
     def power_squared(self, x: np.ndarray) -> np.ndarray:
         """``p(x)^2 = 1 / P_aug[x, x]`` at zero ridge, O(1) per point after one search.
@@ -432,7 +427,9 @@ class GramSystem:
     ``theta >= 1``: its Mercer coefficients ``2/(4k^2 - 1)`` are all positive.
     The inverse is explicit, ``K^{-1} = T + beta w w^T`` (see ``_Cycle``), so
     the node gaps alone certify the PSD invariant: every ``t_i`` finite and
-    positive and ``S > pi``, whence ``beta > 0``.  ``chol_ok`` reports that
+    positive and ``S > pi``, whence ``beta > 0``.  The nodes are sorted once,
+    stably, when the system is built (``_order``, ``_sorted``): the checks,
+    the cycle and ``interpolate`` share that order.  ``chol_ok`` reports the
     certificate, computed when first needed and cached.  ``solve`` is O(n):
     the product ``P v`` at zero ridge, and ``P (I + r P)^{-1} v`` through an
     O(n) ``LDL^T`` for a ridge ``r``.  Nothing forms ``matrix`` or factors
@@ -448,11 +445,10 @@ class GramSystem:
     ridge: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _check_theta(self.theta))
-        arr = _check_nodes(self.nodes)
-        object.__setattr__(self, "nodes", tuple(arr.tolist()))
-        object.__setattr__(self, "node_array", arr)
-        object.__setattr__(self, "ridge", _check_ridge(self.ridge))
+        theta = _check_theta(self.theta)
+        arr, order, s = _check_nodes(self.nodes)
+        ridge = _check_ridge(self.ridge)  # frozen, so set in place
+        vars(self).update(theta=theta, nodes=tuple(arr.tolist()), node_array=arr, _order=order, _sorted=s, ridge=ridge)
 
     @property
     def size(self) -> int:
@@ -481,14 +477,11 @@ class GramSystem:
     def cond_estimate(self) -> float:
         if not self.size:
             return 1.0
-        lo, hi = self.min_eig, self.max_eig
-        if lo <= 0.0:
-            return math.inf
-        return hi / lo
+        return math.inf if self.min_eig <= 0.0 else self.max_eig / self.min_eig
 
     @cached_property
     def _cycle(self) -> _Cycle:
-        return _Cycle(self.node_array, self.theta, self.ridge)
+        return _Cycle(self._order, self._sorted, self.theta, self.ridge)
 
     @property
     def chol_ok(self) -> bool:
@@ -510,7 +503,7 @@ class GramSystem:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if not self.size:
             return np.zeros(0)
-        return self._certified_cycle().solve(np.array(rhs, dtype=float))
+        return self._certified_cycle().solve(np.asarray(rhs, dtype=float))
 
     def kernel_column(self, x) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
@@ -518,7 +511,7 @@ class GramSystem:
 
 
 def gram_system(nodes: Sequence[float], theta: float = REPRODUCING_THETA, ridge: float = 0.0) -> GramSystem:
-    return GramSystem(theta, tuple(float(v) for v in nodes), ridge)
+    return GramSystem(theta, nodes, ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +525,9 @@ class Interpolant(DiangleSpan):
     rule: values and derivatives come from the kernel-coefficient table
     ``_sums`` in long double (where wider than double), whose rounding is
     ``eps sum|c_j|`` and on clustered nodes ``sum|c_j|`` nears ``1e9``, too
-    much for a double to resolve guarantee 11.  The ``expansion``, in double
+    much for a double to resolve guarantee 11.  ``interpolate`` fills it in
+    its Gram system's order, unless a node at ``pi/2`` reorders as ``-pi/2``;
+    a record read back sorts its own.  The ``expansion``, in double
     and built when first read, serves the exact engine only.  As in the
     expansion, nodes are read modulo pi; the derivative reads its points
     modulo pi too and is right-handed at each kink, so ``-pi/2`` and ``pi/2``
@@ -555,12 +550,16 @@ class Interpolant(DiangleSpan):
     @cached_property
     def _sums(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Sorted nodes, their ``_profile_table`` and ``theta sum c``, in long double."""
-        a, c = np.array(self.nodes, dtype=float), np.array(self.coeffs, dtype=float)
+        a = np.array(self.nodes, dtype=float)
         order = np.argsort(a, kind="stable")
         if a.size and not (-_HALF_PI <= a[order[0]] and a[order[-1]] < _HALF_PI):
             a = _reduce_angles(a)  # a node at pi/2 is the kink at -pi/2
             order = np.argsort(a, kind="stable")
-        a, c = a[order].astype(np.longdouble), c[order].astype(np.longdouble)
+        return self._table(a[order], np.array(self.coeffs, dtype=float)[order])
+
+    def _table(self, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """``_sums`` from nodes ``a`` reduced and sorted, with their coefficients ``c``."""
+        a, c = a.astype(np.longdouble), c.astype(np.longdouble)
         return a, _profile_table(a, c), self.theta * c.sum()
 
     def value(self, x):
@@ -589,28 +588,29 @@ def interpolate(
     ``1e-12`` relative, and the two coefficients there share their sum
     evenly at zero ridge.  With ``ridge == 0``, a node residual above
     ``1e-8 (1 + max|values|)``, read in long double by ``Interpolant.value``
-    (nodes too clustered for double precision), raises
-    :class:`SingularSystemError`, which the CLI reports as exit 3.
+    from a table in the Gram system's order (nodes too clustered for double
+    precision), raises :class:`SingularSystemError`: exit 3 in the CLI.
     """
     gram = gram_system(nodes, theta, ridge)
     vals = np.asarray(list(values), dtype=float)
     if vals.shape != (gram.size,):
-        raise InputError(
-            f"expected {gram.size} values for {gram.size} nodes, got shape {vals.shape}"
-        )
-    if vals.size and not np.all(np.isfinite(vals)):
-        raise InputError("values must be finite")
+        raise InputError(f"expected {gram.size} values for {gram.size} nodes, got shape {vals.shape}")
     if not gram.size:
         return Interpolant(gram.theta, gram.ridge, (), ())
-    scale = 1.0 + float(np.max(np.abs(vals)))
-    ends = vals[np.abs(gram.node_array) >= _HALF_PI]
-    if ends.size > 1 and float(np.ptp(ends)) > funcspace._ENDPOINT_TOL * scale:
-        raise InputError(f"values at -pi/2 and pi/2 (one point) differ by {float(np.ptp(ends))!r}")
+    scale = 1.0 + float(np.abs(vals).max())
+    if not math.isfinite(scale):  # NaN too
+        raise InputError("values must be finite")
+    order, s = gram._order, gram._sorted
+    gap = abs(float(vals[order[0]]) - float(vals[order[-1]]))  # at -pi/2 and pi/2 if both are nodes
+    if s[0] <= -_HALF_PI and s[-1] >= _HALF_PI and gap > funcspace._ENDPOINT_TOL * scale:
+        raise InputError(f"values at -pi/2 and pi/2 (one point) differ by {gap!r}")
 
     coeffs = gram.solve(vals)
-    result = Interpolant(gram.theta, gram.ridge, gram.nodes, tuple(float(c) for c in coeffs))
+    result = Interpolant(gram.theta, gram.ridge, gram.nodes, tuple(coeffs.tolist()))
     if gram.ridge == 0.0:
-        residual = float(np.max(np.abs(result.value(gram.node_array) - vals)))
+        if -_HALF_PI <= s[0] and s[-1] < _HALF_PI:  # else a node at pi/2 reorders as -pi/2
+            vars(result)["_sums"] = result._table(s, coeffs[order])
+        residual = float(np.abs(result.value(gram.node_array) - vals).max())
         tol = _RESIDUAL_TOL * scale
         if residual > tol:
             raise SingularSystemError(
@@ -631,8 +631,8 @@ def power_function(gram: GramSystem, x):
     """
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
-    pts = np.atleast_1d(xa).astype(float)
-    if not np.all(np.abs(pts) <= _HALF_PI + 1e-12):  # NaN fails too
+    pts = xa[None] if scalar else xa
+    if pts.size and not np.abs(pts).max() <= _HALF_PI + 1e-12:  # NaN fails too
         raise DomainError("power function arguments must lie in [-pi/2, pi/2]")
     if not gram.size:
         out = np.full(pts.shape, math.sqrt(gram.theta))

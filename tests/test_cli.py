@@ -1037,6 +1037,16 @@ def test_the_parser_takes_exactly_the_flags_each_handler_reads():
     assert sum(map(len, _READS.values())) == 21 and len(_OFFERED) == 114 and len(_UNREAD) == 93
 
 
+@pytest.mark.parametrize("argv", [["interp", "--input", "-"], ["geom", "width", "--input", "-", "--angle", "0.3"],
+                                  ["--input", "-", "power"], ["geom", "--help"], []])
+def test_a_call_gives_flags_to_the_command_it_names_only(argv):
+    # every command keeps its name and help for the usage line and choice errors
+    leaves = dict(_leaves(cli._build_parser(argv)))
+    named = [c for c in _COMMANDS if c == tuple(a for a in argv if not a.startswith("-"))[: len(c)]]
+    assert {c: flags for c, flags in leaves.items() if flags} == {c: _READS[c] for c in named if c in _READS}
+    assert {c[0] for c in leaves} == {c[0] for c in _COMMANDS}
+
+
 @pytest.mark.parametrize("command, flag", _UNREAD, ids=[" ".join((*c, f)) for c, f in _UNREAD])
 def test_a_flag_the_command_does_not_read_is_malformed_input(tmp_path, capsys, command, flag):
     required = {("eval",): ["--at=0.1"], ("power",): ["--at=0.1"], ("geom", "width"): ["--angle", "0.3"]}

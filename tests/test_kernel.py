@@ -127,6 +127,28 @@ def test_gram_validation():
     assert kernel.gram_system([-HALF_PI - 5e-13, 0.2, HALF_PI]).chol_ok
 
 
+_NODE_ERRORS = [
+    ([0.1, math.nan, -0.3], "nodes must be finite and lie in [-pi/2, pi/2]"),
+    ([[0.1], [0.2]], "nodes must be a flat sequence"),
+    ([0.1, -1.6], "nodes must be finite and lie in [-pi/2, pi/2]"),
+    # 3.3e-16 apart through pi/2: the gap that wraps around the circle
+    ([0.2, HALF_PI, -1.5707963267948963], "nodes must be pairwise distinct on the circle"),
+]
+
+
+@pytest.mark.parametrize("nodes, message", _NODE_ERRORS, ids=["nan", "nested", "outside", "wrapped-gap"])
+@pytest.mark.parametrize("entry", ["gram_system", "interpolate", "GramSystem"])
+def test_node_checks_keep_their_errors(entry, nodes, message):
+    build = {
+        "gram_system": kernel.gram_system,
+        "interpolate": lambda n: kernel.interpolate(n, [0.0] * len(n)),
+        "GramSystem": lambda n: kernel.GramSystem(2.0, n),
+    }[entry]
+    with pytest.raises(InputError) as info:
+        build(nodes)
+    assert type(info.value) is InputError and str(info.value) == message
+
+
 def test_gram_psd_randomized():
     rng = SplitMix64(2)
     thetas = (1.0, 1.5, 2.0, 5.0)
@@ -412,6 +434,57 @@ def test_structured_solve_edge_cases_match_dense():
             pts = np.linspace(-HALF_PI, HALF_PI, 13)
             gap = np.max(np.abs(kernel.power_function(g, pts) ** 2 - _dense_power_squared(theta, nodes, pts, ridge)))
             assert gap <= 1e-10 * theta
+
+
+def _shuffled_cases():
+    """(nodes, values, theta, ridge): uniform sets, clustered triples, the merged ends, a node at pi/2, a ridge."""
+    rng = np.random.default_rng(22)
+    uniform = [-HALF_PI + (np.arange(n) + rng.uniform(0.1, 0.9, n)) * (math.pi / n) for n in (2, 8, 50)]
+    triples = (np.array([-1.2, -0.1, 0.8])[:, None] + 1e-6 * np.arange(3)).ravel()
+    cases = [(x, 2.0, 0.0) for x in uniform] + [(triples, 1.0, 0.0), (triples, 5.0, 0.0)]
+    cases += [(np.array([-HALF_PI, -0.4, 0.3, HALF_PI]), 2.0, 0.0), (np.array([-1.0, 0.2, HALF_PI]), 1.5, 0.0)]
+    cases += [(uniform[1], 2.0, 1e-3), (np.array([-HALF_PI, -0.4, 0.3, HALF_PI]), 1.5, 0.5)]
+    out = []
+    for x, theta, ridge in cases:
+        values = rng.uniform(-2.0, 2.0, x.size)
+        values[np.abs(x) == HALF_PI] = 0.7  # -pi/2 and pi/2 are one point
+        out.append((x, values, theta, ridge))
+    return out
+
+
+@pytest.mark.parametrize("case", _shuffled_cases(), ids=lambda case: f"n{case[0].size}-t{case[2]}-r{case[3]}")
+def test_a_shuffled_node_set_permutes_the_solution_bit_for_bit(case):
+    # a node set is sorted once, stably, so its input order never reaches the
+    # structured arithmetic: coefficients and solutions permute with the nodes,
+    # and the zero-ridge power function and the certificate do not move.  Two
+    # dense paths reduce over the nodes in input order and agree to rounding:
+    # the spectrum (LAPACK on the permuted matrix) and the ridge power function
+    # (the quadratic form k_x^T c, summed over the nodes as given)
+    x, values, theta, ridge = case
+    rng = np.random.default_rng(x.size)
+    g = kernel.gram_system(x.tolist(), theta, ridge)
+    itp = kernel.interpolate(x.tolist(), values.tolist(), theta, ridge)
+    b = rng.standard_normal((x.size, 2))
+    solution, coeffs = g.solve(b), np.array(itp.coeffs)
+    grid = np.linspace(-HALF_PI, HALF_PI, 41)
+    power, fitted = kernel.power_function(g, grid), itp.value(grid)
+    # an interpolant read back from its record sorts its own nodes, to the same table
+    assert np.array_equal(kernel.Interpolant(theta, ridge, itp.nodes, itp.coeffs).value(grid), fitted)
+    for _ in range(3):
+        p = rng.permutation(x.size)
+        h = kernel.gram_system(x[p].tolist(), theta, ridge)
+        assert np.array_equal(h.solve(b[p]), solution[p])
+        shuffled = kernel.interpolate(x[p].tolist(), values[p].tolist(), theta, ridge)
+        assert np.array_equal(np.array(shuffled.coeffs), coeffs[p])
+        assert np.array_equal(shuffled.value(grid), fitted)
+        assert h.chol_ok == g.chol_ok
+        rounding = 8 * x.size * np.finfo(float).eps
+        if ridge:
+            assert np.max(np.abs(kernel.power_function(h, grid) ** 2 - power**2)) <= rounding * theta
+        else:
+            assert np.array_equal(kernel.power_function(h, grid), power)
+        tol = rounding * g.max_eig
+        assert abs(h.min_eig - g.min_eig) <= tol and abs(h.max_eig - g.max_eig) <= tol
 
 
 def test_gram_scales_to_many_nodes():
