@@ -280,7 +280,7 @@ def _geom_tofunction(args, doc):
 
     f = convexgeo.pair_to_function(serialization.read_pair(doc))
     xs = _grid(args.points)
-    rows = zip(xs, f.value(xs), f.derivative(xs))
+    rows = zip(xs, *f.value_and_derivative(xs))
     if args.output == "csv":
         return serialization.dumps_csv(rows)
     xs_l, fs_l, ds_l = zip(*rows)
@@ -307,7 +307,7 @@ def _cmd_verify(args, doc):
 def _cmd_export(args, doc):
     f = _function_from(doc)
     xs = _grid(args.points)
-    return serialization.dumps_csv(zip(xs, f.value(xs), f.derivative(xs)))
+    return serialization.dumps_csv(zip(xs, *f.value_and_derivative(xs)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ quadrature path otherwise; the two paths are independent and the test suite
 holds them against each other.  Quadrature registers the union of both
 arguments' kinks as breakpoints and makes one stacked pass per functional:
 rows ``f, g, f g, f' g'`` for an inner product and ``f, f^2, f'^2`` for a
-single member's integral and energy, each row to its own tolerance.
+single member's integral and energy, each row to its own tolerance.  It
+samples each member once per level, through ``value_and_derivative``: a
+series takes one ``sin`` and one ``cos`` of its phases ``m x``, and a span
+one angle reduction, one table search and one ``sin``/``cos`` of the points,
+for the value and the derivative together.
 
 The exact path is built on two quantities.  ``int f`` is ``sum a_k J(k)``
 for a series (``J(p) = int cos(p t)``) and ``pi x0 + 2 S`` for a span with
@@ -102,6 +106,10 @@ class H1Function:
     def derivative(self, x):
         raise NotImplementedError
 
+    def value_and_derivative(self, x):
+        """``(value(x), derivative(x))``, bit for bit; a variant that can share work between them overrides it."""
+        return self.value(x), self.derivative(x)
+
     def __call__(self, x):
         return self.value(x)
 
@@ -158,25 +166,39 @@ class TrigPoly(H1Function):
         c = np.array([*compress(cc, cc), *compress(sc, sc)])
         object.__setattr__(self, "_terms", (np.array(m, dtype=np.intp), c, np.repeat(_KINDS, (ncos, len(m) - ncos))))
 
-    def _basis(self, x, swap: bool) -> np.ndarray:
-        """One row per nonzero term at the flattened points ``x``: ``cos(m x)`` for a cosine
-        term, ``sin(m x)`` for a sine term; ``swap`` exchanges ``cos`` and ``sin``."""
-        m, _, s = self._terms
-        rows = np.multiply.outer(m, np.ravel(np.asarray(x, dtype=float)))
-        k = np.count_nonzero(s > 0)
+    def _phases(self, x) -> np.ndarray:
+        """``m x``: one row per nonzero term at the flattened points ``x``."""
+        return np.multiply.outer(self._terms[0], np.ravel(np.asarray(x, dtype=float)))
+
+    def _basis(self, mx: np.ndarray, swap: bool, out: np.ndarray) -> np.ndarray:
+        """``cos(m x)`` in a cosine term's row of ``out``, ``sin(m x)`` in a sine term's, from the
+        phases ``mx`` (which may be ``out``); ``swap`` exchanges ``cos`` and ``sin``."""
+        k = np.count_nonzero(self._terms[2] > 0)
         first, second = (np.sin, np.cos) if swap else (np.cos, np.sin)
-        first(rows[:k], out=rows[:k])
-        second(rows[k:], out=rows[k:])
-        return rows
+        first(mx[:k], out=out[:k])
+        second(mx[k:], out=out[k:])
+        return out
+
+    @staticmethod
+    def _at(weights: np.ndarray, rows: np.ndarray, x):
+        """``weights @ rows``, shaped as the points ``x``."""
+        return _maybe_scalar((weights @ rows).reshape(np.shape(x)), np.ndim(x) == 0)
 
     def value(self, x):
-        _, c, _ = self._terms
-        return _maybe_scalar((c @ self._basis(x, False)).reshape(np.shape(x)), np.ndim(x) == 0)
+        mx = self._phases(x)
+        return self._at(self._terms[1], self._basis(mx, False, mx), x)
 
     def derivative(self, x):
         m, c, s = self._terms
-        out = (-s * m * c) @ self._basis(x, True)
-        return _maybe_scalar(out.reshape(np.shape(x)), np.ndim(x) == 0)
+        mx = self._phases(x)
+        return self._at(-s * m * c, self._basis(mx, True, mx), x)
+
+    def value_and_derivative(self, x):
+        """Both from one ``m x``, with one ``sin`` and one ``cos`` of each phase."""
+        m, c, s = self._terms
+        mx = self._phases(x)
+        value = self._at(c, self._basis(mx, False, np.empty_like(mx)), x)
+        return value, self._at(-s * m * c, self._basis(mx, True, mx), x)
 
 
 @dataclass(frozen=True)
@@ -196,6 +218,12 @@ class DiangleSpan(H1Function):
 
     def derivative(self, x):
         return _maybe_scalar(seqmodel.expansion_derivative(self.expansion, x), np.ndim(x) == 0)
+
+    def value_and_derivative(self, x):
+        """Both from one angle reduction, one search of the table and one ``sin``/``cos`` of ``x``."""
+        value, slope = seqmodel.expansion_value_and_derivative(self.expansion, x)
+        scalar = np.ndim(x) == 0
+        return _maybe_scalar(value, scalar), _maybe_scalar(slope, scalar)
 
 
 @dataclass(frozen=True)
@@ -366,11 +394,11 @@ def _quad_functionals(f, g, spec: QuadratureSpec) -> tuple[float, float, float]:
     stacked rows ``f, g, f g, f' g'``, or ``f, f^2, f'^2`` when ``g is f``."""
 
     def rows(x):
-        fv, fd = f.value(x), f.derivative(x)
+        fv, fd = f.value_and_derivative(x)
         if g is f:
             return np.stack((fv, fv * fv, fd * fd))
-        gv = g.value(x)
-        return np.stack((fv, gv, fv * gv, fd * g.derivative(x)))
+        gv, gd = g.value_and_derivative(x)
+        return np.stack((fv, gv, fv * gv, fd * gd))
 
     out = quad.integrate(rows, DELTA, (*f.kinks, *g.kinks), spec).tolist()
     int_f, int_g, int_fg, int_dd = out if g is not f else (out[0], *out)
@@ -471,7 +499,8 @@ def norm_iso(f: H1Function, method: str = "auto", spec: QuadratureSpec = DEFAULT
 
 
 def _as_rule(f, interval: Interval) -> tuple[Callable, Callable, tuple[float, ...]]:
-    """Normalize ``f`` to ``(value, derivative, kinks)`` on ``interval``.
+    """Normalize ``f`` to ``(value, both, kinks)`` on ``interval``: ``both(x)`` samples the
+    value and the derivative at the points ``x``, a member's through ``value_and_derivative``.
 
     Accepts a member, a ``(value, derivative)`` or ``(value, derivative,
     kinks)`` tuple, or a bare callable, whose derivative is then
@@ -479,18 +508,20 @@ def _as_rule(f, interval: Interval) -> tuple[Callable, Callable, tuple[float, ..
     only).
     """
     if isinstance(f, H1Function):
-        return f.value, f.derivative, f.kinks
+        return f.value, f.value_and_derivative, f.kinks
     if isinstance(f, (tuple, list)):
         if len(f) == 2:
-            v, d = f
-            return v, d, ()
-        if len(f) == 3:
+            (v, d), ks = f, ()
+        elif len(f) == 3:
             v, d, ks = f
-            return v, d, tuple(float(k) for k in ks)
-        raise InputError("expected (value, derivative[, kinks])")
-    if callable(f):
-        return f, lambda x: quad.derivative_at(f, x, interval=interval), ()
-    raise InputError(f"not a function-like object: {f!r}")
+            ks = tuple(float(k) for k in ks)
+        else:
+            raise InputError("expected (value, derivative[, kinks])")
+    elif callable(f):
+        v, d, ks = f, (lambda x: quad.derivative_at(f, x, interval=interval)), ()
+    else:
+        raise InputError(f"not a function-like object: {f!r}")
+    return v, (lambda x: (quad.sample(v, x, "rule"), quad.sample(d, x, "rule"))), ks
 
 
 def inner_product_classical(
@@ -506,11 +537,11 @@ def inner_product_classical(
     pairs; kinks outside the interval are ignored.
     """
     iv = quad.Interval(*interval) if not isinstance(interval, Interval) else interval
-    fv, fd, fk = _as_rule(f, iv)
-    gv, gd, gk = _as_rule(g, iv)
+    _, f_both, fk = _as_rule(f, iv)
+    _, g_both, gk = _as_rule(g, iv)
 
     def integrand(x):
-        f0, g0, f1, g1 = (quad.sample(rule, x, "rule") for rule in (fv, gv, fd, gd))
+        (f0, f1), (g0, g1) = f_both(x), g_both(x)
         return f0 * g0 + f1 * g1
 
     return quad.integrate(integrand, iv, (*fk, *gk), spec)

@@ -42,7 +42,7 @@ from . import funcspace, quad
 from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
 from .funcspace import DiangleSpan, H1Function, _maybe_scalar, diangle_span
 from .quad import DEFAULT_SPEC, QuadratureSpec
-from .seqmodel import DiangleExpansion, _profile_sum, _profile_table, _reduce_angles, diangle_expansion
+from .seqmodel import DiangleExpansion, _profile_sum, _profile_sums, _profile_table, _reduce_angles, diangle_expansion
 
 __all__ = [
     "REPRODUCING_THETA",
@@ -119,15 +119,24 @@ def _check_classical_interval(a: float, b: float) -> tuple[float, float]:
 
 
 def classical_kernel_eval(a: float, b: float, x, y):
-    """Sobolev kernel on ``[a, b]``: ``cosh(min - a) cosh(b - max) / sinh(b - a)``."""
+    """Sobolev kernel on ``[a, b]``: ``cosh(min - a) cosh(b - max) / sinh(b - a)``.
+
+    An argument below ``a - 1e-12`` or above ``b + 1e-12`` raises
+    :class:`DomainError`; a NaN argument does not, and gives NaN.  The range
+    test is one pass over ``min(x, y)`` and one over ``max(x, y)``; only where
+    it fails (an argument out of range, or a NaN, which ``min`` and ``max``
+    spread to the other argument at its point) are ``x`` and ``y`` read one by one.
+    """
     a, b = _check_classical_interval(a, b)
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     scalar = xa.ndim == 0 and ya.ndim == 0
-    if np.any(xa < a - 1e-12) or np.any(xa > b + 1e-12) or np.any(ya < a - 1e-12) or np.any(ya > b + 1e-12):
-        raise DomainError("kernel arguments must lie in [a, b]")
     lo = np.minimum(xa, ya)
     hi = np.maximum(xa, ya)
+    if not (a - 1e-12 <= lo.min(initial=math.inf) and hi.max(initial=-math.inf) <= b + 1e-12) and (
+        np.any(xa < a - 1e-12) or np.any(xa > b + 1e-12) or np.any(ya < a - 1e-12) or np.any(ya > b + 1e-12)
+    ):
+        raise DomainError("kernel arguments must lie in [a, b]")
     out = np.cosh(lo - a) * np.cosh(b - hi) / math.sinh(b - a)
     return float(out) if scalar else out
 
@@ -557,10 +566,13 @@ class Interpolant(DiangleSpan):
             order = np.argsort(a, kind="stable")
         return self._table(a[order], np.array(self.coeffs, dtype=float)[order])
 
-    def _table(self, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """``_sums`` from nodes ``a`` reduced and sorted, with their coefficients ``c``."""
-        a, c = a.astype(np.longdouble), c.astype(np.longdouble)
-        return a, _profile_table(a, c), self.theta * c.sum()
+    def _table(
+        self, a: np.ndarray, c: np.ndarray, trig: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """``_sums`` from nodes ``a`` reduced and sorted, with their coefficients ``c``;
+        ``trig`` is ``(cos a, sin a)`` in long double when the caller has taken them."""
+        a, c = a.astype(np.longdouble, copy=False), c.astype(np.longdouble)
+        return a, _profile_table(a, c, trig), self.theta * c.sum()
 
     def value(self, x):
         """``theta sum c_j - (pi/2) sum c_j sin|x - y_j|``, in O(log n) per point."""
@@ -573,6 +585,23 @@ class Interpolant(DiangleSpan):
         a, table, _ = self._sums
         out = -_HALF_PI * _profile_sum(a, table, _reduce_angles(xa), derivative=True)
         return _maybe_scalar(out.astype(float), xa.ndim == 0)
+
+    def value_and_derivative(self, x):
+        """Both from one angle reduction, one search of the table and one ``sin``/``cos``.
+
+        ``value`` reads its points unreduced, so a point the reduction moves
+        (``pi/2``, NaN) has its value read again at the point itself.
+        """
+        xa = np.asarray(x, dtype=float)
+        a, table, total = self._sums
+        r = _reduce_angles(xa)
+        profile, slope = _profile_sums(a, table, r)
+        moved = r != xa
+        if moved.any():
+            profile = np.where(moved, _profile_sum(a, table, xa), profile)
+        scalar = xa.ndim == 0
+        value = (total - _HALF_PI * profile).astype(float)
+        return _maybe_scalar(value, scalar), _maybe_scalar((-_HALF_PI * slope).astype(float), scalar)
 
 
 def interpolate(
@@ -587,9 +616,13 @@ def interpolate(
     ``-pi/2`` and ``pi/2`` are one point, so values there must agree to
     ``1e-12`` relative, and the two coefficients there share their sum
     evenly at zero ridge.  With ``ridge == 0``, a node residual above
-    ``1e-8 (1 + max|values|)``, read in long double by ``Interpolant.value``
-    from a table in the Gram system's order (nodes too clustered for double
-    precision), raises :class:`SingularSystemError`: exit 3 in the CLI.
+    ``1e-8 (1 + max|values|)`` (nodes too clustered for double precision)
+    raises :class:`SingularSystemError`: exit 3 in the CLI.  The residual is
+    read in long double off the interpolant's own table, built in the Gram
+    system's order: node ``k`` in that order is row ``k + 1``, read with the
+    ``cos`` and ``sin`` of the node the table took, the bits
+    ``Interpolant.value`` gives; a node at ``pi/2`` reorders as ``-pi/2``, and
+    there ``Interpolant.value`` reads the residual.
     """
     gram = gram_system(nodes, theta, ridge)
     vals = np.asarray(list(values), dtype=float)
@@ -609,8 +642,14 @@ def interpolate(
     result = Interpolant(gram.theta, gram.ridge, gram.nodes, tuple(coeffs.tolist()))
     if gram.ridge == 0.0:
         if -_HALF_PI <= s[0] and s[-1] < _HALF_PI:  # else a node at pi/2 reorders as -pi/2
-            vars(result)["_sums"] = result._table(s, coeffs[order])
-        residual = float(np.abs(result.value(gram.node_array) - vals).max())
+            a = s.astype(np.longdouble)
+            cos, sin = trig = np.array((np.cos(a), np.sin(a)))
+            a, table, total = vars(result)["_sums"] = result._table(a, coeffs[order], trig)
+            # sorted node k reads row k + 1 of the table with its own cos and sin, as ``value`` would
+            fitted = (total - _HALF_PI * (sin * table[0, 1:] - cos * table[1, 1:])).astype(float)
+            residual = float(np.abs(fitted - vals[order]).max())
+        else:
+            residual = float(np.abs(result.value(gram.node_array) - vals).max())
         tol = _RESIDUAL_TOL * scale
         if residual > tol:
             raise SingularSystemError(

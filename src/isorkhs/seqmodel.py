@@ -14,6 +14,8 @@ merged by summing coefficients at construction.
 Expansions, kernel sections, interpolants and body widths are all evaluated
 by ``_profile_sum``: running sums over the sorted angles, built once per
 expansion, give values and right derivatives at ``p`` points in O(m + p log m).
+``_profile_sums`` gives both from one search and one ``sin``/``cos`` of the
+points, for callers (the quadrature route) that read both.
 Sine double sums (inner products, norms, areas) are one O(m) pass, ``_sine_pass``.
 An expansion is a member of the function space as ``funcspace.DiangleSpan``;
 a kernel interpolant is one too, whose table holds its kernel coefficients in
@@ -45,6 +47,7 @@ __all__ = [
     "normalize_angle",
     "expansion_value",
     "expansion_derivative",
+    "expansion_value_and_derivative",
     "seq_inner",
     "seq_norm_squared",
     "sequence_isoperimetric_gap",
@@ -146,17 +149,34 @@ def diangle_expansion(x0: float, terms: Iterable[tuple[float, float]] = ()) -> D
     return DiangleExpansion(x0, tuple(sorted(compress(merged.items(), merged.values()), key=_ANGLE)))
 
 
-def _profile_table(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _profile_table(a: np.ndarray, c: np.ndarray, trig: np.ndarray | None = None) -> np.ndarray:
     """``sum_{j<k} - sum_{j>=k}`` of ``c_j cos a_j`` and of ``c_j sin a_j``, for ``k = 0..m``.
 
-    ``a`` is sorted; trailing axes of ``c`` are columns of coefficients.
+    ``a`` is sorted; trailing axes of ``c`` are columns of coefficients.  ``trig``
+    is ``(cos a, sin a)`` when the caller has taken them already.
     """
     import numpy as np
 
     table = np.zeros((2, a.size + 1) + c.shape[1:], dtype=c.dtype)
-    trig = np.array((np.cos(a), np.sin(a))).reshape((2,) + a.shape + (1,) * (c.ndim - 1))
+    if trig is None:
+        trig = np.array((np.cos(a), np.sin(a)))
+    trig = trig.reshape((2,) + a.shape + (1,) * (c.ndim - 1))
     np.cumsum(trig * c, axis=1, out=table[:, 1:])  # the sums below each k
     return 2.0 * table - table[:, -1:]
+
+
+def _profile_frame(a: np.ndarray, table: np.ndarray, x):
+    """Row ``k = #{a_j <= x}`` of ``_profile_table`` at points ``x``, and ``sin x``, ``cos x``.
+
+    One search, one gather and one ``sin``/``cos`` of the points, which the value
+    and the derivative share; ``x`` is taken in the table's precision.
+    """
+    import numpy as np
+
+    x = np.asarray(x, dtype=table.dtype)
+    dc, ds = np.take(table, np.searchsorted(a, x, side="right"), axis=1)
+    shape = x.shape + (1,) * (table.ndim - 2)
+    return dc, ds, np.sin(x).reshape(shape), np.cos(x).reshape(shape)
 
 
 def _profile_sum(a: np.ndarray, table: np.ndarray, x, derivative: bool = False) -> np.ndarray:
@@ -166,13 +186,14 @@ def _profile_sum(a: np.ndarray, table: np.ndarray, x, derivative: bool = False) 
     negative above, so row ``k = #{a_j <= x}`` gives ``sin x D_c - cos x D_s``, and
     ``cos x D_c + sin x D_s`` for the derivative.  Rounding is ``eps sum|c_j|``.
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=table.dtype)
-    dc, ds = np.take(table, np.searchsorted(a, x, side="right"), axis=1)
-    shape = x.shape + (1,) * (table.ndim - 2)
-    sin, cos = np.sin(x).reshape(shape), np.cos(x).reshape(shape)
+    dc, ds, sin, cos = _profile_frame(a, table, x)
     return cos * dc + sin * ds if derivative else sin * dc - cos * ds
+
+
+def _profile_sums(a: np.ndarray, table: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """``_profile_sum``'s value and right derivative together, from one ``_profile_frame``."""
+    dc, ds, sin, cos = _profile_frame(a, table, x)
+    return sin * dc - cos * ds, cos * dc + sin * ds
 
 
 def expansion_value(e: DiangleExpansion, x) -> np.ndarray:
@@ -183,6 +204,12 @@ def expansion_value(e: DiangleExpansion, x) -> np.ndarray:
 def expansion_derivative(e: DiangleExpansion, x) -> np.ndarray:
     """Derivative at ``x`` reduced modulo pi; the right-hand branch is taken at each kink."""
     return _profile_sum(*e._sums, _reduce_angles(x), derivative=True)
+
+
+def expansion_value_and_derivative(e: DiangleExpansion, x) -> tuple[np.ndarray, np.ndarray]:
+    """``(expansion_value(e, x), expansion_derivative(e, x))`` from one reduction and one frame."""
+    value, slope = _profile_sums(*e._sums, _reduce_angles(x))
+    return e.x0 + value, slope
 
 
 def _sine_pass(rows: Iterable[tuple[float, float, float]]) -> float:

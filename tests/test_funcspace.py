@@ -387,6 +387,91 @@ def test_functionals_of_sampled_members_without_a_derivative_rule(f):
 
 
 # ---------------------------------------------------------------------------
+# one sampling entry: value and derivative together
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)
+
+
+def draw_points(data, special=()):
+    """A scalar, a flat array or a 2-D array of points; ends, zero and ``special`` points drawn often."""
+    point = st.one_of(st.sampled_from([-HALF_PI, HALF_PI, 0.0, -0.0, *special]), st.floats(-HALF_PI, HALF_PI))
+    shape = data.draw(st.sampled_from([(), (7,), (2, 3)]))
+    size = math.prod(shape)
+    pts = data.draw(st.lists(point, min_size=size, max_size=size))
+    return pts[0] if shape == () else np.array(pts).reshape(shape)
+
+
+def assert_value_and_derivative_are_the_two_calls(f, x):
+    value, slope = f.value_and_derivative(x)
+    assert_same_bits(value, f.value(x))
+    assert_same_bits(slope, f.derivative(x))
+
+
+@seed(20231)
+@settings(max_examples=150, deadline=None)
+@given(f=_trig_members(), data=st.data())
+def test_trig_value_and_derivative_match_the_two_calls_bit_for_bit(f, data):
+    assert_value_and_derivative_are_the_two_calls(f, draw_points(data))
+
+
+_spans_and_empty = st.one_of(
+    _span_members(), st.floats(-1.0, 1.0).map(lambda x0: funcspace.diangle_span(x0, []))
+)
+
+
+@seed(20232)
+@settings(max_examples=200, deadline=None)
+@given(f=_spans_and_empty, data=st.data())
+def test_span_value_and_derivative_match_the_two_calls_bit_for_bit(f, data):
+    # the drawn spans have terms at -pi/2 (from +-pi/2) and angles 1e-15 apart; points sit on their kinks
+    assert_value_and_derivative_are_the_two_calls(f, draw_points(data, f.expansion.angles))
+
+
+def test_sampled_value_and_derivative_are_the_two_calls():
+    f = funcspace.sampled(np.cos, kinks=[0.3])
+    x = np.array([-HALF_PI, 0.0, 0.3, HALF_PI])
+    assert_value_and_derivative_are_the_two_calls(f, x)
+
+
+def test_quadrature_searches_each_member_once_per_level(monkeypatch):
+    calls = {"searchsorted": 0, "levels": 0}
+
+    def counted_search(*args, **kwargs):
+        calls["searchsorted"] += 1
+        return search(*args, **kwargs)
+
+    def counted_level(*args, **kwargs):
+        calls["levels"] += 1
+        return level(*args, **kwargs)
+
+    search, level = np.searchsorted, quad._panel_integrals
+    monkeypatch.setattr(np, "searchsorted", counted_search)
+    monkeypatch.setattr(quad, "_panel_integrals", counted_level)
+    f = funcspace.diangle_span(0.4, [(-1.1, 0.8), (0.2, -0.5), (0.9, 0.3)])
+    g = funcspace.diangle_span(-0.2, [(-0.3, 1.2), (1.3, 0.6)])
+    for pair, members in (((f, g), 2), ((f, f), 1)):
+        calls.update(searchsorted=0, levels=0)
+        funcspace.inner_product_iso(*pair, method="quadrature")
+        assert calls["levels"] >= 2 and calls["searchsorted"] == members * calls["levels"]
+
+
+@seed(20233)
+@settings(max_examples=30, deadline=None)
+@given(f=st.one_of(_trig_members(), _span_members()), g=st.one_of(_trig_members(), _span_members()))
+def test_classical_product_of_members_reads_the_rules_bits(f, g):
+    # members sample value and derivative together; their separate rules give the same integral bits
+    for interval in ((-HALF_PI, HALF_PI), (-1.0, 0.5)):
+        got = funcspace.inner_product_classical(f, g, interval=interval)
+        want = funcspace.inner_product_classical(
+            (f.value, f.derivative, f.kinks), (g.value, g.derivative, g.kinks), interval=interval
+        )
+        assert_same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
 # classical Sobolev product
 
 

@@ -91,6 +91,42 @@ def test_classical_reproduction(y):
         assert abs(kernel.classical_reproducing_residual(f, y, 0.0, 1.0)) <= 1e-9
 
 
+_OUT_OF_RANGE = [
+    (arg, side, form)
+    for arg in ("x", "y")
+    for side in ("below", "above")
+    for form in ("scalar", "broadcast")
+]
+
+
+@pytest.mark.parametrize("arg, side, form", _OUT_OF_RANGE, ids=["-".join(c) for c in _OUT_OF_RANGE])
+def test_classical_kernel_rejects_any_one_argument_out_of_range(arg, side, form):
+    point = -2e-12 if side == "below" else 1.0 + 2e-12
+    if form == "scalar":
+        out, inside = point, 0.4
+    else:  # one bad entry of a column, broadcast against a row
+        out, inside = np.array([[0.2], [point], [0.9]]), np.array([0.0, 0.5, 1.0])
+    x, y = (out, inside) if arg == "x" else (inside, out)
+    with pytest.raises(DomainError, match="must lie in"):
+        kernel.classical_kernel_eval(0.0, 1.0, x, y)
+
+
+def test_classical_kernel_takes_points_within_its_slack_and_keeps_nan():
+    ends = np.array([-1e-12, 0.0, 1.0, 1.0 + 1e-12])
+    mat = kernel.classical_kernel_eval(0.0, 1.0, ends[:, None], ends[None, :])
+    assert mat.shape == (4, 4) and np.all(np.isfinite(mat))
+    assert np.array_equal(kernel.classical_kernel_eval(0.0, 1.0, -1e-12, 1.0 + 1e-12), mat[0, 3])
+    # a NaN argument gives NaN at its point and is no domain error, unless a point is out of range
+    assert math.isnan(kernel.classical_kernel_eval(0.0, 1.0, math.nan, 0.5))
+    got = kernel.classical_kernel_eval(0.0, 1.0, np.array([math.nan, 0.2]), 0.5)
+    assert math.isnan(got[0]) and got[1] == kernel.classical_kernel_eval(0.0, 1.0, 0.2, 0.5)
+    # min(x, y) and max(x, y) are NaN where either is: the out-of-range point sits under a NaN
+    for x, y in ((math.nan, 5.0), (np.array([math.nan, 5.0]), 0.5), (np.array([0.5, math.nan]), np.array([0.5, -1.0]))):
+        with pytest.raises(DomainError):
+            kernel.classical_kernel_eval(0.0, 1.0, x, y)
+    assert kernel.classical_kernel_eval(0.0, 1.0, np.zeros(0), 0.5).shape == (0,)
+
+
 def test_gram_examples():
     g = kernel.gram_system([-QUARTER_PI, QUARTER_PI])
     expected = np.array([[2.0, 2.0 - HALF_PI], [2.0 - HALF_PI, 2.0]])
@@ -485,6 +521,59 @@ def test_a_shuffled_node_set_permutes_the_solution_bit_for_bit(case):
             assert np.array_equal(kernel.power_function(h, grid), power)
         tol = rounding * g.max_eig
         assert abs(h.min_eig - g.min_eig) <= tol and abs(h.max_eig - g.max_eig) <= tol
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in _shuffled_cases() if not c[3]], ids=lambda case: f"n{case[0].size}-t{case[2]}"
+)
+def test_the_residual_guard_reads_the_bits_value_gives(case, monkeypatch):
+    # the guard reads node values off the table rows; a record read back evaluates them through
+    # Interpolant.value, and the residual both give is printed with the error, so it must be the same bits
+    x, values, theta, _ = case
+    p = np.random.default_rng(x.size).permutation(x.size)
+    x, values = x[p], values[p]
+    coeffs = kernel.gram_system(x.tolist(), theta).solve(values)
+    record = kernel.Interpolant(theta, 0.0, tuple(x.tolist()), tuple(coeffs.tolist()))
+    residual = float(np.abs(record.value(x) - values).max())
+    monkeypatch.setattr(kernel, "_RESIDUAL_TOL", -1.0)  # every residual fails, so the message shows it
+    with pytest.raises(SingularSystemError, match=f"residual {residual!r} exceeds"):
+        kernel.interpolate(x.tolist(), values.tolist(), theta)
+
+
+@st.composite
+def _interpolants(draw):
+    """Interpolants from ``interpolate`` on shuffled nodes (plain, with a node at pi/2, triples 1e-6 apart,
+    with a ridge) or read back from their records."""
+    kind = draw(st.sampled_from(["plain", "half-pi", "triples", "ridge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 9))
+    nodes = -HALF_PI + (np.arange(n) + rng.uniform(0.1, 0.9, n)) * (math.pi / n)
+    if kind == "triples":
+        nodes = (nodes[:, None] * 0.95 + 1e-6 * np.arange(3)).ravel()
+    elif kind == "half-pi":
+        nodes[-1] = HALF_PI
+    nodes = nodes[rng.permutation(nodes.size)]
+    itp = kernel.interpolate(
+        nodes.tolist(), rng.uniform(-2.0, 2.0, nodes.size).tolist(), draw(st.sampled_from([1.0, 2.0, 5.0])),
+        1e-3 if kind == "ridge" else 0.0,
+    )
+    if draw(st.booleans()):
+        itp = serialization.read_interpolant(json.loads(json.dumps(serialization.write_interpolant(itp))))
+    return itp
+
+
+@seed(20234)
+@settings(max_examples=150, deadline=None)
+@given(itp=_interpolants(), data=st.data())
+def test_interpolant_value_and_derivative_match_the_two_calls_bit_for_bit(itp, data):
+    # points on the nodes and at +-pi/2, where value reads its point unreduced and the derivative reduced
+    point = st.one_of(st.sampled_from([-HALF_PI, HALF_PI, 0.0, *itp.nodes]), st.floats(-HALF_PI, HALF_PI))
+    shape = data.draw(st.sampled_from([(), (7,), (2, 3)]))
+    pts = data.draw(st.lists(point, min_size=math.prod(shape), max_size=math.prod(shape)))
+    x = pts[0] if shape == () else np.array(pts).reshape(shape)
+    value, slope = itp.value_and_derivative(x)
+    for got, want in ((value, itp.value(x)), (slope, itp.derivative(x))):
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_gram_scales_to_many_nodes():
