@@ -21,9 +21,9 @@ arguments' kinks as breakpoints and makes one stacked pass per functional:
 rows ``f, g, f g, f' g'`` for an inner product and ``f, f^2, f'^2`` for a
 single member's integral and energy, each row to its own tolerance.  It
 samples each member once per level, through ``value_and_derivative``: a
-series takes one ``sin`` and one ``cos`` of its phases ``m x``, and a span
-one angle reduction, one table search and one ``sin``/``cos`` of the points,
-for the value and the derivative together.
+span takes one angle reduction, one table search and one ``sin``/``cos`` of
+the points for the value and the derivative together; other members make
+the two calls.
 
 The exact path is built on two quantities.  ``int f`` is ``sum a_k J(k)``
 for a series (``J(p) = int cos(p t)``) and ``pi x0 + 2 S`` for a span with
@@ -166,39 +166,25 @@ class TrigPoly(H1Function):
         c = np.array([*compress(cc, cc), *compress(sc, sc)])
         object.__setattr__(self, "_terms", (np.array(m, dtype=np.intp), c, np.repeat(_KINDS, (ncos, len(m) - ncos))))
 
-    def _phases(self, x) -> np.ndarray:
-        """``m x``: one row per nonzero term at the flattened points ``x``."""
-        return np.multiply.outer(self._terms[0], np.ravel(np.asarray(x, dtype=float)))
-
-    def _basis(self, mx: np.ndarray, swap: bool, out: np.ndarray) -> np.ndarray:
-        """``cos(m x)`` in a cosine term's row of ``out``, ``sin(m x)`` in a sine term's, from the
-        phases ``mx`` (which may be ``out``); ``swap`` exchanges ``cos`` and ``sin``."""
-        k = np.count_nonzero(self._terms[2] > 0)
+    def _basis(self, x, swap: bool) -> np.ndarray:
+        """One row per nonzero term at the flattened points ``x``: ``cos(m x)`` for a cosine
+        term, ``sin(m x)`` for a sine term; ``swap`` exchanges ``cos`` and ``sin``."""
+        m, _, s = self._terms
+        rows = np.multiply.outer(m, np.ravel(np.asarray(x, dtype=float)))
+        k = np.count_nonzero(s > 0)
         first, second = (np.sin, np.cos) if swap else (np.cos, np.sin)
-        first(mx[:k], out=out[:k])
-        second(mx[k:], out=out[k:])
-        return out
-
-    @staticmethod
-    def _at(weights: np.ndarray, rows: np.ndarray, x):
-        """``weights @ rows``, shaped as the points ``x``."""
-        return _maybe_scalar((weights @ rows).reshape(np.shape(x)), np.ndim(x) == 0)
+        first(rows[:k], out=rows[:k])
+        second(rows[k:], out=rows[k:])
+        return rows
 
     def value(self, x):
-        mx = self._phases(x)
-        return self._at(self._terms[1], self._basis(mx, False, mx), x)
+        _, c, _ = self._terms
+        return _maybe_scalar((c @ self._basis(x, False)).reshape(np.shape(x)), np.ndim(x) == 0)
 
     def derivative(self, x):
         m, c, s = self._terms
-        mx = self._phases(x)
-        return self._at(-s * m * c, self._basis(mx, True, mx), x)
-
-    def value_and_derivative(self, x):
-        """Both from one ``m x``, with one ``sin`` and one ``cos`` of each phase."""
-        m, c, s = self._terms
-        mx = self._phases(x)
-        value = self._at(c, self._basis(mx, False, np.empty_like(mx)), x)
-        return value, self._at(-s * m * c, self._basis(mx, True, mx), x)
+        out = (-s * m * c) @ self._basis(x, True)
+        return _maybe_scalar(out.reshape(np.shape(x)), np.ndim(x) == 0)
 
 
 @dataclass(frozen=True)

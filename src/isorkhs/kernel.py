@@ -42,7 +42,14 @@ from . import funcspace, quad
 from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
 from .funcspace import DiangleSpan, H1Function, _maybe_scalar, diangle_span
 from .quad import DEFAULT_SPEC, QuadratureSpec
-from .seqmodel import DiangleExpansion, _profile_sum, _profile_sums, _profile_table, _reduce_angles, diangle_expansion
+from .seqmodel import (
+    DiangleExpansion,
+    _profile_sum,
+    _profile_table,
+    _profile_table_at_nodes,
+    _reduce_angles,
+    diangle_expansion,
+)
 
 __all__ = [
     "REPRODUCING_THETA",
@@ -118,6 +125,12 @@ def _check_classical_interval(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
+def _check_classical_range(a: float, b: float, *args: np.ndarray) -> None:
+    """Raise :class:`DomainError` if an argument has a point below ``a - 1e-12`` or above ``b + 1e-12``."""
+    if any(np.any(v < a - 1e-12) or np.any(v > b + 1e-12) for v in args):
+        raise DomainError("kernel arguments must lie in [a, b]")
+
+
 def classical_kernel_eval(a: float, b: float, x, y):
     """Sobolev kernel on ``[a, b]``: ``cosh(min - a) cosh(b - max) / sinh(b - a)``.
 
@@ -125,18 +138,21 @@ def classical_kernel_eval(a: float, b: float, x, y):
     :class:`DomainError`; a NaN argument does not, and gives NaN.  The range
     test is one pass over ``min(x, y)`` and one over ``max(x, y)``; only where
     it fails (an argument out of range, or a NaN, which ``min`` and ``max``
-    spread to the other argument at its point) are ``x`` and ``y`` read one by one.
+    spread to the other argument at its point) are ``x`` and ``y`` read one by one,
+    as they are before NumPy's error when the two shapes do not broadcast.
     """
     a, b = _check_classical_interval(a, b)
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     scalar = xa.ndim == 0 and ya.ndim == 0
-    lo = np.minimum(xa, ya)
-    hi = np.maximum(xa, ya)
-    if not (a - 1e-12 <= lo.min(initial=math.inf) and hi.max(initial=-math.inf) <= b + 1e-12) and (
-        np.any(xa < a - 1e-12) or np.any(xa > b + 1e-12) or np.any(ya < a - 1e-12) or np.any(ya > b + 1e-12)
-    ):
-        raise DomainError("kernel arguments must lie in [a, b]")
+    try:
+        lo = np.minimum(xa, ya)
+        hi = np.maximum(xa, ya)
+    except ValueError:
+        _check_classical_range(a, b, xa, ya)
+        raise
+    if not (a - 1e-12 <= lo.min(initial=math.inf) and hi.max(initial=-math.inf) <= b + 1e-12):
+        _check_classical_range(a, b, xa, ya)
     out = np.cosh(lo - a) * np.cosh(b - hi) / math.sinh(b - a)
     return float(out) if scalar else out
 
@@ -564,15 +580,8 @@ class Interpolant(DiangleSpan):
         if a.size and not (-_HALF_PI <= a[order[0]] and a[order[-1]] < _HALF_PI):
             a = _reduce_angles(a)  # a node at pi/2 is the kink at -pi/2
             order = np.argsort(a, kind="stable")
-        return self._table(a[order], np.array(self.coeffs, dtype=float)[order])
-
-    def _table(
-        self, a: np.ndarray, c: np.ndarray, trig: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """``_sums`` from nodes ``a`` reduced and sorted, with their coefficients ``c``;
-        ``trig`` is ``(cos a, sin a)`` in long double when the caller has taken them."""
-        a, c = a.astype(np.longdouble, copy=False), c.astype(np.longdouble)
-        return a, _profile_table(a, c, trig), self.theta * c.sum()
+        a, c = a[order].astype(np.longdouble), np.array(self.coeffs, dtype=np.longdouble)[order]
+        return a, _profile_table(a, c), self.theta * c.sum()
 
     def value(self, x):
         """``theta sum c_j - (pi/2) sum c_j sin|x - y_j|``, in O(log n) per point."""
@@ -586,22 +595,8 @@ class Interpolant(DiangleSpan):
         out = -_HALF_PI * _profile_sum(a, table, _reduce_angles(xa), derivative=True)
         return _maybe_scalar(out.astype(float), xa.ndim == 0)
 
-    def value_and_derivative(self, x):
-        """Both from one angle reduction, one search of the table and one ``sin``/``cos``.
-
-        ``value`` reads its points unreduced, so a point the reduction moves
-        (``pi/2``, NaN) has its value read again at the point itself.
-        """
-        xa = np.asarray(x, dtype=float)
-        a, table, total = self._sums
-        r = _reduce_angles(xa)
-        profile, slope = _profile_sums(a, table, r)
-        moved = r != xa
-        if moved.any():
-            profile = np.where(moved, _profile_sum(a, table, xa), profile)
-        scalar = xa.ndim == 0
-        value = (total - _HALF_PI * profile).astype(float)
-        return _maybe_scalar(value, scalar), _maybe_scalar((-_HALF_PI * slope).astype(float), scalar)
+    # the two calls on ``_sums``: the span's shared sampling would read the double ``expansion``
+    value_and_derivative = H1Function.value_and_derivative
 
 
 def interpolate(
@@ -642,12 +637,11 @@ def interpolate(
     result = Interpolant(gram.theta, gram.ridge, gram.nodes, tuple(coeffs.tolist()))
     if gram.ridge == 0.0:
         if -_HALF_PI <= s[0] and s[-1] < _HALF_PI:  # else a node at pi/2 reorders as -pi/2
-            a = s.astype(np.longdouble)
-            cos, sin = trig = np.array((np.cos(a), np.sin(a)))
-            a, table, total = vars(result)["_sums"] = result._table(a, coeffs[order], trig)
-            # sorted node k reads row k + 1 of the table with its own cos and sin, as ``value`` would
-            fitted = (total - _HALF_PI * (sin * table[0, 1:] - cos * table[1, 1:])).astype(float)
-            residual = float(np.abs(fitted - vals[order]).max())
+            a, c = s.astype(np.longdouble), coeffs[order].astype(np.longdouble)
+            table, profile = _profile_table_at_nodes(a, c)
+            total = gram.theta * c.sum()
+            vars(result)["_sums"] = a, table, total
+            residual = float(np.abs((total - _HALF_PI * profile).astype(float) - vals[order]).max())
         else:
             residual = float(np.abs(result.value(gram.node_array) - vals).max())
         tol = _RESIDUAL_TOL * scale

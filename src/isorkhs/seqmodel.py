@@ -149,20 +149,37 @@ def diangle_expansion(x0: float, terms: Iterable[tuple[float, float]] = ()) -> D
     return DiangleExpansion(x0, tuple(sorted(compress(merged.items(), merged.values()), key=_ANGLE)))
 
 
-def _profile_table(a: np.ndarray, c: np.ndarray, trig: np.ndarray | None = None) -> np.ndarray:
+def _profile_table(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``sum_{j<k} - sum_{j>=k}`` of ``c_j cos a_j`` and of ``c_j sin a_j``, for ``k = 0..m``.
 
-    ``a`` is sorted; trailing axes of ``c`` are columns of coefficients.  ``trig``
-    is ``(cos a, sin a)`` when the caller has taken them already.
+    ``a`` is sorted; trailing axes of ``c`` are columns of coefficients.
     """
     import numpy as np
 
-    table = np.zeros((2, a.size + 1) + c.shape[1:], dtype=c.dtype)
-    if trig is None:
-        trig = np.array((np.cos(a), np.sin(a)))
-    trig = trig.reshape((2,) + a.shape + (1,) * (c.ndim - 1))
+    return _trig_table(np.array((np.cos(a), np.sin(a))), c)
+
+
+def _trig_table(trig: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``_profile_table`` from ``trig``, the ``(cos a, sin a)`` of its sorted angles."""
+    import numpy as np
+
+    table = np.zeros((2, trig.shape[1] + 1) + c.shape[1:], dtype=c.dtype)
+    trig = trig.reshape(trig.shape + (1,) * (c.ndim - 1))
     np.cumsum(trig * c, axis=1, out=table[:, 1:])  # the sums below each k
     return 2.0 * table - table[:, -1:]
+
+
+def _profile_table_at_nodes(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_profile_table(a, c)`` and ``_profile_sum(a, table, a)``, bit for bit, for distinct sorted ``a``.
+
+    One ``cos``/``sin`` of ``a`` serves both: angle ``k`` reads row ``k + 1``,
+    the row ``_profile_sum``'s search finds there.
+    """
+    import numpy as np
+
+    cos, sin = trig = np.array((np.cos(a), np.sin(a)))
+    table = _trig_table(trig, c)
+    return table, sin * table[0, 1:] - cos * table[1, 1:]
 
 
 def _profile_frame(a: np.ndarray, table: np.ndarray, x):

@@ -127,6 +127,15 @@ def test_classical_kernel_takes_points_within_its_slack_and_keeps_nan():
     assert kernel.classical_kernel_eval(0.0, 1.0, np.zeros(0), 0.5).shape == (0,)
 
 
+def test_classical_kernel_checks_the_range_before_shapes_that_do_not_broadcast():
+    inside, three = np.array([0.1, 0.5]), np.array([0.2, 0.4, 0.6])
+    for x, y in ((np.array([0.2, 1.5, 0.6]), inside), (inside, np.array([-0.5, 0.4, 0.6]))):
+        with pytest.raises(DomainError, match="must lie in"):
+            kernel.classical_kernel_eval(0.0, 1.0, x, y)
+    with pytest.raises(ValueError, match="broadcast"):
+        kernel.classical_kernel_eval(0.0, 1.0, three, inside)
+
+
 def test_gram_examples():
     g = kernel.gram_system([-QUARTER_PI, QUARTER_PI])
     expected = np.array([[2.0, 2.0 - HALF_PI], [2.0 - HALF_PI, 2.0]])
