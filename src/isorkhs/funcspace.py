@@ -546,8 +546,10 @@ def holder_ratio(
 ):
     """``|f(x+h) - f(x)| / (sqrt(pi) ||f|| sqrt(|h|))``; at most 1 on the space.
 
-    Vectorizes over broadcastable ``x`` and ``h``.  Pass a precomputed
-    ``norm`` when sweeping grids.
+    Vectorizes over broadcastable ``x`` and ``h``.  A sweep reads ``f`` once,
+    by one ``f.value`` call at the distinct points of ``x`` and ``x + h``
+    (a grid of pairs shares its points).  Pass a precomputed ``norm`` when
+    sweeping grids.
     """
     xa = np.asarray(x, dtype=float)
     ha = np.asarray(h, dtype=float)
@@ -561,7 +563,9 @@ def holder_ratio(
         norm = norm_iso(f, spec=spec)
     lo = np.clip(xa, -_HALF_PI, _HALF_PI)
     hi = np.clip(xa + ha, -_HALF_PI, _HALF_PI)
-    num = np.abs(f.value(hi) - f.value(lo))
+    points, where = np.unique(np.concatenate((lo.ravel(), hi.ravel())), return_inverse=True)
+    values = f.value(points)[where]
+    num = np.abs(values[lo.size :] - values[: lo.size]).reshape(lo.shape)
     if norm == 0.0:
         if float(np.max(num, initial=0.0)) > 1e-12:
             raise InvariantViolationError("zero-norm member with a nonzero increment")

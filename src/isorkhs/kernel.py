@@ -103,15 +103,26 @@ def kernel_function(theta: float, y: float) -> DiangleSpan:
 
 def reproducing_residual(
     f: H1Function,
-    y: float,
+    y,
     theta: float = REPRODUCING_THETA,
     method: str = "auto",
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """``<f, K_theta(., y)> - f(y)``; zero at ``theta = 2`` for members."""
-    section = kernel_function(theta, y)
-    inner = funcspace.inner_product_iso(f, section, method=method, spec=spec)
-    return inner - float(f.value(float(y)))
+):
+    """``<f, K_theta(., y)> - f(y)``; zero at ``theta = 2`` for members.
+
+    ``y`` is a point or an array of points, and the result a float or an
+    array of ``y``'s shape.  A sweep reads ``f`` once for its values, by one
+    ``f.value`` call at all the points; the sections and their inner
+    products are formed point by point.  A span's values are elementwise, so
+    each entry is the scalar call's bits.  The first point outside the
+    domain, or NaN, raises the scalar call's :class:`DomainError`.
+    """
+    theta = _check_theta(theta)
+    ya = np.asarray(y, dtype=float)
+    sections = [kernel_function(theta, t) for t in ya.ravel().tolist()]
+    inner = [funcspace.inner_product_iso(f, s, method=method, spec=spec) for s in sections]
+    out = np.reshape(inner, ya.shape) - f.value(ya)
+    return float(out) if ya.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -157,47 +168,77 @@ def classical_kernel_eval(a: float, b: float, x, y):
     return float(out) if scalar else out
 
 
-def classical_kernel_function(a: float, b: float, y: float):
-    """The section as a ``(value, derivative, kinks)`` triple on ``[a, b]``.
+def _check_section_points(a: float, b: float, y: np.ndarray) -> None:
+    """Raise :class:`DomainError` at the first point of ``y`` that is NaN or more than ``1e-12`` outside ``[a, b]``."""
+    inside = (y >= a - 1e-12) & (y <= b + 1e-12)
+    if not inside.all():
+        raise DomainError(f"section point outside [a, b]: {float(y[~inside][0])!r}")
 
-    The derivative takes the right-hand branch at the kink ``x = y``.
+
+def _classical_sections(a: float, b: float, y):
+    """Value and right-hand derivative rules of the sections at ``y``, broadcast against the points.
+
+    A column ``y`` of ``k`` points gives ``(k, n)`` rows at ``n`` points.
     """
-    a, b = _check_classical_interval(a, b)
-    y = float(y)
-    if y < a - 1e-12 or y > b + 1e-12:
-        raise DomainError(f"section point outside [a, b]: {y!r}")
     s = math.sinh(b - a)
+    cosh_a, cosh_b = np.cosh(y - a), np.cosh(b - y)
 
     def value(x):
         return classical_kernel_eval(a, b, x, y)
 
     def derivative(x):
         xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        left = xa < y
-        out = np.where(
-            left,
-            np.sinh(xa - a) * math.cosh(b - y),
-            -math.cosh(y - a) * np.sinh(b - xa),
-        ) / s
-        return float(out) if scalar else out
+        out = np.where(xa < y, np.sinh(xa - a) * cosh_b, -cosh_a * np.sinh(b - xa)) / s
+        return _maybe_scalar(out, out.ndim == 0)
 
-    return value, derivative, (y,)
+    return value, derivative
+
+
+def classical_kernel_function(a: float, b: float, y: float):
+    """The section as a ``(value, derivative, kinks)`` triple on ``[a, b]``.
+
+    The derivative takes the right-hand branch at the kink ``x = y``.  A
+    section point that is NaN or outside ``[a, b]`` by more than ``1e-12``
+    raises :class:`DomainError`.
+    """
+    a, b = _check_classical_interval(a, b)
+    y = float(y)
+    _check_section_points(a, b, np.asarray(y))
+    return (*_classical_sections(a, b, y), (y,))
 
 
 def classical_reproducing_residual(
     f,
-    y: float,
+    y,
     a: float = 0.0,
     b: float = 1.0,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """``int (f k_y + f' k_y') - f(y)`` over ``[a, b]``; zero for H^1 members."""
+):
+    """``int (f k_y + f' k_y') - f(y)`` over ``[a, b]``; zero for H^1 members.
+
+    ``y`` is a point or an array of points, and the result a float or an
+    array of ``y``'s shape.  The inner products of a sweep are one stacked
+    :func:`quad.integrate`, one row per point, each row to its own tolerance,
+    on panels broken at every interior point and at ``f``'s kinks, so ``f``
+    is read once per level; its values at the points come from one more
+    call.  The first point that is NaN or outside ``[a, b]`` by more than
+    ``1e-12`` raises the scalar call's :class:`DomainError`.
+    """
     a, b = _check_classical_interval(a, b)
-    section = classical_kernel_function(a, b, y)
-    inner = funcspace.inner_product_classical(f, section, interval=(a, b), spec=spec)
-    fv, _, _ = funcspace._as_rule(f, quad.Interval(a, b))
-    return inner - float(quad.sample(fv, np.asarray(float(y))))
+    ya = np.asarray(y, dtype=float)
+    pts = ya.ravel()
+    _check_section_points(a, b, pts)
+    iv = quad.Interval(a, b)
+    fv, f_both, kinks = funcspace._as_rule(f, iv)
+    k_value, k_slope = _classical_sections(a, b, ya if ya.ndim == 0 else pts[:, None])
+
+    def rows(x):
+        f0, f1 = f_both(x)
+        return f0 * k_value(x) + f1 * k_slope(x)
+
+    inner = quad.integrate(rows, iv, (*kinks, *pts.tolist()), spec)
+    out = np.reshape(inner, ya.shape) - quad.sample(fv, ya)
+    return float(out) if ya.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +427,7 @@ class _Cycle:
         w = t + np.concatenate((t[-1:], t[:-1]))
         return _ldl(diag.tolist(), sub.tolist(), float(corner), r * self.beta, (e * w).tolist())
 
-    def _solve_sorted(self, y: np.ndarray) -> np.ndarray:
+    def _solve_step(self, y: np.ndarray) -> np.ndarray:
         """One solve in sorted node order; merged endpoints give the mean of their right-hand sides.
 
         Their coefficient splits evenly at zero ridge (the least-norm split); a
@@ -403,19 +444,23 @@ class _Cycle:
             c = np.concatenate(((0.5 * c[0] + split)[None], c[1:], (0.5 * c[0] - split)[None]))
         return c
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """``c = P v`` at zero ridge, ``c = P (I + r P)^{-1} v`` for ridge ``r``, in node order.
+    def solve_sorted(self, y: np.ndarray) -> np.ndarray:
+        """``c = P v`` at zero ridge, ``c = P (I + r P)^{-1} v`` for ridge ``r``, rows in sorted node order.
 
         ``I + r P`` has entries of size ``r / gap``, so its solve loses the
         smooth directions to rounding when nodes cluster; one step of
         refinement against ``(K + r I) c``, applied in O(n), restores them.
         """
-        y = y[self.order]
-        c = self._solve_sorted(y)
+        c = self._solve_step(y)
         if self.ridge:
             x = self.sorted
             kc = self.theta * c.sum(axis=0) - _HALF_PI * _profile_sum(x, _profile_table(x, c), x)
-            c += self._solve_sorted(y - kc - self.ridge * c)
+            c += self._solve_step(y - kc - self.ridge * c)
+        return c
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`solve_sorted` with rows in node order."""
+        c = self.solve_sorted(y[self.order])
         out = np.empty_like(c)
         out[self.order] = c
         return out
@@ -660,7 +705,8 @@ def power_function(gram: GramSystem, x):
     Vectorizes over ``x``.  At zero ridge ``p(x)^2 = 1 / P_aug[x, x]``, read
     in O(1) per point from the two gaps ``x`` splits (the quadratic form
     would leave ``p`` near ``1e-7`` at the nodes); with a ridge it is the
-    quadratic form over ``GramSystem.solve``.
+    quadratic form over the Gram system's solve, summed over the nodes in
+    the system's sorted order, so the node order given does not reach it.
     """
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
@@ -672,7 +718,8 @@ def power_function(gram: GramSystem, x):
     elif not gram.ridge:
         out = np.sqrt(gram._certified_cycle().power_squared(pts))
     else:
-        cols = gram.kernel_column(pts)  # (n_pts, n_nodes)
-        quad_form = np.einsum("ij,ji->i", cols, gram.solve(cols.T))
+        cols = kernel_eval(pts[..., None], gram._sorted, gram.theta)  # (n_pts, n_nodes), nodes sorted
+        solved = gram._certified_cycle().solve_sorted(np.ascontiguousarray(cols.T))
+        quad_form = np.einsum("ij,ji->i", cols, solved)
         out = np.sqrt(np.maximum(0.0, gram.theta - quad_form))
     return float(out[0]) if scalar else out

@@ -216,17 +216,16 @@ def _suite_reproducing(rng: SplitMix64) -> list[Check]:
 
     exact_res = 0.0
     for f in members:
-        for y in ys:
-            r = kernel.reproducing_residual(f, float(y), method="exact")
-            exact_res = max(exact_res, abs(r))
+        r = kernel.reproducing_residual(f, ys, method="exact")
+        exact_res = max(exact_res, float(np.max(np.abs(r))))
     checks.append(Check("reproducing/exact-residual", exact_res, 1e-10, "<="))
 
     quad_res = 0.0
     smooth = [trig_poly([0.0, 1.0]), trig_poly([0.0, 0.0, 1.0], [0.0, 0.3])]
+    quad_ys = np.array([-1.3, -0.8, -0.2, 0.0, 0.4, 1.0, 1.5])
     for f in smooth:
-        for y in (-1.3, -0.8, -0.2, 0.0, 0.4, 1.0, 1.5):
-            r = kernel.reproducing_residual(f, y, method="quadrature")
-            quad_res = max(quad_res, abs(r))
+        r = kernel.reproducing_residual(f, quad_ys, method="quadrature")
+        quad_res = max(quad_res, float(np.max(np.abs(r))))
     checks.append(Check("reproducing/quadrature-residual", quad_res, 1e-7, "<="))
 
     grid = np.linspace(-_HALF_PI, _HALF_PI, 21)
@@ -569,10 +568,10 @@ def _suite_classical(rng: SplitMix64) -> list[Check]:
         (np.exp, np.exp),
     ]
     res = 0.0
+    ys = np.array([0.0, 0.3, 0.7, 1.0])
     for f in members:
-        for y in (0.0, 0.3, 0.7, 1.0):
-            r = kernel.classical_reproducing_residual(f, y, 0.0, 1.0)
-            res = max(res, abs(r))
+        r = kernel.classical_reproducing_residual(f, ys, 0.0, 1.0)
+        res = max(res, float(np.max(np.abs(r))))
     checks.append(Check("classical/reproduction-residual", res, 1e-7, "<="))
 
     grid = np.linspace(0.0, 1.0, 17)

@@ -539,6 +539,60 @@ def test_holder_ratio_near_extremal():
     assert float(r) <= 1.0 + 1e-9
 
 
+def _value_rounding(f):
+    """How far a series' value may move with the number of points evaluated together: two
+    summation orders of ``sum c_k b_k(x)`` and an ulp in each basis value; 0 for a span."""
+    if isinstance(f, funcspace.DiangleSpan):
+        return 0.0
+    _, c, _ = f._terms
+    return 2.0 * (c.size + 1) * np.finfo(float).eps * float(np.abs(c).sum())
+
+
+@seed(20243)
+@settings(max_examples=100, deadline=None)
+@given(f=st.one_of(_trig_members(), _span_members()), data=st.data())
+def test_holder_sweep_matches_the_direct_formula(f, data):
+    # pairs drawn from a few points, so that the sweep shares them, ends and kinks among them
+    pool = [-HALF_PI, HALF_PI, 0.0, *f.kinks]
+    pool += data.draw(st.lists(st.floats(-HALF_PI, HALF_PI), min_size=1, max_size=4))
+    pair = st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(lambda p: p[0] != p[1])
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=12))
+    x = np.array([p for p, _ in pairs])
+    h = np.array([q for _, q in pairs]) - x
+    n = funcspace.norm_iso(f, method="exact")
+    if n == 0.0:
+        return
+    got = funcspace.holder_ratio(f, x, h, norm=n)
+    lo, hi = np.clip(x, -HALF_PI, HALF_PI), np.clip(x + h, -HALF_PI, HALF_PI)
+    scale = math.sqrt(math.pi) * n * np.sqrt(np.abs(h))
+    want = np.abs(f.value(hi) - f.value(lo)) / scale
+    bound = _value_rounding(f)
+    assert np.array_equal(got, want) if bound == 0.0 else np.all(np.abs(got - want) <= 2.0 * bound / scale)
+    one = funcspace.holder_ratio(f, float(x[0]), float(h[0]), norm=n)
+    assert type(one) is float and abs(one - want[0]) <= 2.0 * bound / scale[0]
+
+
+def test_holder_ratio_reads_the_member_once_at_the_distinct_points():
+    calls = []
+    f = funcspace.sampled(lambda t: calls.append(np.size(t)) or np.cos(2.0 * t))
+    calls.clear()  # the constructor samples the rule
+    grid = np.linspace(-HALF_PI, HALF_PI, 21)
+    px, py = np.meshgrid(grid, grid, indexing="ij")
+    mask = py > px
+    funcspace.holder_ratio(f, px[mask], (py - px)[mask], norm=1.0)
+    assert calls == [21]
+
+
+def test_holder_sweep_raises_what_the_scalar_call_at_its_bad_pair_raises():
+    p = funcspace.diangle(0.0)
+    for x, h in (([0.1, 1.5, 0.0], [0.2, 0.5, 0.1]), ([0.1, math.nan, 0.0], [0.2, 0.5, 0.1]), ([0.1, 0.2], [0.3, 0.0])):
+        with pytest.raises(DomainError) as scalar:
+            funcspace.holder_ratio(p, x[1], h[1])
+        with pytest.raises(DomainError) as sweep:
+            funcspace.holder_ratio(p, np.array(x), np.array(h))
+        assert str(sweep.value) == str(scalar.value)
+
+
 def test_holder_ratio_validation():
     p = funcspace.diangle(0.0)
     with pytest.raises(DomainError):

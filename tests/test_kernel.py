@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from isorkhs import funcspace, kernel, serialization
+from isorkhs import funcspace, kernel, quad, serialization
 from isorkhs.errors import DomainError, InputError, SingularSystemError
 from isorkhs.rng import SplitMix64
 
@@ -68,6 +68,160 @@ def test_off_reproducing_residual_is_mean_scaled():
     for theta in (1.0, 1.5, 3.0):
         r = kernel.reproducing_residual(f, 0.3, theta=theta, method="exact")
         assert abs(r - (theta - 2.0) * (2.0 / math.pi)) <= 1e-12
+
+
+@st.composite
+def _members(draw):
+    """A span (a kernel section, terms at +-pi/2 or 1e-15 apart) or a series of up to 6 terms."""
+    kind = draw(st.sampled_from(["span", "section", "series"]))
+    angle = st.one_of(st.sampled_from([-HALF_PI, HALF_PI, 0.0]), st.floats(-HALF_PI, HALF_PI))
+    if kind == "section":
+        return kernel.kernel_function(2.0, draw(angle))
+    if kind == "span":
+        terms = draw(st.lists(st.tuples(angle, st.floats(-1.0, 1.0)), max_size=6))
+        if terms and draw(st.booleans()):
+            terms.append((terms[0][0] + 1e-15, draw(st.floats(-1.0, 1.0))))
+        return funcspace.diangle_span(draw(st.floats(-1.0, 1.0)), terms)
+    cos, sin = [0.0] * 40, [0.0] * 40
+    for k, c in draw(st.lists(st.tuples(st.integers(0, 39), st.floats(-1.0, 1.0)), min_size=1, max_size=3)):
+        cos[k] += c
+    for k, c in draw(st.lists(st.tuples(st.integers(0, 39), st.floats(-1.0, 1.0)), max_size=3)):
+        sin[k] += c
+    return funcspace.trig_poly(*funcspace.project_endpoints(cos, sin))
+
+
+def _value_rounding(f):
+    """How far a series' value may move with the number of points evaluated together.
+
+    ``sum_k c_k b_k(x)`` summed in two orders differs by at most ``k eps sum|c|``
+    for ``|b_k| <= 1``, and an ulp in each basis value adds ``eps sum|c|``; a span's
+    values are elementwise, so its bound is 0.
+    """
+    if isinstance(f, funcspace.DiangleSpan):
+        return 0.0
+    _, c, _ = f._terms
+    return 2.0 * (c.size + 1) * np.finfo(float).eps * float(np.abs(c).sum())
+
+
+def _sweep_points(data, lo, hi, special=()):
+    """A scalar, or an empty, flat or 2-D array of points in ``[lo, hi]``: ends, repeats and ``special`` drawn often.
+
+    No subnormal points: a panel that narrow does not converge (see CHANGES).
+    """
+    shape = data.draw(st.sampled_from([(), (0,), (1,), (7,), (2, 3)]))
+    size = math.prod(shape)
+    within = st.floats(lo, hi, allow_subnormal=False)
+    pool = data.draw(st.lists(within, min_size=1, max_size=3))  # repeated points
+    point = st.one_of(st.sampled_from([lo, hi, *pool, *special]), within)
+    pts = data.draw(st.lists(point, min_size=size, max_size=size))
+    return pts[0] if shape == () else np.array(pts).reshape(shape)
+
+
+@seed(20241)
+@settings(max_examples=120, deadline=None)
+@given(f=_members(), data=st.data())
+def test_reproducing_sweep_is_the_scalar_calls(f, data):
+    # the exact route: a span's residuals are the scalar calls' bits, a series' within its value rounding
+    kinks = f.expansion.angles if isinstance(f, funcspace.DiangleSpan) else ()
+    y = _sweep_points(data, -HALF_PI, HALF_PI, kinks)
+    got = kernel.reproducing_residual(f, y, method="exact")
+    if np.ndim(y) == 0:
+        assert type(got) is float
+        return
+    want = np.array([kernel.reproducing_residual(f, float(t), method="exact") for t in y.ravel()]).reshape(y.shape)
+    assert isinstance(got, np.ndarray) and got.shape == y.shape
+    bound = _value_rounding(f)
+    assert np.array_equal(got, want) if bound == 0.0 else np.all(np.abs(got - want) <= bound)
+
+
+def test_quadrature_reproducing_sweep_is_the_scalar_calls():
+    f = funcspace.trig_poly([0.0, 0.0, 1.0], [0.0, 0.3])
+    ys = np.array([-HALF_PI, -0.8, 0.0, 0.0, 0.4, HALF_PI])
+    got = kernel.reproducing_residual(f, ys, method="quadrature")
+    want = [kernel.reproducing_residual(f, float(y), method="quadrature") for y in ys]
+    assert np.abs(got - want).max() <= _value_rounding(f) and np.abs(got).max() <= 1e-7
+
+
+def test_a_reproducing_sweep_reads_the_member_once(monkeypatch):
+    calls = []
+    value = funcspace.DiangleSpan.value
+    monkeypatch.setattr(funcspace.DiangleSpan, "value", lambda self, x: calls.append(np.shape(x)) or value(self, x))
+    f = funcspace.diangle_span(0.3, [(-0.9, 0.5), (0.4, -1.0)])
+    kernel.reproducing_residual(f, np.linspace(-HALF_PI, HALF_PI, 101), method="exact")
+    assert calls == [(101,)]
+
+
+_CLASSICAL_MEMBERS = [
+    (np.cos, lambda x: -np.sin(x)),
+    (lambda x: np.asarray(x) ** 3 - np.asarray(x), lambda x: 3.0 * np.asarray(x) ** 2 - 1.0),
+    (math.exp, math.exp),  # rejects arrays, so it is sampled point by point
+    funcspace.diangle_span(0.2, [(0.3, 1.0), (-0.4, -0.5)]),  # kinks at 0.3 and -0.4
+]
+
+
+@seed(20242)
+@settings(max_examples=60, deadline=None)
+@given(f=st.sampled_from(_CLASSICAL_MEMBERS), interval=st.sampled_from([(0.0, 1.0), (-0.5, 1.2)]), data=st.data())
+def test_classical_sweep_matches_the_single_rows(f, interval, data):
+    # one stacked quadrature, one row per point, against one single-row quadrature per point
+    a, b = interval
+    y = _sweep_points(data, a, b, [k for k in (0.3, -0.4) if a <= k <= b])
+    got = kernel.classical_reproducing_residual(f, y, a, b)
+    if np.ndim(y) == 0:
+        assert type(got) is float
+        return
+    want = np.array([kernel.classical_reproducing_residual(f, float(t), a, b) for t in y.ravel()]).reshape(y.shape)
+    assert isinstance(got, np.ndarray) and got.shape == y.shape
+    assert np.all(np.abs(got - want) <= 1e-12)
+
+
+def test_a_classical_sweep_reads_the_member_once_per_level(monkeypatch):
+    calls = {"value": 0, "derivative": 0, "levels": 0, "integrals": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(quad, "_panel_integrals", counted("levels", quad._panel_integrals))
+    monkeypatch.setattr(quad, "integrate", counted("integrals", quad.integrate))
+    f = (counted("value", np.cos), counted("derivative", lambda x: -np.sin(x)))
+    r = kernel.classical_reproducing_residual(f, np.array([0.0, 0.3, 0.7, 1.0]))
+    assert np.abs(r).max() <= 1e-12
+    # one quadrature; one value and one derivative call per level, and one value call at the points
+    levels = calls["levels"]
+    assert levels >= 2 and calls == {"value": levels + 1, "derivative": levels, "levels": levels, "integrals": 1}
+
+
+_BAD_SWEEPS = [
+    (lambda y: kernel.reproducing_residual(funcspace.diangle(0.3), y), [0.1, 1.7, -2.0]),
+    (lambda y: kernel.reproducing_residual(funcspace.diangle(0.3), y), [0.1, math.nan, 2.0]),
+    (lambda y: kernel.classical_reproducing_residual(np.cos, y), [0.5, 1.0 + 2e-12, -1.0]),
+    (lambda y: kernel.classical_reproducing_residual(np.cos, y), [0.5, -2e-12, math.nan]),
+    (lambda y: kernel.classical_reproducing_residual(np.cos, y), [0.5, math.nan, 2.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, points", _BAD_SWEEPS, ids=["iso-out", "iso-nan", "classical-above", "classical-below", "classical-nan"]
+)
+def test_a_sweep_raises_what_the_scalar_call_at_its_first_bad_point_raises(call, points):
+    with pytest.raises(DomainError) as scalar:
+        call(points[1])
+    for shape in ((3,), (3, 1)):
+        with pytest.raises(DomainError) as sweep:
+            call(np.array(points).reshape(shape))
+        assert type(sweep.value) is DomainError and str(sweep.value) == str(scalar.value)
+
+
+def test_classical_sections_reject_a_nan_point():
+    # as the isoperimetric section does; the residual used to reach the quadrature's breakpoint check
+    with pytest.raises(DomainError, match="section point outside"):
+        kernel.classical_kernel_function(0.0, 1.0, math.nan)
+    with pytest.raises(DomainError, match="section point outside"):
+        kernel.kernel_function(2.0, math.nan)
 
 
 def test_classical_kernel_eval():
@@ -501,10 +655,10 @@ def _shuffled_cases():
 def test_a_shuffled_node_set_permutes_the_solution_bit_for_bit(case):
     # a node set is sorted once, stably, so its input order never reaches the
     # structured arithmetic: coefficients and solutions permute with the nodes,
-    # and the zero-ridge power function and the certificate do not move.  Two
-    # dense paths reduce over the nodes in input order and agree to rounding:
-    # the spectrum (LAPACK on the permuted matrix) and the ridge power function
-    # (the quadratic form k_x^T c, summed over the nodes as given)
+    # and the power function (the ridge one sums its quadratic form k_x^T c
+    # over the sorted nodes) and the certificate do not move.  The spectrum,
+    # LAPACK on the permuted matrix, reduces over the nodes in input order
+    # and agrees to rounding
     x, values, theta, ridge = case
     rng = np.random.default_rng(x.size)
     g = kernel.gram_system(x.tolist(), theta, ridge)
@@ -523,12 +677,8 @@ def test_a_shuffled_node_set_permutes_the_solution_bit_for_bit(case):
         assert np.array_equal(np.array(shuffled.coeffs), coeffs[p])
         assert np.array_equal(shuffled.value(grid), fitted)
         assert h.chol_ok == g.chol_ok
-        rounding = 8 * x.size * np.finfo(float).eps
-        if ridge:
-            assert np.max(np.abs(kernel.power_function(h, grid) ** 2 - power**2)) <= rounding * theta
-        else:
-            assert np.array_equal(kernel.power_function(h, grid), power)
-        tol = rounding * g.max_eig
+        assert np.array_equal(kernel.power_function(h, grid), power)
+        tol = 8 * x.size * np.finfo(float).eps * g.max_eig
         assert abs(h.min_eig - g.min_eig) <= tol and abs(h.max_eig - g.max_eig) <= tol
 
 
