@@ -199,15 +199,20 @@ class DiangleSpan(H1Function):
         # profile there is cos(t), smooth in the interior.
         return tuple(a for a in self.expansion.angles if a > -_HALF_PI)
 
+    @property
+    def _sums(self):
+        """The evaluation state ``seqmodel._span_read`` reads; an interpolant keeps its own, in long double."""
+        return self.expansion._sums
+
     def value(self, x):
-        return _maybe_scalar(seqmodel.expansion_value(self.expansion, x), np.ndim(x) == 0)
+        return _maybe_scalar(seqmodel._span_read(self._sums, x, slope=False)[0], np.ndim(x) == 0)
 
     def derivative(self, x):
-        return _maybe_scalar(seqmodel.expansion_derivative(self.expansion, x), np.ndim(x) == 0)
+        return _maybe_scalar(seqmodel._span_read(self._sums, x, value=False)[1], np.ndim(x) == 0)
 
     def value_and_derivative(self, x):
         """Both from one angle reduction, one search of the table and one ``sin``/``cos`` of ``x``."""
-        value, slope = seqmodel.expansion_value_and_derivative(self.expansion, x)
+        value, slope = seqmodel._span_read(self._sums, x)
         scalar = np.ndim(x) == 0
         return _maybe_scalar(value, scalar), _maybe_scalar(slope, scalar)
 

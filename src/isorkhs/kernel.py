@@ -16,11 +16,14 @@ in the node gaps plus rank one.  A :class:`GramSystem` sorts its nodes once,
 when built; its checks, solves and power function and the residual guard of
 its interpolant read that one order, so each is O(n) with no factor.  An
 :class:`Interpolant` is a diangle span like the sections, so ``eval``,
-``norm`` and ``inner`` take it as it is; its values and derivatives at m
-points come in O(n + m) from ``seqmodel``'s prefix sums over its kernel
-coefficients, in long double.  Dense ``numpy.linalg`` and ``kernel_eval``
-matrices serve only the spectrum (computed when read) and the independent
-oracles in ``verify`` and the tests.
+``norm`` and ``inner`` take it as it is, and it is read through
+``DiangleSpan``'s methods like every span: only its evaluation state
+differs, prefix sums over its kernel coefficients in long double, which
+give values and derivatives at m points in O(n + m).  A kernel expansion at
+its own nodes (the residual guard, the ridge refinement of a solve) is one
+``seqmodel._profile_table_at_nodes`` call.  Dense ``numpy.linalg`` and
+``kernel_eval`` matrices serve only the spectrum (computed when read) and
+the independent oracles in ``verify`` and the tests.
 
 A classical comparison kernel on an arbitrary interval ``[a, b]`` is also
 provided: ``cosh(min(x,y) - a) cosh(b - max(x,y)) / sinh(b - a)``, which
@@ -40,16 +43,9 @@ import numpy as np
 
 from . import funcspace, quad
 from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
-from .funcspace import DiangleSpan, H1Function, _maybe_scalar, diangle_span
+from .funcspace import DiangleSpan, _maybe_scalar, diangle_span
 from .quad import DEFAULT_SPEC, QuadratureSpec
-from .seqmodel import (
-    DiangleExpansion,
-    _profile_sum,
-    _profile_table,
-    _profile_table_at_nodes,
-    _reduce_angles,
-    diangle_expansion,
-)
+from .seqmodel import DiangleExpansion, _profile_table_at_nodes, _reduce_angles, diangle_expansion
 
 __all__ = [
     "REPRODUCING_THETA",
@@ -449,12 +445,12 @@ class _Cycle:
 
         ``I + r P`` has entries of size ``r / gap``, so its solve loses the
         smooth directions to rounding when nodes cluster; one step of
-        refinement against ``(K + r I) c``, applied in O(n), restores them.
+        refinement against ``(K + r I) c``, whose ``K c`` is one O(n)
+        ``_profile_table_at_nodes`` call over the columns, restores them.
         """
         c = self._solve_step(y)
         if self.ridge:
-            x = self.sorted
-            kc = self.theta * c.sum(axis=0) - _HALF_PI * _profile_sum(x, _profile_table(x, c), x)
+            kc = self.theta * c.sum(axis=0) - _HALF_PI * _profile_table_at_nodes(self.sorted, c)[1]
             c += self._solve_step(y - kc - self.ridge * c)
         return c
 
@@ -588,20 +584,38 @@ def gram_system(nodes: Sequence[float], theta: float = REPRODUCING_THETA, ridge:
 # interpolation
 
 
+def _interpolant_sums(theta: float, a: np.ndarray, order: np.ndarray, s: np.ndarray, coeffs: np.ndarray):
+    """An interpolant's ``_sums`` in long double, its values at its sorted nodes, and their order.
+
+    The nodes ``a`` are read modulo pi, where a node at ``pi/2`` is the kink
+    at ``-pi/2``, and sorted stably; ``order`` and ``s``, ``a``'s own stable
+    sort, are kept as they are where no node needs reducing.
+    """
+    if s.size and not (-_HALF_PI <= s[0] and s[-1] < _HALF_PI):
+        a = _reduce_angles(a)
+        order = np.argsort(a, kind="stable")
+        s = a[order]
+    a, c = s.astype(np.longdouble), coeffs[order].astype(np.longdouble)
+    table, profile = _profile_table_at_nodes(a, c)
+    constant, scale = theta * c.sum(), -_HALF_PI
+    return (a, table, constant, scale), (constant + scale * profile).astype(float), order
+
+
 class Interpolant(DiangleSpan):
     """Kernel interpolant ``sum_j c_j K_theta(., y_j)``: the span ``theta sum c - (pi/2) sum c_j P_{y_j}``.
 
-    The record is ``theta``, ``ridge``, ``nodes`` and ``coeffs``.  One precision
-    rule: values and derivatives come from the kernel-coefficient table
-    ``_sums`` in long double (where wider than double), whose rounding is
-    ``eps sum|c_j|`` and on clustered nodes ``sum|c_j|`` nears ``1e9``, too
-    much for a double to resolve guarantee 11.  ``interpolate`` fills it in
-    its Gram system's order, unless a node at ``pi/2`` reorders as ``-pi/2``;
-    a record read back sorts its own.  The ``expansion``, in double
-    and built when first read, serves the exact engine only.  As in the
-    expansion, nodes are read modulo pi; the derivative reads its points
-    modulo pi too and is right-handed at each kink, so ``-pi/2`` and ``pi/2``
-    give one slope.
+    The record is ``theta``, ``ridge``, ``nodes`` and ``coeffs``.  It is read
+    as every span is, through ``DiangleSpan``'s methods; only its ``_sums``
+    differs: the nodes reduced modulo pi and sorted, their kernel-coefficient
+    table in long double (where wider than double), constant ``theta sum c``
+    and scale ``-pi/2``.  Its rounding is ``eps sum|c_j|``, and on clustered
+    nodes ``sum|c_j|`` nears ``1e9``, too much for a double to resolve
+    guarantee 11.  ``interpolate`` fills ``_sums`` as its residual guard
+    reads it; a record read back builds it when first read, through the same
+    ``_interpolant_sums``, to the same bits.  Points are read modulo pi, so
+    ``-pi/2`` and ``pi/2`` give one value and one slope, right-handed at each
+    kink.  The ``expansion``, in double and built when first read, serves the
+    exact engine only.
     """
 
     # not a field: no solve falls back any more, but perfbench's trace still
@@ -618,30 +632,10 @@ class Interpolant(DiangleSpan):
         return diangle_expansion(total, [(y, -_HALF_PI * c) for y, c in zip(self.nodes, self.coeffs)])
 
     @cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Sorted nodes, their ``_profile_table`` and ``theta sum c``, in long double."""
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, np.longdouble, float]:
         a = np.array(self.nodes, dtype=float)
         order = np.argsort(a, kind="stable")
-        if a.size and not (-_HALF_PI <= a[order[0]] and a[order[-1]] < _HALF_PI):
-            a = _reduce_angles(a)  # a node at pi/2 is the kink at -pi/2
-            order = np.argsort(a, kind="stable")
-        a, c = a[order].astype(np.longdouble), np.array(self.coeffs, dtype=np.longdouble)[order]
-        return a, _profile_table(a, c), self.theta * c.sum()
-
-    def value(self, x):
-        """``theta sum c_j - (pi/2) sum c_j sin|x - y_j|``, in O(log n) per point."""
-        xa = np.asarray(x, dtype=float)
-        a, table, total = self._sums
-        return _maybe_scalar((total - _HALF_PI * _profile_sum(a, table, xa)).astype(float), xa.ndim == 0)
-
-    def derivative(self, x):
-        xa = np.asarray(x, dtype=float)
-        a, table, _ = self._sums
-        out = -_HALF_PI * _profile_sum(a, table, _reduce_angles(xa), derivative=True)
-        return _maybe_scalar(out.astype(float), xa.ndim == 0)
-
-    # the two calls on ``_sums``: the span's shared sampling would read the double ``expansion``
-    value_and_derivative = H1Function.value_and_derivative
+        return _interpolant_sums(self.theta, a, order, a[order], np.array(self.coeffs, dtype=float))[0]
 
 
 def interpolate(
@@ -658,11 +652,11 @@ def interpolate(
     evenly at zero ridge.  With ``ridge == 0``, a node residual above
     ``1e-8 (1 + max|values|)`` (nodes too clustered for double precision)
     raises :class:`SingularSystemError`: exit 3 in the CLI.  The residual is
-    read in long double off the interpolant's own table, built in the Gram
-    system's order: node ``k`` in that order is row ``k + 1``, read with the
-    ``cos`` and ``sin`` of the node the table took, the bits
-    ``Interpolant.value`` gives; a node at ``pi/2`` reorders as ``-pi/2``, and
-    there ``Interpolant.value`` reads the residual.
+    read in long double off the interpolant's own table, by one
+    ``_profile_table_at_nodes`` call over its nodes sorted modulo pi, in the
+    Gram system's order where no node needs reducing: each node reads the
+    row and the ``cos`` and ``sin`` that ``value`` reads there, so the
+    residual is the bits ``value`` gives.
     """
     gram = gram_system(nodes, theta, ridge)
     vals = np.asarray(list(values), dtype=float)
@@ -681,14 +675,8 @@ def interpolate(
     coeffs = gram.solve(vals)
     result = Interpolant(gram.theta, gram.ridge, gram.nodes, tuple(coeffs.tolist()))
     if gram.ridge == 0.0:
-        if -_HALF_PI <= s[0] and s[-1] < _HALF_PI:  # else a node at pi/2 reorders as -pi/2
-            a, c = s.astype(np.longdouble), coeffs[order].astype(np.longdouble)
-            table, profile = _profile_table_at_nodes(a, c)
-            total = gram.theta * c.sum()
-            vars(result)["_sums"] = a, table, total
-            residual = float(np.abs((total - _HALF_PI * profile).astype(float) - vals[order]).max())
-        else:
-            residual = float(np.abs(result.value(gram.node_array) - vals).max())
+        vars(result)["_sums"], fitted, order = _interpolant_sums(gram.theta, gram.node_array, order, s, coeffs)
+        residual = float(np.abs(fitted - vals[order]).max())
         tol = _RESIDUAL_TOL * scale
         if residual > tol:
             raise SingularSystemError(

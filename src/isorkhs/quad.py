@@ -13,11 +13,12 @@ Refinement is dyadic and level-synchronous: all active panels are bisected
 together and the parent-versus-children difference is used as the error
 estimate, which lets each level evaluate the integrand on a single stacked
 array instead of point by point.  A panel's tolerance never drops below
-``64 eps`` times its ``int |f|``, the rounding floor of its own sum.  A
-stacked integrand returns ``(k, n)`` for ``n`` abscissae, one row per
-integral; the rows share the panels and the integrand calls.  Each row keeps
-its own tolerance and rounding floor, and a panel is accepted only when every
-row passes on it.
+``64 eps`` times its ``int |f|``, the rounding floor of its own sum, nor
+below 64 steps of the smallest subnormal, in which the sums of a panel of
+subnormal width round.  A stacked integrand returns ``(k, n)`` for ``n``
+abscissae, one row per integral; the rows share the panels and the
+integrand calls.  Each row keeps its own tolerance and rounding floor, and a
+panel is accepted only when every row passes on it.
 
 :func:`derivative_at` holds the finite-difference conventions: central
 differences whose stencil stays inside the interval and off the nearest
@@ -94,6 +95,9 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 _ROUNDING_FLOOR = 64 * np.finfo(float).eps
+# The least acceptance threshold of a panel: one of subnormal width has sums
+# that round in steps of the smallest subnormal, and a tolerance below them.
+_SUBNORMAL_FLOOR = 64 * np.finfo(float).smallest_subnormal
 # Panels a level may leave to the next, which samples 2 * base_points abscissae
 # on each: 8 MB of doubles per row at the default rule.
 _MAX_PANELS = 1 << 15
@@ -232,7 +236,7 @@ def integrate(
 
         running = accepted + pair_sum.sum(1)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(running))
-        floor = _ROUNDING_FLOOR * (child_abs[:, :m] + child_abs[:, m:])
+        floor = np.maximum(_ROUNDING_FLOOR * (child_abs[:, :m] + child_abs[:, m:]), _SUBNORMAL_FLOOR)
         done = (diff <= np.maximum(tol[:, None] * (his - los) / total_len, floor)).all(0)
         if done.all():
             return result(running)

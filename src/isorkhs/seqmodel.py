@@ -11,19 +11,23 @@ Angles are normalized modulo pi into ``[-pi/2, pi/2)``; the profile is
 pi-periodic in its angle, so this loses nothing, and duplicate angles are
 merged by summing coefficients at construction.
 
-Expansions, kernel sections, interpolants and body widths are all evaluated
-by ``_profile_sum``: running sums over the sorted angles, built once per
-expansion, give values and right derivatives at ``p`` points in O(m + p log m).
-``_profile_sums`` gives both from one search and one ``sin``/``cos`` of the
-points, for callers (the quadrature route) that read both.
+Expansions, kernel sections, interpolants and body widths are all read by
+``_span_read`` from a span's ``_sums``: its sorted angles, their prefix table
+(``_profile_table``), a constant and a scale.  One search, one gather and one
+``sin``/``cos`` of the points, reduced modulo pi, give values and right
+derivatives at ``p`` points in O(m + p log m), so ``-pi/2`` and ``pi/2`` read
+alike.  An expansion's ``_sums`` is in double, with its constant and scale 1;
+``_profile_table_at_nodes`` builds a table and reads it at its own angles in
+one call.
 Sine double sums (inner products, norms, areas) are one O(m) pass, ``_sine_pass``.
 An expansion is a member of the function space as ``funcspace.DiangleSpan``;
-a kernel interpolant is one too, whose table holds its kernel coefficients in
-long double (see ``kernel.Interpolant``).
+a kernel interpolant is one too, whose ``_sums`` holds its kernel coefficients
+in long double, with constant ``theta sum c`` and scale ``-pi/2`` (see
+``kernel.Interpolant``).
 
 Construction, inner products, norms, gaps and the polygon readings run on
 Python floats.  NumPy is imported only by the array routines (the angle
-reduction, the profile table and its sums, and the area calibration), so
+reduction, the profile table and its reader, and the area calibration), so
 ``seq`` and the body readings never load it.
 """
 
@@ -47,7 +51,6 @@ __all__ = [
     "normalize_angle",
     "expansion_value",
     "expansion_derivative",
-    "expansion_value_and_derivative",
     "seq_inner",
     "seq_norm_squared",
     "sequence_isoperimetric_gap",
@@ -87,10 +90,16 @@ def normalize_angle(a: float) -> float:
 
 
 def _reduce_angles(x) -> np.ndarray:
-    """Array form of :func:`normalize_angle`, bit for bit; numpy is ~50x slower per scalar."""
+    """Array form of :func:`normalize_angle`, bit for bit; numpy is ~50x slower per scalar.
+
+    Points already in ``[-pi/2, pi/2)`` come back as they are, as the reduction gives them.
+    """
     import numpy as np
 
     x = np.asarray(x, dtype=float)
+    lo, hi = (x.min(initial=0.0), x.max(initial=0.0)) if x.ndim else (float(x),) * 2
+    if -_HALF_PI <= lo and hi < _HALF_PI:
+        return x
     r = x - math.pi * np.floor((x + _HALF_PI) / math.pi)
     r = np.where(r >= _HALF_PI, r - math.pi, r)
     return np.where(r < -_HALF_PI, r + math.pi, r)
@@ -117,11 +126,12 @@ class DiangleExpansion:
         return reduce(add, (c for _, c in self.terms), 0.0)
 
     @cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """What ``_span_read`` reads: the angles, their ``_profile_table``, ``x0`` and scale 1, in double."""
         import numpy as np
 
         a = np.array(self.angles, dtype=float)
-        return a, _profile_table(a, np.array(self.coefficients, dtype=float))
+        return a, _profile_table(a, np.array(self.coefficients, dtype=float)), self.x0, 1.0
 
 
 def diangle_expansion(x0: float, terms: Iterable[tuple[float, float]] = ()) -> DiangleExpansion:
@@ -152,7 +162,7 @@ def diangle_expansion(x0: float, terms: Iterable[tuple[float, float]] = ()) -> D
 def _profile_table(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``sum_{j<k} - sum_{j>=k}`` of ``c_j cos a_j`` and of ``c_j sin a_j``, for ``k = 0..m``.
 
-    ``a`` is sorted; trailing axes of ``c`` are columns of coefficients.
+    The table of a span with sorted angles ``a`` and a vector ``c`` of coefficients.
     """
     import numpy as np
 
@@ -160,73 +170,60 @@ def _profile_table(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _trig_table(trig: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``_profile_table`` from ``trig``, the ``(cos a, sin a)`` of its sorted angles."""
+    """``_profile_table`` from ``trig``, the ``(cos a, sin a)`` of its sorted angles shaped to broadcast
+    against ``c``, whose trailing axes are columns of coefficients."""
     import numpy as np
 
     table = np.zeros((2, trig.shape[1] + 1) + c.shape[1:], dtype=c.dtype)
-    trig = trig.reshape(trig.shape + (1,) * (c.ndim - 1))
     np.cumsum(trig * c, axis=1, out=table[:, 1:])  # the sums below each k
     return 2.0 * table - table[:, -1:]
 
 
 def _profile_table_at_nodes(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_profile_table(a, c)`` and ``_profile_sum(a, table, a)``, bit for bit, for distinct sorted ``a``.
+    """The table of ``a`` and columns ``c``, and ``sum_j c_j sin|a_k - a_j|`` at each ``a_k``, for sorted ``a``.
 
-    One ``cos``/``sin`` of ``a`` serves both: angle ``k`` reads row ``k + 1``,
-    the row ``_profile_sum``'s search finds there.
+    One ``cos``/``sin`` of ``a`` serves both.  Angle ``k`` reads row ``k + 1``,
+    the row ``_span_read``'s search finds there; tied angles read the row
+    after the last of them.
     """
     import numpy as np
 
-    cos, sin = trig = np.array((np.cos(a), np.sin(a)))
+    cos, sin = trig = np.array((np.cos(a), np.sin(a))).reshape((2, a.size) + (1,) * (c.ndim - 1))
     table = _trig_table(trig, c)
-    return table, sin * table[0, 1:] - cos * table[1, 1:]
+    k = np.searchsorted(a, a, side="right") if np.count_nonzero(a[1:] == a[:-1]) else slice(1, None)
+    return table, sin * table[0, k] - cos * table[1, k]
 
 
-def _profile_frame(a: np.ndarray, table: np.ndarray, x):
-    """Row ``k = #{a_j <= x}`` of ``_profile_table`` at points ``x``, and ``sin x``, ``cos x``.
+def _span_read(sums, x, value: bool = True, slope: bool = True) -> tuple:
+    """Value and right derivative, in double, of the span with ``_sums`` ``(a, table, constant, scale)``.
 
-    One search, one gather and one ``sin``/``cos`` of the points, which the value
-    and the derivative share; ``x`` is taken in the table's precision.
+    The span is ``constant + scale sum_j c_j sin|x - a_j|``.  ``sin|x - a_j|``
+    is ``sin x cos a_j - cos x sin a_j`` for ``a_j <= x`` and its negative
+    above, so row ``k = #{a_j <= x}`` of ``_profile_table`` gives
+    ``sin x D_c - cos x D_s``, and ``cos x D_c + sin x D_s`` for the
+    derivative.  The points are reduced modulo pi and read in the table's
+    precision: one search, one gather and one ``sin``/``cos`` serve both
+    parts, and a part not asked for is ``None``.  Rounding is ``eps sum|c_j|``.
     """
     import numpy as np
 
-    x = np.asarray(x, dtype=table.dtype)
+    a, table, constant, scale = sums
+    x = _reduce_angles(x).astype(table.dtype, copy=False)
     dc, ds = np.take(table, np.searchsorted(a, x, side="right"), axis=1)
-    shape = x.shape + (1,) * (table.ndim - 2)
-    return dc, ds, np.sin(x).reshape(shape), np.cos(x).reshape(shape)
-
-
-def _profile_sum(a: np.ndarray, table: np.ndarray, x, derivative: bool = False) -> np.ndarray:
-    """``sum_j c_j sin|x - a_j|`` at points ``x``, or its right derivative, from ``_profile_table``.
-
-    ``sin|x - a_j|`` is ``sin x cos a_j - cos x sin a_j`` for ``a_j <= x`` and its
-    negative above, so row ``k = #{a_j <= x}`` gives ``sin x D_c - cos x D_s``, and
-    ``cos x D_c + sin x D_s`` for the derivative.  Rounding is ``eps sum|c_j|``.
-    """
-    dc, ds, sin, cos = _profile_frame(a, table, x)
-    return cos * dc + sin * ds if derivative else sin * dc - cos * ds
-
-
-def _profile_sums(a: np.ndarray, table: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """``_profile_sum``'s value and right derivative together, from one ``_profile_frame``."""
-    dc, ds, sin, cos = _profile_frame(a, table, x)
-    return sin * dc - cos * ds, cos * dc + sin * ds
+    sin, cos = np.sin(x), np.cos(x)
+    v = (constant + scale * (sin * dc - cos * ds)).astype(float, copy=False) if value else None
+    d = (scale * (cos * dc + sin * ds)).astype(float, copy=False) if slope else None
+    return v, d
 
 
 def expansion_value(e: DiangleExpansion, x) -> np.ndarray:
     """Value at ``x`` reduced modulo pi, so both endpoints evaluate exactly alike."""
-    return e.x0 + _profile_sum(*e._sums, _reduce_angles(x))
+    return _span_read(e._sums, x, slope=False)[0]
 
 
 def expansion_derivative(e: DiangleExpansion, x) -> np.ndarray:
     """Derivative at ``x`` reduced modulo pi; the right-hand branch is taken at each kink."""
-    return _profile_sum(*e._sums, _reduce_angles(x), derivative=True)
-
-
-def expansion_value_and_derivative(e: DiangleExpansion, x) -> tuple[np.ndarray, np.ndarray]:
-    """``(expansion_value(e, x), expansion_derivative(e, x))`` from one reduction and one frame."""
-    value, slope = _profile_sums(*e._sums, _reduce_angles(x))
-    return e.x0 + value, slope
+    return _span_read(e._sums, x, value=False)[1]
 
 
 def _sine_pass(rows: Iterable[tuple[float, float, float]]) -> float:

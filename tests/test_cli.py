@@ -104,6 +104,18 @@ def test_export_kernel_section_endpoints(tmp_path, capsys):
         assert abs(float(row[2])) < 1e-15
 
 
+def test_export_of_an_interpolant_record_prints_both_ends_alike(tmp_path, capsys):
+    # -pi/2 and pi/2 are one point: the first and last rows of the grid print the same f and fprime
+    code, out = run(capsys, "interp", "--input", jfile(tmp_path, "iv.json", {
+        "nodes": [-1.0, -0.2, 0.4, 1.1], "values": [1.0, 2.0, -0.5, 0.3]}))
+    assert code == 0
+    code, out = run(capsys, "export", "--input", jfile(tmp_path, "itp.json", json.loads(out)))
+    assert code == 0
+    first, last = out.splitlines()[1], out.splitlines()[-1]
+    assert first.split(",")[1:] == last.split(",")[1:]
+    assert float(first.split(",")[0]) == -HALF_PI and float(last.split(",")[0]) == HALF_PI
+
+
 def test_export_is_deterministic(tmp_path, capsys):
     path = jfile(tmp_path, "f.json", K0)
     _, first = run(capsys, "export", "--input", path)

@@ -104,13 +104,10 @@ def _value_rounding(f):
 
 
 def _sweep_points(data, lo, hi, special=()):
-    """A scalar, or an empty, flat or 2-D array of points in ``[lo, hi]``: ends, repeats and ``special`` drawn often.
-
-    No subnormal points: a panel that narrow does not converge (see CHANGES).
-    """
+    """A scalar, or an empty, flat or 2-D array of points in ``[lo, hi]``: ends, repeats and ``special`` drawn often."""
     shape = data.draw(st.sampled_from([(), (0,), (1,), (7,), (2, 3)]))
     size = math.prod(shape)
-    within = st.floats(lo, hi, allow_subnormal=False)
+    within = st.floats(lo, hi)
     pool = data.draw(st.lists(within, min_size=1, max_size=3))  # repeated points
     point = st.one_of(st.sampled_from([lo, hi, *pool, *special]), within)
     pts = data.draw(st.lists(point, min_size=size, max_size=size))
@@ -686,24 +683,35 @@ def test_a_shuffled_node_set_permutes_the_solution_bit_for_bit(case):
     "case", [c for c in _shuffled_cases() if not c[3]], ids=lambda case: f"n{case[0].size}-t{case[2]}"
 )
 def test_the_residual_guard_reads_the_bits_value_gives(case, monkeypatch):
-    # the guard reads node values off the table rows; a record read back evaluates them through
-    # Interpolant.value, and the residual both give is printed with the error, so it must be the same bits
+    # the guard reads node values off the table rows, in one call for every node set; a record read back
+    # evaluates them through value, and the residual both give is printed with the error, so it must be
+    # the same bits: each node reads the row value's search finds there (the merged pair shares one)
     x, values, theta, _ = case
     p = np.random.default_rng(x.size).permutation(x.size)
     x, values = x[p], values[p]
     coeffs = kernel.gram_system(x.tolist(), theta).solve(values)
     record = kernel.Interpolant(theta, 0.0, tuple(x.tolist()), tuple(coeffs.tolist()))
     residual = float(np.abs(record.value(x) - values).max())
+    calls, at_nodes = [], kernel._profile_table_at_nodes
+
+    def spy(a, c):
+        calls.append((a, *at_nodes(a, c)))
+        return calls[-1][1:]
+
+    monkeypatch.setattr(kernel, "_profile_table_at_nodes", spy)
     monkeypatch.setattr(kernel, "_RESIDUAL_TOL", -1.0)  # every residual fails, so the message shows it
     with pytest.raises(SingularSystemError, match=f"residual {residual!r} exceeds"):
         kernel.interpolate(x.tolist(), values.tolist(), theta)
+    [(a, table, profile)] = calls
+    rows = np.searchsorted(a, a, side="right")
+    assert np.array_equal(profile, np.sin(a) * table[0, rows] - np.cos(a) * table[1, rows])
 
 
 @st.composite
 def _interpolants(draw):
-    """Interpolants from ``interpolate`` on shuffled nodes (plain, with a node at pi/2, triples 1e-6 apart,
-    with a ridge) or read back from their records."""
-    kind = draw(st.sampled_from(["plain", "half-pi", "triples", "ridge"]))
+    """Interpolants from ``interpolate`` on shuffled nodes (plain, with a node at pi/2, with the merged pair
+    -pi/2, pi/2, triples 1e-6 apart, with a ridge) or read back from their records."""
+    kind = draw(st.sampled_from(["plain", "half-pi", "merged", "triples", "ridge"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 9))
     nodes = -HALF_PI + (np.arange(n) + rng.uniform(0.1, 0.9, n)) * (math.pi / n)
@@ -711,9 +719,14 @@ def _interpolants(draw):
         nodes = (nodes[:, None] * 0.95 + 1e-6 * np.arange(3)).ravel()
     elif kind == "half-pi":
         nodes[-1] = HALF_PI
-    nodes = nodes[rng.permutation(nodes.size)]
+    elif kind == "merged":
+        nodes = np.concatenate(([-HALF_PI], nodes, [HALF_PI]))
+    values = rng.uniform(-2.0, 2.0, nodes.size)
+    if kind == "merged":
+        values[-1] = values[0]  # -pi/2 and pi/2 are one point
+    p = rng.permutation(nodes.size)
     itp = kernel.interpolate(
-        nodes.tolist(), rng.uniform(-2.0, 2.0, nodes.size).tolist(), draw(st.sampled_from([1.0, 2.0, 5.0])),
+        nodes[p].tolist(), values[p].tolist(), draw(st.sampled_from([1.0, 2.0, 5.0])),
         1e-3 if kind == "ridge" else 0.0,
     )
     if draw(st.booleans()):
@@ -725,7 +738,7 @@ def _interpolants(draw):
 @settings(max_examples=150, deadline=None)
 @given(itp=_interpolants(), data=st.data())
 def test_interpolant_value_and_derivative_match_the_two_calls_bit_for_bit(itp, data):
-    # points on the nodes and at +-pi/2, where value reads its point unreduced and the derivative reduced
+    # points on the nodes and at +-pi/2, which every reading reduces modulo pi
     point = st.one_of(st.sampled_from([-HALF_PI, HALF_PI, 0.0, *itp.nodes]), st.floats(-HALF_PI, HALF_PI))
     shape = data.draw(st.sampled_from([(), (7,), (2, 3)]))
     pts = data.draw(st.lists(point, min_size=math.prod(shape), max_size=math.prod(shape)))
@@ -733,6 +746,19 @@ def test_interpolant_value_and_derivative_match_the_two_calls_bit_for_bit(itp, d
     value, slope = itp.value_and_derivative(x)
     for got, want in ((value, itp.value(x)), (slope, itp.derivative(x))):
         assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@seed(20251)
+@settings(max_examples=150, deadline=None)
+@given(itp=_interpolants())
+def test_an_interpolant_reads_both_ends_alike(itp):
+    # -pi/2 and pi/2 are one point of the circle: every reading gives both the same bits
+    ends = np.array([-HALF_PI, HALF_PI])
+    both = itp.value_and_derivative(ends)
+    for read, pair in ((itp.value, both[0]), (itp.derivative, both[1])):
+        lo, hi = read(-HALF_PI), read(HALF_PI)
+        assert type(lo) is float and np.float64(lo).tobytes() == np.float64(hi).tobytes()
+        assert read(ends).tobytes() == pair.tobytes() == np.array([lo, lo]).tobytes()
 
 
 def test_gram_scales_to_many_nodes():

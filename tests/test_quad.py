@@ -12,7 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import isorkhs
-from isorkhs import funcspace, quad
+from isorkhs import funcspace, kernel, quad
 from isorkhs.errors import ConvergenceError, DomainError, EvaluationError, InputError
 
 HALF_PI = 0.5 * math.pi
@@ -51,6 +51,16 @@ def test_tolerance_floors_at_the_rounding_of_each_panel():
     exact = funcspace.inner_product_iso(f, g, method="exact")
     assert abs(exact + 2.1092101721e-4) <= 1e-14
     assert abs(funcspace.inner_product_iso(f, g, method="quadrature") - exact) <= 1e-9
+
+
+@pytest.mark.parametrize("edge", [5e-324, 1e-320, 2.2250738585e-313])
+def test_a_panel_of_subnormal_width_converges(edge):
+    # a breakpoint a few subnormal steps from an edge leaves a panel whose sums round in steps of
+    # 5e-324, below its share of the tolerance; the subnormal floor accepts it, so a few levels do
+    calls = []
+    val = quad.integrate(lambda x: calls.append(x.size) or np.cos(x), (0.0, 1.0), [edge])
+    assert abs(val - math.sin(1.0)) <= 1e-14 and len(calls) <= 4
+    assert kernel.classical_reproducing_residual((np.cos, lambda x: -np.sin(x)), edge) == 0.0
 
 
 @pytest.mark.parametrize("y", [-1.0, -0.3, 0.0, 0.7, 1.5])

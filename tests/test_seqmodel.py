@@ -52,6 +52,11 @@ def test_normalize_angle_returns_in_range_angles_as_the_formula_does():
     # outside the range, the formula itself runs
     outside = [HALF_PI, math.nextafter(-HALF_PI, -2.0), 2.0, -7.5, 1e6]
     assert [seqmodel.normalize_angle(a).hex() for a in outside] == [_reduce_by_formula(a).hex() for a in outside]
+    # the array form, which returns points as they are when all are in range: scalars, arrays, and
+    # arrays with one point outside, among them pi/2 alone
+    for group in [[a] for a in ends + tiny + outside] + [values, ends + [HALF_PI], tiny + [-2.0], values + outside]:
+        got = seqmodel._reduce_angles(np.array(group if len(group) > 1 else group[0]))
+        assert [float(r).hex() for r in np.ravel(got)] == [_reduce_by_formula(a).hex() for a in group]
 
 
 def test_duplicate_angles_merge():
@@ -243,17 +248,28 @@ def _terms(a, c, x):
 @settings(max_examples=150, deadline=None)
 @given(case=_profile_cases())
 def test_profile_sum_matches_term_by_term(case):
+    # the one reader, at points reduced modulo pi, each column in double and in long double
+    # (interpolants read theirs in long double), with a constant and a scale
     a, c, x = case
-    value, slope = _terms(a, c, x)
+    value, slope = _terms(a, c, seqmodel._reduce_angles(x))
     bound = 1e-13 * (1.0 + np.abs(c).sum(axis=0))
-    for dtype in (float, np.longdouble):  # interpolants evaluate in long double
-        at, ct = a.astype(dtype), c.astype(dtype)
-        table = seqmodel._profile_table(at, ct)
-        assert np.all(np.abs(seqmodel._profile_sum(at, table, x) - value) <= bound)
-        assert np.all(np.abs(seqmodel._profile_sum(at, table, x, derivative=True) - slope) <= bound)
-    # one column at a time, and through an expansion at points reduced modulo pi
-    col = seqmodel._profile_table(a, c[:, 2])
-    assert np.all(np.abs(seqmodel._profile_sum(a, col, x) - value[:, 2]) <= bound[2])
+    for dtype in (float, np.longdouble):
+        at = a.astype(dtype)
+        for k in range(3):
+            sums = at, seqmodel._profile_table(at, c[:, k].astype(dtype)), 0.5, -1.0
+            got, got_slope = seqmodel._span_read(sums, x)
+            assert got.dtype == got_slope.dtype == float
+            assert np.all(np.abs(0.5 - got - value[:, k]) <= bound[k])
+            assert np.all(np.abs(-got_slope - slope[:, k]) <= bound[k])
+    # a table read at its own angles in one call, on columns: a tied angle reads the row the search finds
+    table, at_nodes = seqmodel._profile_table_at_nodes(a, c)
+    assert np.all(np.abs(at_nodes - _terms(a, c, a)[0]) <= bound)
+    inside = a < HALF_PI  # pi/2 reads as -pi/2
+    for k in range(3):
+        assert np.array_equal(table[..., k], seqmodel._profile_table(a, c[:, k]))
+        got = seqmodel._span_read((a, table[..., k], 0.0, 1.0), a[inside], slope=False)[0]
+        assert np.array_equal(at_nodes[inside, k], got)
+    # through an expansion
     e = seqmodel.diangle_expansion(0.5, zip(a, c[:, 0]))
     ea, ec = np.asarray(e.angles), np.asarray(e.coefficients)
     value, slope = _terms(ea, ec, seqmodel._reduce_angles(x))
