@@ -177,10 +177,7 @@ def _cmd_interp(args, doc):
         raise InputError("interp needs an object with 'nodes' and 'values'")
     nodes = serialization.as_float_list(doc["nodes"], "nodes")
     values = serialization.as_float_list(doc["values"], "values")
-    itp = kernel.interpolate(nodes, values, **_kernel_params(args, doc))
-    out = serialization.write_interpolant(itp)
-    out["type"] = "interpolant"
-    return out
+    return serialization.write_function(kernel.interpolate(nodes, values, **_kernel_params(args, doc)))
 
 
 def _cmd_power(args, doc):

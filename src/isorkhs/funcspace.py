@@ -35,7 +35,13 @@ endpoint values agree (the identity's boundary term is ``sin(a)`` times
 their gap).  Two series pair through a table of ``J(m -+ n)`` over their
 nonzero frequencies.  The inner product is ``(2 int f int g - pi E) / pi^2``;
 two spans go through ``seqmodel.seq_inner`` instead, which keeps the exact
-reproducing checks on spans independent of the identity.  For a series the
+reproducing checks on spans independent of the identity, so the profile
+identity serves a series against a span only.  A span's own energy
+``E(f, f) = x0 int f + 2 (x0 S + sum_ij c_i c_j sin|a_i - a_j|)`` takes its
+double sum from the sorted sine pass (``seqmodel.sin_quadratic``) that
+``seq_inner``, ``polygon_area`` and ``convexgeo.pair_measure`` read, so the
+energy functionals of a pair's function are the pair's measure and deficit
+bit for bit; an interpolant's energy is its expansion's.  For a series the
 exact route against a kernel section *is* the reproducing property, so that
 property is checked for non-constant series by quadrature only.
 """
@@ -351,12 +357,13 @@ def _trig_energy(f: TrigPoly, g: TrigPoly) -> float:
 
 
 def _energy_pairing(f, g) -> float:
-    """``E(f, g) = int (f g - f' g')`` for symbolic members.
+    """``E(f, g) = int (f g - f' g')`` of a series against a span or against a series.
 
     Against a span ``g = x0 + sum c_j P_{a_j}`` this is
     ``x0 int f + 2 sum c_j f(a_j)`` by the profile identity
     ``E(f, P_a) = 2 f(a)``, which needs ``f`` to take equal values at both
-    endpoints (see the module docstring).
+    endpoints (see the module docstring).  Two spans pair through
+    ``seq_inner`` and a span's own energy through ``_integral_and_energy``.
     """
     if isinstance(f, DiangleSpan):
         f, g = g, f
@@ -397,9 +404,17 @@ def _quad_functionals(f, g, spec: QuadratureSpec) -> tuple[float, float, float]:
 
 
 def _integral_and_energy(f, spec: QuadratureSpec) -> tuple[float, float]:
-    """``(int f, int (f^2 - f'^2))``: closed forms for a symbolic member, quadrature otherwise."""
-    if _is_symbolic(f):
-        return _exact_integral(f), _energy_pairing(f, f)
+    """``(int f, int (f^2 - f'^2))``: closed forms for a symbolic member, quadrature otherwise.
+
+    A span's energy is ``x0 int f + 2 (x0 S + Q)`` with ``Q`` from
+    ``seqmodel.sin_quadratic``, the pass ``pair_measure`` reads (see the
+    module docstring); its rounding is ``eps (|x0| + sum|c|)^2``.
+    """
+    if isinstance(f, DiangleSpan):
+        e, int_f = f.expansion, _exact_integral(f)
+        return int_f, e.x0 * int_f + 2.0 * (e.x0 * e.coefficient_sum + seqmodel.sin_quadratic(e))
+    if isinstance(f, TrigPoly):
+        return _exact_integral(f), _trig_energy(f, f)
     int_f, _, energy = _quad_functionals(f, f, spec)
     return int_f, energy
 

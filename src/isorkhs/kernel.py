@@ -265,7 +265,9 @@ def _check_nodes(nodes: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.nda
         raise InputError("nodes must be a flat sequence")
     order = arr.argsort(kind="stable")
     s = arr[order]
-    _check_domain(s)
+    # the sorted ends bound the rest; NaN sorts last and fails the second test
+    if s.size and not (-_HALF_PI - 1e-12 <= s[0] and s[-1] <= _HALF_PI + 1e-12):
+        raise InputError("nodes must be finite and lie in [-pi/2, pi/2]")
     if s.size > 1:  # on the circle, where only the exact pair -pi/2, pi/2 (after clipping) is one point
         c = _on_circle(s)
         if (c[1:] - c[:-1]).min() < _NODE_SEP or 0.0 < c[0] + math.pi - c[-1] < _NODE_SEP:

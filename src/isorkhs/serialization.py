@@ -25,7 +25,10 @@ Only the codecs of functions, interpolants and bodies need ``funcspace``,
 ``kernel`` and ``convexgeo``.  They reach each as an attribute of the package,
 which imports it on first use, so reading an expansion loads none of them and
 reading a body loads no kernel; an import statement in a codec would instead
-cost about half a microsecond per call.
+cost about half a microsecond per call.  ``write_function`` writes every kind
+``read_function`` reads, an interpolant as its ``interpolant`` record; it
+looks for ``kernel`` in ``sys.modules``, as ``_emit`` does for NumPy, since
+no interpolant exists before ``kernel`` is loaded.
 
 NumPy is imported only by the block writer and the interpolant reader, so
 writing builtin values and reading expansions and bodies never load it.  The
@@ -284,7 +287,15 @@ def read_function(doc) -> isorkhs.funcspace.H1Function:
 
 
 def write_function(f: isorkhs.funcspace.H1Function) -> dict:
+    """The record of a series, a span or an interpolant, every kind ``read_function`` reads.
+
+    An interpolant gets its own record, not its span's expansion, so it reads
+    back as an interpolant, with its theta, ridge, nodes and coefficients.
+    """
     funcspace = isorkhs.funcspace
+    kernel = sys.modules.get("isorkhs.kernel")
+    if kernel is not None and isinstance(f, kernel.Interpolant):
+        return {"type": "interpolant", **write_interpolant(f)}
     if isinstance(f, funcspace.TrigPoly):
         return {"type": "trigpoly", "cos": list(f.cos_coeffs), "sin": list(f.sin_coeffs)}
     if isinstance(f, funcspace.DiangleSpan):
@@ -294,7 +305,7 @@ def write_function(f: isorkhs.funcspace.H1Function) -> dict:
             "x0": e.x0,
             "terms": [{"angle": a, "coeff": c} for a, c in e.terms],
         }
-    raise InputError("only trig and diangle-span functions have a serial form")
+    raise InputError("only trig, diangle-span and interpolant functions have a serial form")
 
 
 def read_body(doc):

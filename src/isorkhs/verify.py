@@ -101,14 +101,25 @@ def _random_trig(rng: SplitMix64, max_extra_freq: int = 5) -> TrigPoly:
     return trig_poly(cc, sc)
 
 
-def _random_span(rng: SplitMix64, max_terms: int = 6, signed: bool = True, x0: bool = True) -> DiangleSpan:
+def _random_span(rng: SplitMix64, max_terms: int = 6) -> DiangleSpan:
+    """The count first, then the constant, then a coefficient before its angle: not ``_random_expansion``'s order."""
     m = 1 + rng.below(max_terms)
-    base = rng.uniform(-1.0, 1.0) if x0 else 0.0
+    base = rng.uniform(-1.0, 1.0)
     terms = []
     for _ in range(m):
-        c = rng.uniform(-1.0, 1.0) if signed else rng.uniform(0.05, 1.0)
+        c = rng.uniform(-1.0, 1.0)
         terms.append((rng.uniform(-_HALF_PI, _HALF_PI), c))
     return diangle_span(base, terms)
+
+
+def _random_expansion(
+    rng: SplitMix64, x0: tuple[float, float] | None, coeff: tuple[float, float], max_terms: int
+) -> seqmodel.DiangleExpansion:
+    """A constant drawn from the range ``x0`` (0 without a draw when ``None``), then ``1 + below(max_terms)``
+    terms, each an angle in ``[-pi/2, pi/2)`` and then a coefficient from the range ``coeff``."""
+    base = rng.uniform(*x0) if x0 else 0.0
+    terms = [(rng.uniform(-_HALF_PI, _HALF_PI), rng.uniform(*coeff)) for _ in range(1 + rng.below(max_terms))]
+    return seqmodel.diangle_expansion(base, terms)
 
 
 def _random_member(rng: SplitMix64):
@@ -345,14 +356,8 @@ def _suite_sequence(rng: SplitMix64) -> list[Check]:
 
     agree = 0.0
     for _ in range(300):
-        x = seqmodel.diangle_expansion(
-            rng.uniform(-1.0, 1.0),
-            [(rng.uniform(-_HALF_PI, _HALF_PI), rng.uniform(-1.0, 1.0)) for _ in range(1 + rng.below(5))],
-        )
-        y = seqmodel.diangle_expansion(
-            rng.uniform(-1.0, 1.0),
-            [(rng.uniform(-_HALF_PI, _HALF_PI), rng.uniform(-1.0, 1.0)) for _ in range(1 + rng.below(5))],
-        )
+        x = _random_expansion(rng, (-1.0, 1.0), (-1.0, 1.0), 5)
+        y = _random_expansion(rng, (-1.0, 1.0), (-1.0, 1.0), 5)
         model = seqmodel.seq_inner(x, y)
         quadr = funcspace.inner_product_iso(
             DiangleSpan(x), DiangleSpan(y), method="quadrature"
@@ -364,10 +369,7 @@ def _suite_sequence(rng: SplitMix64) -> list[Check]:
     gap_identity = 0.0
     gap_min = math.inf
     for _ in range(200):
-        x = seqmodel.diangle_expansion(
-            rng.uniform(-2.0, 2.0),
-            [(rng.uniform(-_HALF_PI, _HALF_PI), rng.uniform(-2.0, 2.0)) for _ in range(1 + rng.below(6))],
-        )
+        x = _random_expansion(rng, (-2.0, 2.0), (-2.0, 2.0), 6)
         n2 = seqmodel.seq_norm_squared(x)
         s = x.coefficient_sum
         half = _HALF_PI * x.x0 + s
@@ -391,10 +393,7 @@ def _suite_sequence(rng: SplitMix64) -> list[Check]:
 
     poly_gap_min = math.inf
     for _ in range(200):
-        x = seqmodel.diangle_expansion(
-            0.0,
-            [(rng.uniform(-_HALF_PI, _HALF_PI), rng.uniform(0.01, 2.0)) for _ in range(1 + rng.below(7))],
-        )
+        x = _random_expansion(rng, None, (0.01, 2.0), 7)
         poly_gap_min = min(poly_gap_min, seqmodel.polygon_isoperimetric_gap(x))
     checks.append(Check("sequence/polygon-gap-min", poly_gap_min, -1e-9, ">="))
 
@@ -503,10 +502,7 @@ def _suite_geometry(rng: SplitMix64) -> list[Check]:
 
     bridge = 0.0
     for _ in range(50):
-        x = seqmodel.diangle_expansion(
-            0.0,
-            [(rng.uniform(-_HALF_PI, _HALF_PI), rng.uniform(0.05, 1.0)) for _ in range(1 + rng.below(6))],
-        )
+        x = _random_expansion(rng, None, (0.05, 1.0), 6)
         zono = convexgeo.zonotope_from_generators([(a, 2.0 * c) for a, c in x.terms])
         pair = convexgeo.body_pair(zono, convexgeo.point())
         bridge = max(

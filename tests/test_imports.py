@@ -160,3 +160,11 @@ def test_every_exported_name_resolves_to_its_layers_object():
     assert not hasattr(isorkhs, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         isorkhs.no_such_name
+
+
+def test_writing_a_series_or_a_span_loads_no_kernel():
+    # write_function looks for kernel in sys.modules: an interpolant exists only once it is loaded
+    out = _run("-c", "import json, sys; from isorkhs import funcspace, serialization as s; "
+                     "s.write_function(funcspace.trig_poly([1.0])); s.write_function(funcspace.diangle(0.3)); "
+                     "print(json.dumps('isorkhs.kernel' in sys.modules))")
+    assert out is False

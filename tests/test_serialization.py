@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from isorkhs import convexgeo
+from isorkhs import convexgeo, kernel
 from isorkhs import serialization as ser
 from isorkhs.errors import DomainError, InputError
 from isorkhs.funcspace import DiangleSpan, TrigPoly, diangle_span
@@ -105,6 +105,28 @@ def test_read_function_interpolant_record():
     assert isinstance(f, DiangleSpan)
     expected = 2.0 - 0.5 * math.pi * math.sin(0.25 * math.pi)
     assert math.isclose(f.value(0.0), expected, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["plain", "merged", "ridge", "triples"])
+def test_write_function_round_trips_an_interpolant(kind):
+    # an interpolant is written as its own record, not as its double expansion, so it
+    # reads back as an interpolant with its record and its long-double evaluation
+    rng = np.random.default_rng(7)
+    nodes = -0.5 * math.pi + (np.arange(12) + rng.uniform(0.1, 0.9, 12)) * (math.pi / 12)
+    if kind == "triples":  # sum|c| is about 2e7
+        nodes = (nodes[:, None] * 0.95 + 1e-6 * np.arange(3)).ravel()
+    elif kind == "merged":  # -pi/2 and pi/2, one point of the circle
+        nodes = np.concatenate(([-0.5 * math.pi], nodes, [0.5 * math.pi]))
+    values = rng.uniform(-2.0, 2.0, nodes.size)
+    if kind == "merged":
+        values[-1] = values[0]
+    itp = kernel.interpolate(nodes.tolist(), values.tolist(), 2.0, 1e-3 if kind == "ridge" else 0.0)
+    back = ser.read_function(ser.loads(ser.dumps(ser.write_function(itp))))
+    assert type(back) is kernel.Interpolant
+    assert (back.theta, back.ridge, back.nodes, back.coeffs) == (itp.theta, itp.ridge, itp.nodes, itp.coeffs)
+    x = np.concatenate((np.linspace(-0.5 * math.pi, 0.5 * math.pi, 41), nodes))
+    assert np.array_equal(back.value(x), itp.value(x))
+    assert np.array_equal(back.derivative(x), itp.derivative(x))
 
 
 def test_read_function_errors():
