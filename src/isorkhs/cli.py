@@ -111,6 +111,20 @@ def _grid(n: int) -> np.ndarray:
     return np.linspace(-_HALF_PI, _HALF_PI, int(n))
 
 
+def _lists(doc, command: str, *keys: str) -> list[list[float]]:
+    """The float lists ``keys`` of ``command``'s input object, read in that order."""
+    if not isinstance(doc, dict) or not all(k in doc for k in keys):
+        raise InputError(f"{command} needs an object with {' and '.join(map(repr, keys))}")
+    return [serialization.as_float_list(doc[k], k) for k in keys]
+
+
+def _table(args, columns: dict, header: tuple[str, ...]):
+    """``columns`` as a JSON object of lists, or with ``--output csv`` as CSV rows under ``header``."""
+    if args.output == "csv":
+        return serialization.dumps_csv(zip(*columns.values()), header)
+    return {name: list(column) for name, column in columns.items()}
+
+
 def _function_from(doc):
     if isinstance(doc, dict) and "type" not in doc and "f" in doc:
         return serialization.read_function(doc["f"])
@@ -126,11 +140,8 @@ def _cmd_eval(args, doc):
 
     f = _function_from(doc)
     pts = _parse_points(args.at)
-    values = funcspace.evaluate(f, pts)
-    derivs = f.derivative(pts)
-    if args.output == "csv":
-        return serialization.dumps_csv(zip(pts, values, derivs))
-    return {"at": list(pts), "values": list(values), "derivatives": list(derivs)}
+    columns = {"at": pts, "values": funcspace.evaluate(f, pts), "derivatives": f.derivative(pts)}
+    return _table(args, columns, ("x", "f", "fprime"))
 
 
 def _cmd_inner(args, doc):
@@ -153,11 +164,8 @@ def _cmd_norm(args, doc):
 def _cmd_gram(args, doc):
     from . import kernel
 
-    if not isinstance(doc, dict) or "nodes" not in doc:
-        raise InputError("gram needs an object with 'nodes'")
-    nodes = serialization.as_float_list(doc["nodes"], "nodes")
+    (nodes,) = _lists(doc, "gram", "nodes")
     g = kernel.gram_system(nodes, **_kernel_params(args, doc))
-    cond = g.cond_estimate
     return {
         "theta": g.theta,
         "ridge": g.ridge,
@@ -165,7 +173,7 @@ def _cmd_gram(args, doc):
         "matrix": [list(row) for row in g.matrix],
         "min_eig": g.min_eig,
         "max_eig": g.max_eig,
-        "cond": cond if math.isfinite(cond) else None,
+        "cond": g.cond_estimate if math.isfinite(g.cond_estimate) else None,
         "chol_ok": g.chol_ok,
     }
 
@@ -173,25 +181,17 @@ def _cmd_gram(args, doc):
 def _cmd_interp(args, doc):
     from . import kernel
 
-    if not isinstance(doc, dict) or "nodes" not in doc or "values" not in doc:
-        raise InputError("interp needs an object with 'nodes' and 'values'")
-    nodes = serialization.as_float_list(doc["nodes"], "nodes")
-    values = serialization.as_float_list(doc["values"], "values")
+    nodes, values = _lists(doc, "interp", "nodes", "values")
     return serialization.write_function(kernel.interpolate(nodes, values, **_kernel_params(args, doc)))
 
 
 def _cmd_power(args, doc):
     from . import kernel
 
-    if not isinstance(doc, dict) or "nodes" not in doc:
-        raise InputError("power needs an object with 'nodes'")
-    nodes = serialization.as_float_list(doc["nodes"], "nodes")
+    (nodes,) = _lists(doc, "power", "nodes")
     g = kernel.gram_system(nodes, **_kernel_params(args, doc))
     pts = _parse_points(args.at)
-    vals = kernel.power_function(g, pts)
-    if args.output == "csv":
-        return serialization.dumps_csv(zip(pts, vals), header=("x", "power"))
-    return {"at": list(pts), "power": list(vals)}
+    return _table(args, {"at": pts, "power": kernel.power_function(g, pts)}, ("x", "power"))
 
 
 def _cmd_seq(args, doc):
@@ -277,11 +277,8 @@ def _geom_tofunction(args, doc):
 
     f = convexgeo.pair_to_function(serialization.read_pair(doc))
     xs = _grid(args.points)
-    rows = zip(xs, *f.value_and_derivative(xs))
-    if args.output == "csv":
-        return serialization.dumps_csv(rows)
-    xs_l, fs_l, ds_l = zip(*rows)
-    return {"x": list(xs_l), "f": list(fs_l), "fprime": list(ds_l)}
+    fs, ds = f.value_and_derivative(xs)
+    return _table(args, {"x": xs, "f": fs, "fprime": ds}, ("x", "f", "fprime"))
 
 
 def _geom_equiv(args, doc):
@@ -401,9 +398,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         args = _build_parser(argv).parse_args(argv)
         result = args.handler(args, _read_input(args.input) if "input" in args else None)
-        code = 0
-        if isinstance(result, tuple):
-            result, code = result
+        result, code = result if isinstance(result, tuple) else (result, 0)  # verify adds its exit code
         if not isinstance(result, str):
             result = serialization.dumps(result) + "\n"
     except InvariantViolationError as exc:

@@ -265,6 +265,13 @@ class SymmetricPolygon:
 
     @cached_property
     def vertices(self) -> tuple[tuple[float, float], ...]:
+        """The ring a vertex input was canonicalized to, else the raw walk of the edges.
+
+        A walk keeps every edge, so two edges whose angles differ in their last
+        bits leave a vertex with no turn, and ``symmetric_polygon`` may reject
+        the walk as not in convex position.  ``vertex_list(u)`` is the form that
+        ``symmetric_polygon`` and ``write_body`` read back.
+        """
         return _walk(self.expansion) if self.ring is None else self.ring
 
     @cached_property

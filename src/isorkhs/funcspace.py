@@ -542,7 +542,7 @@ def inner_product_classical(
     besides members it accepts plain callables or ``(value, derivative)``
     pairs; kinks outside the interval are ignored.
     """
-    iv = quad.Interval(*interval) if not isinstance(interval, Interval) else interval
+    iv = quad._coerce_interval(interval)
     _, f_both, fk = _as_rule(f, iv)
     _, g_both, gk = _as_rule(g, iv)
 

@@ -22,8 +22,9 @@ differs, prefix sums over its kernel coefficients in long double, which
 give values and derivatives at m points in O(n + m).  A kernel expansion at
 its own nodes (the residual guard, the ridge refinement of a solve) is one
 ``seqmodel._profile_table_at_nodes`` call.  Dense ``numpy.linalg`` and
-``kernel_eval`` matrices serve only the spectrum (computed when read) and
-the independent oracles in ``verify`` and the tests.
+``kernel_eval`` matrices serve only the spectrum (computed when read, and
+never to decide an error: a node set whose gaps fail the certificate is a
+singular system) and the independent oracles in ``verify`` and the tests.
 
 A classical comparison kernel on an arbitrary interval ``[a, b]`` is also
 provided: ``cosh(min(x,y) - a) cosh(b - max(x,y)) / sinh(b - a)``, which
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import funcspace, quad
-from .errors import DomainError, InputError, InvariantViolationError, SingularSystemError
+from .errors import DomainError, InputError, SingularSystemError
 from .funcspace import DiangleSpan, _maybe_scalar, diangle_span
 from .quad import DEFAULT_SPEC, QuadratureSpec
 from .seqmodel import DiangleExpansion, _profile_table_at_nodes, _reduce_angles, diangle_expansion
@@ -65,7 +66,6 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 
 REPRODUCING_THETA = 2.0
-_PSD_SLACK = 1e-9
 _NODE_SEP = 1e-12
 _RESIDUAL_TOL = 1e-8
 
@@ -126,7 +126,10 @@ def reproducing_residual(
 
 
 def _check_classical_interval(a: float, b: float) -> tuple[float, float]:
-    a, b = float(a), float(b)
+    try:
+        a, b = float(a), float(b)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"interval endpoints must be numbers, got ({a!r}, {b!r})") from exc
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise InputError(f"expected a finite interval a < b, got ({a!r}, {b!r})")
     return a, b
@@ -248,8 +251,9 @@ def _check_ridge(ridge: float) -> float:
     return out
 
 
-def _check_domain(arr: np.ndarray) -> None:
-    if arr.size and not np.abs(arr).max() <= _HALF_PI + 1e-12:  # NaN fails too
+def _check_domain(lo: float, hi: float) -> None:
+    """The node range rule, on the least node ``lo`` and the greatest ``hi``; a NaN end fails it."""
+    if not (-_HALF_PI - 1e-12 <= lo and hi <= _HALF_PI + 1e-12):
         raise InputError("nodes must be finite and lie in [-pi/2, pi/2]")
 
 
@@ -265,9 +269,8 @@ def _check_nodes(nodes: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.nda
         raise InputError("nodes must be a flat sequence")
     order = arr.argsort(kind="stable")
     s = arr[order]
-    # the sorted ends bound the rest; NaN sorts last and fails the second test
-    if s.size and not (-_HALF_PI - 1e-12 <= s[0] and s[-1] <= _HALF_PI + 1e-12):
-        raise InputError("nodes must be finite and lie in [-pi/2, pi/2]")
+    if s.size:  # the sorted ends bound the rest; NaN sorts last
+        _check_domain(s[0], s[-1])
     if s.size > 1:  # on the circle, where only the exact pair -pi/2, pi/2 (after clipping) is one point
         c = _on_circle(s)
         if (c[1:] - c[:-1]).min() < _NODE_SEP or 0.0 < c[0] + math.pi - c[-1] < _NODE_SEP:
@@ -357,8 +360,8 @@ class _Cycle:
     ``(1/pi) int (f'^2 - f^2) + c (int f)^2`` over the interpolant's mean.
     """
 
-    def __init__(self, order: np.ndarray, sorted_nodes: np.ndarray, theta: float, ridge: float):
-        self.theta, self.ridge, self.order, self.sorted = theta, ridge, order, sorted_nodes
+    def __init__(self, sorted_nodes: np.ndarray, theta: float, ridge: float):
+        self.theta, self.ridge, self.sorted = theta, ridge, sorted_nodes
         s = _on_circle(sorted_nodes)
         self.merged = s.size > 1 and s[0] == -_HALF_PI and s[-1] == _HALF_PI
         self.points = s[:-1] if self.merged else s
@@ -456,13 +459,6 @@ class _Cycle:
             c += self._solve_step(y - kc - self.ridge * c)
         return c
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """:meth:`solve_sorted` with rows in node order."""
-        c = self.solve_sorted(y[self.order])
-        out = np.empty_like(c)
-        out[self.order] = c
-        return out
-
     def power_squared(self, x: np.ndarray) -> np.ndarray:
         """``p(x)^2 = 1 / P_aug[x, x]`` at zero ridge, O(1) per point after one search.
 
@@ -497,15 +493,16 @@ class GramSystem:
     the node gaps alone certify the PSD invariant: every ``t_i`` finite and
     positive and ``S > pi``, whence ``beta > 0``.  The nodes are sorted once,
     stably, when the system is built (``_order``, ``_sorted``): the checks,
-    the cycle and ``interpolate`` share that order.  ``chol_ok`` reports the
-    certificate, computed when first needed and cached.  ``solve`` is O(n):
-    the product ``P v`` at zero ridge, and ``P (I + r P)^{-1} v`` through an
-    O(n) ``LDL^T`` for a ridge ``r``.  Nothing forms ``matrix`` or factors
-    it; dense ``numpy.linalg.eigvalsh`` computes the spectrum only when
-    ``eigenvalues``, ``min_eig``, ``max_eig`` or ``cond_estimate`` is read,
-    or when a solve finds the certificate failed: that raises
-    :class:`InvariantViolationError` if the least eigenvalue is below
-    ``-1e-9`` relative to the largest, :class:`SingularSystemError` if not.
+    the cycle and ``interpolate`` read the sorted nodes, and ``solve`` alone
+    takes its right-hand side into that order and its solution back.
+    ``chol_ok`` reports the certificate, computed when first needed and
+    cached.  ``solve`` is O(n): the product ``P v`` at zero ridge, and
+    ``P (I + r P)^{-1} v`` through an O(n) ``LDL^T`` for a ridge ``r``.
+    Where the certificate fails, ``solve``, ``interpolate`` and
+    ``power_function`` raise :class:`SingularSystemError`, decided by the
+    gaps alone.  Nothing forms ``matrix`` or factors it; dense
+    ``numpy.linalg.eigvalsh`` computes the spectrum only when
+    ``eigenvalues``, ``min_eig``, ``max_eig`` or ``cond_estimate`` is read.
     """
 
     theta: float
@@ -549,19 +546,15 @@ class GramSystem:
 
     @cached_property
     def _cycle(self) -> _Cycle:
-        return _Cycle(self._order, self._sorted, self.theta, self.ridge)
+        return _Cycle(self._sorted, self.theta, self.ridge)
 
     @property
     def chol_ok(self) -> bool:
         return self.size == 0 or self._cycle.certified
 
     def _certified_cycle(self) -> _Cycle:
-        """The cycle, once its certificate holds; otherwise the spectrum decides the error."""
+        """The cycle, once its certificate holds; a failed one is a singular system, read off the gaps alone."""
         if not self.chol_ok:
-            if self.min_eig < -_PSD_SLACK * max(1.0, self.max_eig):
-                raise InvariantViolationError(
-                    f"Gram matrix is not positive semidefinite: min eigenvalue {self.min_eig!r}"
-                )
             raise SingularSystemError(
                 "node gaps do not certify the Gram system (a half-gap tangent is "
                 "not finite and positive, or S <= pi)"
@@ -569,9 +562,13 @@ class GramSystem:
         return self._cycle
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``G c = rhs``, solved in sorted node order and returned in node order."""
         if not self.size:
             return np.zeros(0)
-        return self._certified_cycle().solve(np.asarray(rhs, dtype=float))
+        c = self._certified_cycle().solve_sorted(np.asarray(rhs, dtype=float)[self._order])
+        out = np.empty_like(c)
+        out[self._order] = c
+        return out
 
     def kernel_column(self, x) -> np.ndarray:
         xa = np.asarray(x, dtype=float)

@@ -118,10 +118,10 @@ def _coerce_interval(interval) -> Interval:
     if isinstance(interval, Interval):
         return interval
     try:
-        lo, hi = interval
-    except (TypeError, ValueError) as exc:
+        lo, hi = map(float, interval)
+    except (TypeError, ValueError) as exc:  # not a pair, or an endpoint that is not a number
         raise InputError(f"not an interval: {interval!r}") from exc
-    return Interval(float(lo), float(hi))
+    return Interval(lo, hi)
 
 
 def _values(f: Callable, x: np.ndarray) -> np.ndarray:

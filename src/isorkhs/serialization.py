@@ -30,9 +30,10 @@ cost about half a microsecond per call.  ``write_function`` writes every kind
 looks for ``kernel`` in ``sys.modules``, as ``_emit`` does for NumPy, since
 no interpolant exists before ``kernel`` is loaded.
 
-NumPy is imported only by the block writer and the interpolant reader, so
-writing builtin values and reading expansions and bodies never load it.  The
-writer tests builtin types first; a list of NumPy ``float64`` values (a
+NumPy is imported only by the block writer, so writing builtin values and
+reading expansions and bodies never load it; the interpolant reader checks
+its nodes' range on their least and greatest, with no array.  The writer
+tests builtin types first; a list of NumPy ``float64`` values (a
 ``float`` subclass) takes the one-call path, a block of them the block path,
 and any other NumPy scalar or array is written as the Python value it converts to.
 """
@@ -350,12 +351,10 @@ def read_interpolant(doc) -> isorkhs.kernel.Interpolant:
         raise InputError("nodes and coeffs must have equal length")
     # a Gram system's rules except distinct nodes, as duplicates still define one
     # function; a node outside the domain is malformed, as no Gram system holds one
-    import numpy as np
-
     kernel = isorkhs.kernel
     theta = kernel._check_theta(as_float(doc.get("theta", 2.0), "theta"))
     ridge = kernel._check_ridge(as_float(doc.get("ridge", 0.0), "ridge"))
-    kernel._check_domain(np.asarray(nodes))
+    kernel._check_domain(min(nodes, default=0.0), max(nodes, default=0.0))  # finite nodes: the ends bound the rest
     # records from before the fallback solves were deleted may still name one
     if doc.get("fallback") not in (None, "jitter", "least_squares"):
         raise InputError(f"unknown fallback {doc['fallback']!r}")

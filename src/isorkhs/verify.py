@@ -122,6 +122,11 @@ def _random_expansion(
     return seqmodel.diangle_expansion(base, terms)
 
 
+def _random_nodes(rng: SplitMix64, lo: float, hi: float, digits: int, k: int) -> list[float]:
+    """``2 + below(k)`` draws from ``[lo, hi)`` rounded to ``digits`` places, sorted, duplicates dropped."""
+    return sorted(set(round(rng.uniform(lo, hi), digits) for _ in range(2 + rng.below(k))))
+
+
 def _random_member(rng: SplitMix64):
     return _random_trig(rng) if rng.below(2) == 0 else _random_span(rng)
 
@@ -261,8 +266,7 @@ def _suite_gram_psd(rng: SplitMix64) -> list[Check]:
     thetas = (1.0, 1.5, 2.0, 5.0)
     eig_ratio = math.inf
     for i in range(200):
-        n = 2 + rng.below(31)
-        nodes = sorted(set(round(rng.uniform(-_HALF_PI, _HALF_PI), 6) for _ in range(n)))
+        nodes = _random_nodes(rng, -_HALF_PI, _HALF_PI, 6, 31)
         g = kernel.gram_system(nodes, theta=thetas[i % 4])
         eig_ratio = min(eig_ratio, g.min_eig / max(1.0, g.max_eig))
     checks.append(Check("gram-psd/min-eigenvalue-ratio", eig_ratio, -1e-9, ">="))
@@ -270,8 +274,7 @@ def _suite_gram_psd(rng: SplitMix64) -> list[Check]:
     interp_res = 0.0
     power_nodes = 0.0
     for _ in range(30):
-        n = 2 + rng.below(9)
-        nodes = sorted(set(round(rng.uniform(-1.5, 1.5), 5) for _ in range(n)))
+        nodes = _random_nodes(rng, -1.5, 1.5, 5, 9)
         values = [rng.uniform(-2.0, 2.0) for _ in nodes]
         itp = kernel.interpolate(nodes, values)
         arr = np.asarray(nodes)
@@ -285,8 +288,7 @@ def _suite_gram_psd(rng: SplitMix64) -> list[Check]:
     mono_gap = -math.inf
     grid = np.linspace(-_HALF_PI, _HALF_PI, 41)
     for _ in range(20):
-        n = 2 + rng.below(9)
-        nodes = sorted(set(round(rng.uniform(-1.5, 1.5), 5) for _ in range(n)))
+        nodes = _random_nodes(rng, -1.5, 1.5, 5, 9)
         extra = round(rng.uniform(-1.5, 1.5), 5)
         if any(abs(extra - y) < 1e-6 for y in nodes):
             continue
@@ -302,8 +304,7 @@ def _suite_gram_psd(rng: SplitMix64) -> list[Check]:
     min_norm_gap = math.inf
     power_norm_gap = 0.0
     for _ in range(15):
-        n = 2 + rng.below(5)
-        nodes = sorted(set(round(rng.uniform(-1.4, 1.4), 4) for _ in range(n)))
+        nodes = _random_nodes(rng, -1.4, 1.4, 4, 5)
         values = [rng.uniform(-2.0, 2.0) for _ in nodes]
         itp = kernel.interpolate(nodes, values)
         g = kernel.gram_system(nodes)
@@ -584,8 +585,7 @@ def _suite_classical(rng: SplitMix64) -> list[Check]:
 
     eig_min = math.inf
     for _ in range(25):
-        n = 2 + rng.below(9)
-        nodes = np.asarray(sorted(set(round(rng.uniform(0.0, 1.0), 5) for _ in range(n))))
+        nodes = np.asarray(_random_nodes(rng, 0.0, 1.0, 5, 9))
         mat = kernel.classical_kernel_eval(0.0, 1.0, nodes[:, None], nodes[None, :])
         w = np.linalg.eigvalsh(mat)
         eig_min = min(eig_min, float(w[0]) / max(1.0, float(w[-1])))

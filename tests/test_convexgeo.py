@@ -835,6 +835,23 @@ def test_vertex_tolerances_are_relative_to_the_body(shrink):
         assert math.isclose(convexgeo.area(body), 5e-13, rel_tol=1e-15)
 
 
+def test_vertex_list_of_a_nearly_flat_zonogon_reads_back_as_a_segment():
+    # two generators 1e-86 apart: the raw walk of `vertices` has four points, two
+    # of them on the segment between the others, and is not in convex position;
+    # `vertex_list` is the form that `symmetric_polygon` and `write_body` read back
+    u = convexgeo.zonotope_from_generators([(0.0, 1.0), (9.98e-87, 1.0)])
+    assert len(u.vertices) == 4
+    listed = convexgeo.vertex_list(u)
+    assert listed == ((-1.0, -4.99e-87), (1.0, 4.99e-87))
+    for again in (
+        convexgeo.symmetric_polygon(listed),
+        serialization.read_body(serialization.loads(serialization.dumps(serialization.write_body(u)))),
+    ):
+        assert again.is_segment and again.vertices == listed
+        grid = np.linspace(-HALF_PI, HALF_PI, 37)
+        assert np.max(np.abs(convexgeo.width(again, grid) - convexgeo.width(u, grid))) <= 1e-15
+
+
 def test_scale_zero_is_the_one_point_body():
     # every tolerance is relative to the largest coordinate, so at scale 0 they
     # are all 0: only points at the origin, signed zeros alike, are the point

@@ -221,6 +221,21 @@ def test_classical_sections_reject_a_nan_point():
         kernel.kernel_function(2.0, math.nan)
 
 
+@pytest.mark.parametrize("ends", [("a", 1.0), (0.0, "b"), (None, 1.0), (0.0, [1.0])], ids=["a", "b", "none", "list"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: kernel.classical_kernel_eval(a, b, 0.5, 0.5),
+        lambda a, b: kernel.classical_kernel_function(a, b, 0.5),
+        lambda a, b: kernel.classical_reproducing_residual(np.cos, 0.5, a, b),
+    ],
+    ids=["eval", "function", "residual"],
+)
+def test_classical_kernel_endpoints_that_are_not_numbers_raise_input_error(call, ends):
+    with pytest.raises(InputError):
+        call(*ends)
+
+
 def test_classical_kernel_eval():
     assert math.isclose(kernel.classical_kernel_eval(0.0, 1.0, 0.0, 1.0), 1.0 / math.sinh(1.0), rel_tol=1e-15)
     grid = np.linspace(0.0, 1.0, 9)
@@ -565,17 +580,25 @@ def test_gram_solves_without_factors_and_reads_the_spectrum_lazily(monkeypatch):
     assert calls == {"cholesky": 0, "eigvalsh": 1}
 
 
-def test_failed_certificate_defers_to_the_spectrum(monkeypatch):
+def test_failed_certificate_is_singular_without_reading_the_spectrum(monkeypatch):
     # no admissible node set fails the gap certificate in double precision,
-    # so zero half-gap tangents stand in for one
+    # so zero half-gap tangents stand in for one; the gaps alone decide the error
     monkeypatch.setattr(kernel, "_half_tan", lambda d, wrapped: np.zeros_like(d))
-    g = kernel.gram_system([-1.1, -0.2, 0.4, 1.3])
-    assert not g.chol_ok
-    with pytest.raises(SingularSystemError, match="certify"):
-        g.solve(np.ones(4))
-    with pytest.raises(SingularSystemError, match="certify"):
-        kernel.power_function(g, 0.0)
-    assert g.min_eig > 0.0
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or eigvalsh(a))
+    nodes = [-1.1, -0.2, 0.4, 1.3]
+    for ridge in (0.0, 0.5):
+        g = kernel.gram_system(nodes, ridge=ridge)
+        assert not g.chol_ok
+        with pytest.raises(SingularSystemError, match="certify"):
+            g.solve(np.ones(4))
+        with pytest.raises(SingularSystemError, match="certify"):
+            kernel.power_function(g, 0.0)
+        with pytest.raises(SingularSystemError, match="certify"):
+            kernel.interpolate(nodes, [0.5, -1.0, 2.0, 0.1], ridge=ridge)
+    assert spectra == []
+    assert g.min_eig > 0.0 and len(spectra) == 1  # the spectrum is still there when read
 
 
 def _dense_power_squared(theta, nodes, pts, ridge=0.0):

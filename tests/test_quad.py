@@ -122,6 +122,24 @@ def test_interval_validation():
         quad.integrate(np.cos, interval=(0.0, math.inf))
 
 
+_BAD_INTERVALS = [5, None, (1.0,), (0.0, 1.0, 2.0), ("a", "b")]
+
+
+@pytest.mark.parametrize("interval", _BAD_INTERVALS, ids=["int", "none", "one-end", "three-ends", "strings"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda iv: quad.integrate(np.cos, iv),
+        lambda iv: quad.derivative_at(np.cos, 0.5, interval=iv),
+        lambda iv: funcspace.inner_product_classical(np.cos, np.cos, interval=iv),
+    ],
+    ids=["integrate", "derivative_at", "inner_product_classical"],
+)
+def test_malformed_intervals_raise_input_error(call, interval):
+    with pytest.raises(InputError):
+        call(interval)
+
+
 def test_nonfinite_integrand():
     with np.errstate(invalid="ignore"), pytest.raises(EvaluationError):
         quad.integrate(np.log)  # log of negative abscissae

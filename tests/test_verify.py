@@ -30,3 +30,23 @@ def test_random_expansion_draws_what_the_inline_comprehensions_drew(x0, coeff, m
         for _ in range(5):
             assert verify._random_expansion(ours, x0, coeff, max_terms) == _inline_draw(theirs, x0, coeff, max_terms)
             assert ours.next_u64() == theirs.next_u64()
+
+
+def _inline_nodes(rng, lo, hi, digits, k):
+    """The node-set draw the gram-psd and classical-kernel suites wrote out at each draw."""
+    n = 2 + rng.below(k)
+    return sorted(set(round(rng.uniform(lo, hi), digits) for _ in range(n)))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, digits, k",
+    [(-HALF_PI, HALF_PI, 6, 31), (-1.5, 1.5, 5, 9), (-1.4, 1.4, 4, 5), (0.0, 1.0, 5, 9)],
+    ids=["eigenvalues", "interpolation", "minimality", "classical"],
+)
+def test_random_nodes_draws_what_the_inline_comprehensions_drew(lo, hi, digits, k):
+    # the same node sets and the same stream position after each, so every later draw is unmoved
+    for seed in range(21):
+        ours, theirs = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(5):
+            assert verify._random_nodes(ours, lo, hi, digits, k) == _inline_nodes(theirs, lo, hi, digits, k)
+            assert ours.next_u64() == theirs.next_u64()
