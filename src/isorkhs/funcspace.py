@@ -33,10 +33,14 @@ on the circle of length pi the profile ``P_a(t) = sin|t - a|`` satisfies
 ``P_a'' + P_a = 2 delta_a``, so ``E(f, P_a) = 2 f(a)`` for every ``f`` whose
 endpoint values agree (the identity's boundary term is ``sin(a)`` times
 their gap).  Two series pair through a table of ``J(m -+ n)`` over their
-nonzero frequencies.  The inner product is ``(2 int f int g - pi E) / pi^2``;
-two spans go through ``seqmodel.seq_inner`` instead, which keeps the exact
-reproducing checks on spans independent of the identity, so the profile
-identity serves a series against a span only.  A span's own energy
+nonzero frequencies; the table depends on the two frequency patterns alone,
+so it is built once per ordered pair of patterns and kept, read-only, in an
+LRU cache of at most 32 tables, for series of at most 200 nonzero terms
+(under 10.5 MB; see ``_trig_energy``).  The inner product is
+``(2 int f int g - pi E) / pi^2``; two spans go through
+``seqmodel.seq_inner`` instead, which keeps the exact reproducing checks on
+spans independent of the identity, so the profile identity serves a series
+against a span only.  A span's own energy
 ``E(f, f) = x0 int f + 2 (x0 S + sum_ij c_i c_j sin|a_i - a_j|)`` takes its
 double sum from the sorted sine pass (``seqmodel.sin_quadratic``) that
 ``seq_inner``, ``polygon_area`` and ``convexgeo.pair_measure`` read, so the
@@ -339,6 +343,27 @@ def _exact_integral(f) -> float:
     return float(_cos_integrals(len(f.cos_coeffs)) @ f.cos_coeffs)
 
 
+_TABLE_CACHE_SIZE = 32
+_TABLE_MAX_TERMS = 200
+
+
+def _energy_table(m: np.ndarray, s: np.ndarray, n: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Twice the energies of the term pairs of frequencies ``m``, ``n`` and kinds ``s``, ``t``."""
+    J = _cos_integrals(int(m.max(initial=0)) + int(n.max(initial=0)) + 1)
+    mn = np.multiply.outer(m, n)
+    table = (1 - mn) * J[np.abs(np.subtract.outer(m, n))] + s[:, None] * (1 + mn) * J[np.add.outer(m, n)]
+    table *= np.equal.outer(s, t)
+    return table
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _kept_energy_table(m: bytes, s: bytes, n: bytes, t: bytes) -> np.ndarray:
+    """``_energy_table`` of the patterns whose array bytes are the key, read-only."""
+    table = _energy_table(*(np.frombuffer(k, d) for k, d in ((m, np.intp), (s, float), (n, np.intp), (t, float))))
+    table.flags.writeable = False
+    return table
+
+
 def _trig_energy(f: TrigPoly, g: TrigPoly) -> float:
     """``int (f g - f' g')`` of two series by product-to-sum.
 
@@ -346,13 +371,23 @@ def _trig_energy(f: TrigPoly, g: TrigPoly) -> float:
     ``sin x sin`` pairs the same with ``J(m + n)`` negated, and ``cos x sin``
     pairs vanish by parity over the symmetric domain.  ``J(|m - n|)`` and
     ``J(m + n)`` are gathered from one ``_cos_integrals`` vector.
+
+    The table depends only on the two series' frequency patterns (the
+    frequencies and kinds of their nonzero terms), so it is built once per
+    ordered pair of patterns and kept, read-only, in an LRU cache of at most
+    32 tables; only series of at most 200 nonzero terms share one, so a kept
+    table holds at most 200 x 200 floats (320 kB) and its key 16 bytes per
+    term, under 10.5 MB for the whole cache.  Larger series build their
+    table per call.  The order stays: ``(g, f)`` is its own entry, never the
+    transpose of ``(f, g)``'s, so either way the energy has the bits the
+    uncached table gives.
     """
     m, a, s = f._terms
     n, b, t = g._terms
-    J = _cos_integrals(int(m.max(initial=0)) + int(n.max(initial=0)) + 1)
-    mn = np.multiply.outer(m, n)
-    table = (1 - mn) * J[np.abs(np.subtract.outer(m, n))] + s[:, None] * (1 + mn) * J[np.add.outer(m, n)]
-    table *= np.equal.outer(s, t)
+    if max(m.size, n.size) <= _TABLE_MAX_TERMS:
+        table = _kept_energy_table(m.tobytes(), s.tobytes(), n.tobytes(), t.tobytes())
+    else:
+        table = _energy_table(m, s, n, t)
     return 0.5 * float(a @ table @ b)
 
 

@@ -648,14 +648,14 @@ def interpolate(
     The coefficients are ``GramSystem.solve``'s, O(n) and with no factor.
     ``-pi/2`` and ``pi/2`` are one point, so values there must agree to
     ``1e-12`` relative, and the two coefficients there share their sum
-    evenly at zero ridge.  With ``ridge == 0``, a node residual above
-    ``1e-8 (1 + max|values|)`` (nodes too clustered for double precision)
-    raises :class:`SingularSystemError`: exit 3 in the CLI.  The residual is
-    read in long double off the interpolant's own table, by one
-    ``_profile_table_at_nodes`` call over its nodes sorted modulo pi, in the
-    Gram system's order where no node needs reducing: each node reads the
-    row and the ``cos`` and ``sin`` that ``value`` reads there, so the
-    residual is the bits ``value`` gives.
+    evenly at zero ridge.  A node residual ``|value(nodes) + ridge c - values|``
+    above ``1e-8 (1 + max|values|)`` (nodes too clustered, or ``theta`` too
+    large, for double precision) raises :class:`SingularSystemError` naming
+    the ridge: exit 3 in the CLI.  ``value(nodes)`` is read in long double
+    off the interpolant's own table, by one ``_profile_table_at_nodes`` call
+    over its nodes sorted modulo pi, in the Gram system's order where no
+    node needs reducing: each node reads the row and the ``cos`` and ``sin``
+    that ``value`` reads there, so the residual is the bits ``value`` gives.
     """
     gram = gram_system(nodes, theta, ridge)
     vals = np.asarray(list(values), dtype=float)
@@ -673,15 +673,17 @@ def interpolate(
 
     coeffs = gram.solve(vals)
     result = Interpolant(gram.theta, gram.ridge, gram.nodes, tuple(coeffs.tolist()))
-    if gram.ridge == 0.0:
-        vars(result)["_sums"], fitted, order = _interpolant_sums(gram.theta, gram.node_array, order, s, coeffs)
-        residual = float(np.abs(fitted - vals[order]).max())
-        tol = _RESIDUAL_TOL * scale
-        if residual > tol:
-            raise SingularSystemError(
-                f"interpolation residual {residual!r} exceeds tolerance {tol!r}: the "
-                "Gram system is too ill-conditioned at zero ridge; pass a positive ridge"
-            )
+    vars(result)["_sums"], fitted, order = _interpolant_sums(gram.theta, gram.node_array, order, s, coeffs)
+    if gram.ridge:
+        fitted += gram.ridge * coeffs[order]
+    residual = float(np.abs(fitted - vals[order]).max())
+    tol = _RESIDUAL_TOL * scale
+    if residual > tol:
+        where = f"ridge {gram.ridge!r}" if gram.ridge else "zero ridge; pass a positive ridge"
+        raise SingularSystemError(
+            f"interpolation residual {residual!r} exceeds tolerance {tol!r}: the "
+            f"Gram system is too ill-conditioned at {where}"
+        )
     return result
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from typing import Iterable, Sequence
 
 import isorkhs
@@ -89,13 +89,16 @@ def _float_run(values, sep: str, bare: bool) -> str:
     """``sep.join(format_float(v, bare) for v in values)`` for floats, in one ``%`` call.
 
     ``"%.1f"`` of an integral value below ``1e17`` is its ``"%.17g"`` form plus
-    ``".0"``; larger ones print with an exponent.  ``inf`` and ``nan`` are the
-    only text with an ``"n"``: ``format_float`` then raises at the first one.
+    ``".0"``; larger ones print with an exponent.  The integral entries are
+    found by one C-level ``float.is_integer`` pass, and only they are visited.
+    ``inf`` and ``nan`` are the only text with an ``"n"``: ``format_float``
+    then raises at the first one.
     """
-    if bare or not any(map(float.is_integer, values)):
-        specs = ["%.17g"] * len(values)
-    else:
-        specs = ["%.1f" if v.is_integer() and -1e17 < v < 1e17 else "%.17g" for v in values]
+    specs = ["%.17g"] * len(values)
+    if not bare:
+        for i in compress(count(), map(float.is_integer, values)):
+            if -1e17 < values[i] < 1e17:
+                specs[i] = "%.1f"
     text = sep.join(specs) % tuple(values)
     if "n" in text:
         for v in values:

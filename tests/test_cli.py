@@ -258,6 +258,16 @@ def test_interp_too_clustered_exits_3(tmp_path, capsys):
     assert "residual" in error["detail"] and "positive ridge" in error["detail"]
 
 
+@pytest.mark.parametrize("theta", [1e12, 1e16])
+def test_interp_ridge_fit_that_misses_its_residual_exits_3(tmp_path, capsys, theta):
+    data = {"nodes": [0.1, 0.5, 1.0], "values": [1.0, 2.0, 0.5], "theta": theta, "ridge": 0.5}
+    code, out = run(capsys, "interp", "--input", jfile(tmp_path, "data.json", data))
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["kind"] == "numerical-failure"
+    assert "residual" in error["detail"] and "ridge 0.5" in error["detail"]
+
+
 def test_interp_endpoint_values_must_agree(tmp_path, capsys):
     data = {"nodes": [-HALF_PI, HALF_PI], "values": [1.0, 2.0]}
     code, out = run(capsys, "interp", "--input", jfile(tmp_path, "data.json", data))
@@ -347,6 +357,22 @@ _INNER_GOLDEN = json.loads((Path(__file__).parent / "inner_golden.json").read_te
 @pytest.mark.parametrize("case", _INNER_GOLDEN, ids=[c["id"] for c in _INNER_GOLDEN])
 def test_inner_golden_bytes(tmp_path, capsys, case):
     path = jfile(tmp_path, "in.json", case["input"])
+    assert run(capsys, *case["argv"], "--input", path) == (0, case["stdout"])
+
+
+def _holds_trig(doc) -> bool:
+    return doc.get("type") == "trigpoly" or any(isinstance(v, dict) and _holds_trig(v) for v in doc.values())
+
+
+_TRIG_GOLDEN = [c for c in _INNER_GOLDEN if _holds_trig(c["input"])]
+
+
+@pytest.mark.parametrize("case", _TRIG_GOLDEN, ids=[c["id"] for c in _TRIG_GOLDEN])
+def test_inner_golden_bytes_with_energy_tables_cold_and_kept(tmp_path, capsys, case):
+    # the first run builds the case's energy tables, the second reads the kept ones
+    funcspace._kept_energy_table.cache_clear()
+    path = jfile(tmp_path, "in.json", case["input"])
+    assert run(capsys, *case["argv"], "--input", path) == (0, case["stdout"])
     assert run(capsys, *case["argv"], "--input", path) == (0, case["stdout"])
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from isorkhs import funcspace, quad
@@ -115,6 +115,77 @@ def test_trig_energy_gathers_the_outer_table_bits():
     for f in members:
         for g in members:
             assert funcspace._trig_energy(f, g).hex() == _ref_trig_energy(f, g).hex()
+
+
+def _series(draw, cos_freqs, sin_freqs):
+    """A member with nonzero terms at the given frequencies; ``b_1`` is then adjusted, so a
+    series without it takes even sine frequencies only."""
+    cos = [0.0] * (max(cos_freqs, default=0) + 1)
+    sin = [0.0] * max(sin_freqs, default=0)
+    for k in cos_freqs:
+        cos[k] = draw(st.floats(-1.0, 1.0).filter(bool))
+    for k in sin_freqs:
+        sin[k - 1] = draw(st.floats(-1.0, 1.0).filter(bool))
+    return funcspace.trig_poly(*funcspace.project_endpoints(cos, sin))
+
+
+@st.composite
+def _patterned_series(draw):
+    """Dense series up to degree 40, sparse ones reaching frequency 150, cosine-only and sine-only ones."""
+    kind = draw(st.sampled_from(["dense", "sparse", "f150", "cos", "sin"]))
+    if kind == "dense":
+        d = draw(st.integers(0, 40))
+        return _series(draw, range(d + 1), range(1, d + 1))
+    if kind == "sparse":
+        freqs = st.lists(st.integers(1, 150), max_size=4, unique=True)
+        return _series(draw, [0, *draw(freqs)], [1, *draw(freqs)])
+    if kind == "f150":
+        return _series(draw, [0, 1, 149, 150], [1, 2, 147, 150])
+    if kind == "cos":
+        return _series(draw, draw(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True)), [])
+    return _series(draw, [], draw(st.lists(st.integers(2, 30).filter(lambda k: k % 2 == 0), min_size=1, max_size=5, unique=True)))
+
+
+@seed(20228)
+@settings(max_examples=150, deadline=None)
+@given(f=_patterned_series(), g=_patterned_series())
+# a cosine-only series against a sine-only one: every entry of their table is a
+# signed zero, so the energy's zero must keep the sign the per-call table gives
+@example(f=funcspace.trig_poly([0.0, -1.0, 0.0, 2.0]), g=funcspace.trig_poly([0.0], [0.0, 1.0, 0.0, -0.5]))
+def test_kept_energy_tables_give_the_bits_of_a_table_built_per_call(f, g):
+    want = [_ref_trig_energy(f, g).hex(), _ref_trig_energy(g, f).hex()]
+    funcspace._kept_energy_table.cache_clear()
+    assert [funcspace._trig_energy(f, g).hex(), funcspace._trig_energy(g, f).hex()] == want
+    assert [funcspace._trig_energy(f, g).hex(), funcspace._trig_energy(g, f).hex()] == want
+
+
+def test_kept_energy_tables_are_read_only_and_bounded():
+    funcspace._kept_energy_table.cache_clear()
+    info = funcspace._kept_energy_table.cache_info()
+    assert info.maxsize == funcspace._TABLE_CACHE_SIZE == 32
+    f = funcspace.trig_poly([1.0, 0.5], [0.0, 0.25])
+    funcspace._trig_energy(f, f)
+    m, _, s = f._terms
+    table = funcspace._kept_energy_table(m.tobytes(), s.tobytes(), m.tobytes(), s.tobytes())
+    assert funcspace._kept_energy_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # more ordered pattern pairs than the cache keeps: it stays at its bound
+    members = [funcspace.trig_poly([0.0] * k + [1.0]) for k in range(10)]
+    for x in members:
+        for y in members:
+            funcspace._trig_energy(x, y)
+    assert funcspace._kept_energy_table.cache_info().currsize == 32
+    # a series past the term cap builds its table per call and keeps none
+    funcspace._kept_energy_table.cache_clear()
+    wide = funcspace.trig_poly([1.0] * (funcspace._TABLE_MAX_TERMS + 1))
+    assert funcspace._trig_energy(wide, f).hex() == _ref_trig_energy(wide, f).hex()
+    assert funcspace._trig_energy(f, wide).hex() == _ref_trig_energy(f, wide).hex()
+    assert funcspace._kept_energy_table.cache_info().currsize == 0
+    edge = funcspace.trig_poly([1.0] * funcspace._TABLE_MAX_TERMS)
+    funcspace._trig_energy(edge, edge)
+    assert funcspace._kept_energy_table.cache_info().currsize == 1
 
 
 def test_project_endpoints():

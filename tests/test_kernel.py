@@ -434,6 +434,24 @@ def test_interpolate_too_clustered_raises_singular_system():
     assert kernel.interpolate(nodes, [1.0, 1.1, 1.2], ridge=1e-6).ridge == 1e-6
 
 
+@pytest.mark.parametrize("theta", [1e12, 1e16])
+def test_ridge_fit_that_misses_its_node_residual_raises_singular_system(theta):
+    # at these theta |value(nodes) + ridge c - values| reads 1.2e-4 and 0.099,
+    # far above the 1e-8 (1 + max|v|) tolerance
+    with pytest.raises(SingularSystemError, match=r"residual .* ridge 0\.5"):
+        kernel.interpolate([0.1, 0.5, 1.0], [1.0, 2.0, 0.5], theta=theta, ridge=0.5)
+
+
+def test_ridge_fit_within_its_residual_keeps_its_coefficients():
+    nodes, values = [0.1, 0.5, 1.0], [1.0, 2.0, 0.5]
+    # the guard reads the fit and leaves it alone: the coefficients are the solve's bits
+    itp = kernel.interpolate(nodes, values, theta=2.0, ridge=0.5)
+    g = kernel.gram_system(nodes, theta=2.0, ridge=0.5)
+    assert [c.hex() for c in itp.coeffs] == [c.hex() for c in g.solve(values).tolist()]
+    fitted = itp.value(np.array(nodes)) + 0.5 * np.array(itp.coeffs)
+    assert np.abs(fitted - values).max() <= 1e-8 * 3.0
+
+
 def test_interpolate_endpoints_are_one_point():
     # members take equal values at -pi/2 and pi/2, so data there must agree
     with pytest.raises(InputError, match="one point"):

@@ -397,6 +397,30 @@ def test_dumps_non_finite_raises_as_the_reference(doc):
     assert _outcome(ser.dumps, doc) == _outcome(_reference_emit, doc, 0)
 
 
+@st.composite
+def _long_runs(draw):
+    """A long run of non-integral floats holding one integral value, one value of
+    at least 1e17 (so integral, and past the ``%.1f`` switch) and ``-0.0``, each
+    at a drawn place; ``-0.0`` and the first are left out at times."""
+    size = draw(st.integers(30, 400))
+    fill = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: not v.is_integer())
+    values = draw(st.lists(fill, min_size=size, max_size=size))
+    big = draw(st.one_of(st.sampled_from([1e17, 1e18, 2.0**60]), st.floats(min_value=1e17, allow_infinity=False)))
+    integral = draw(st.sampled_from([0.0, 1.0, -3.0, 2.0**53, 99999999999999984.0, 123456.0]))
+    extras = [integral, big if draw(st.booleans()) else -big, -0.0]
+    for v in extras[draw(st.integers(0, 1)) : 3 - draw(st.integers(0, 1))]:
+        values.insert(draw(st.integers(0, len(values))), v)
+    return values if draw(st.booleans()) else tuple(values)
+
+
+@seed(20221)
+@settings(max_examples=100, deadline=None)
+@given(values=_long_runs(), bare=st.booleans())
+def test_long_runs_switch_to_percent_1f_at_their_integral_entries_only(values, bare):
+    assert ser._float_run(values, ",", bare) == ",".join(ser.format_float(v, bare) for v in values)
+    assert ser.dumps({"v": values}) == _reference_emit({"v": values}, 0)
+
+
 @pytest.mark.parametrize(
     "rows",
     [
