@@ -140,8 +140,8 @@ def _cmd_eval(args, doc):
 
     f = _function_from(doc)
     pts = _parse_points(args.at)
-    columns = {"at": pts, "values": funcspace.evaluate(f, pts), "derivatives": f.derivative(pts)}
-    return _table(args, columns, ("x", "f", "fprime"))
+    values, derivatives = f.value_and_derivative(funcspace._domain_points(pts))
+    return _table(args, {"at": pts, "values": values, "derivatives": derivatives}, ("x", "f", "fprime"))
 
 
 def _cmd_inner(args, doc):

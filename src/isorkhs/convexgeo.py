@@ -528,9 +528,14 @@ class BodyPair:
 
     @cached_property
     def expansion(self) -> seqmodel.DiangleExpansion:
-        """The difference expansion of ``U - V``: U's terms and V's terms negated."""
-        negated = ((a, -c) for a, c in self.V.expansion.terms)
-        return seqmodel.diangle_expansion(0.0, [*self.U.expansion.terms, *negated])
+        """The difference expansion of ``U - V``."""
+        return _difference(self.U.expansion, self.V.expansion)
+
+
+def _difference(p: seqmodel.DiangleExpansion, q: seqmodel.DiangleExpansion) -> seqmodel.DiangleExpansion:
+    """The terms of ``p - q`` with constant 0: p's terms, then q's terms negated."""
+    negated = ((a, -c) for a, c in q.terms)
+    return seqmodel.diangle_expansion(0.0, [*p.terms, *negated])
 
 
 def body_pair(u: SymmetricPolygon, v: SymmetricPolygon) -> BodyPair:
@@ -588,8 +593,7 @@ def pair_equivalent(a: BodyPair, b: BodyPair) -> bool:
     """
     import numpy as np
 
-    negated = ((t, -c) for t, c in b.expansion.terms)
-    diff = seqmodel.diangle_expansion(0.0, [*a.expansion.terms, *negated])
+    diff = _difference(a.expansion, b.expansion)
     scale = max(1.0, _sum_scale(a.U, b.V), _sum_scale(b.U, a.V))
     pts = np.union1d(np.linspace(-_HALF_PI, _HALF_PI, 721), diff.angles)
     gap = 2.0 * float(np.max(np.abs(seqmodel.expansion_value(diff, pts))))

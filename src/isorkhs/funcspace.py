@@ -462,12 +462,22 @@ def _combine_inner(int_f: float, int_g: float, energy: float) -> float:
 # functionals
 
 
-def evaluate(f: H1Function, x):
-    """Evaluate a member at ``x`` (scalar or array) with a domain check."""
+def _domain_points(x, message: str = "argument outside [-pi/2, pi/2]: {x!r}") -> np.ndarray:
+    """The points ``x`` as a float array clipped to ``[-pi/2, pi/2]``, once each lies within ``1e-12`` of it.
+
+    Every point rule reads this: a point in the tolerance band is read at
+    the end it overshoots, its value and its slope alike.  Otherwise raises
+    :class:`DomainError` with ``message``, formatted with ``x``.
+    """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) <= _HALF_PI + 1e-12):  # NaN fails too
-        raise DomainError(f"argument outside [-pi/2, pi/2]: {x!r}")
-    return f.value(np.clip(arr, -_HALF_PI, _HALF_PI))
+        raise DomainError(message.format(x=x))
+    return np.clip(arr, -_HALF_PI, _HALF_PI)
+
+
+def evaluate(f: H1Function, x):
+    """Evaluate a member at ``x`` (scalar or array) with a domain check."""
+    return f.value(_domain_points(x))
 
 
 def mean_value(f: H1Function, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -612,12 +622,10 @@ def holder_ratio(
     xa, ha = np.broadcast_arrays(np.atleast_1d(xa), np.atleast_1d(ha))
     if np.any(ha == 0.0):
         raise DomainError("increment h must be nonzero")
-    if not (np.all(np.abs(xa) <= _HALF_PI + 1e-12) and np.all(np.abs(xa + ha) <= _HALF_PI + 1e-12)):
-        raise DomainError("x and x + h must both lie in [-pi/2, pi/2]")
+    message = "x and x + h must both lie in [-pi/2, pi/2]"
+    lo, hi = _domain_points(xa, message), _domain_points(xa + ha, message)
     if norm is None:
         norm = norm_iso(f, spec=spec)
-    lo = np.clip(xa, -_HALF_PI, _HALF_PI)
-    hi = np.clip(xa + ha, -_HALF_PI, _HALF_PI)
     points, where = np.unique(np.concatenate((lo.ravel(), hi.ravel())), return_inverse=True)
     values = f.value(points)[where]
     num = np.abs(values[lo.size :] - values[: lo.size]).reshape(lo.shape)

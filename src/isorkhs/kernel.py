@@ -35,7 +35,6 @@ boundary condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
 from typing import Sequence
@@ -460,7 +459,7 @@ class _Cycle:
         return c
 
     def power_squared(self, x: np.ndarray) -> np.ndarray:
-        """``p(x)^2 = 1 / P_aug[x, x]`` at zero ridge, O(1) per point after one search.
+        """``p(x)^2 = 1 / P_aug[x, x]`` at zero ridge, O(1) per point of ``[-pi/2, pi/2]`` after one search.
 
         ``x`` splits its gap ``h_k`` into ``h_a`` and ``h_b``.  With their
         half-tangents ``t_a``, ``t_b``, ``1 - t_a t_b = (t_a + t_b)/t_k`` and
@@ -470,7 +469,6 @@ class _Cycle:
         ``p`` is 0 exactly where a sub-gap is 0.
         """
         s, m, th = self.points, self.points.size, self.theta
-        x = np.minimum(np.maximum(x, -_HALF_PI), _HALF_PI)
         i = np.searchsorted(s, x, side="right")
         k = (i - 1) % m
         da, db = x - s[k], s[i % m] - x
@@ -482,7 +480,6 @@ class _Cycle:
         return p2
 
 
-@dataclass(frozen=True, eq=False)
 class GramSystem:
     """Kernel Gram system at a node set, solved through its explicit inverse.
 
@@ -505,21 +502,15 @@ class GramSystem:
     ``eigenvalues``, ``min_eig``, ``max_eig`` or ``cond_estimate`` is read.
     """
 
-    theta: float
-    nodes: tuple[float, ...]
-    ridge: float = 0.0
-
-    def __post_init__(self):
-        theta = _check_theta(self.theta)
-        arr, order, s = _check_nodes(self.nodes)
-        ridge = _check_ridge(self.ridge)  # frozen, so set in place
-        vars(self).update(theta=theta, nodes=tuple(arr.tolist()), node_array=arr, _order=order, _sorted=s, ridge=ridge)
+    def __init__(self, theta: float, nodes: Sequence[float], ridge: float = 0.0):
+        self.theta = _check_theta(theta)
+        self.node_array, self._order, self._sorted = _check_nodes(nodes)
+        self.nodes = tuple(self.node_array.tolist())
+        self.ridge = _check_ridge(ridge)
 
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    node_array: np.ndarray = field(init=False, repr=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -668,7 +659,7 @@ def interpolate(
         raise InputError("values must be finite")
     order, s = gram._order, gram._sorted
     gap = abs(float(vals[order[0]]) - float(vals[order[-1]]))  # at -pi/2 and pi/2 if both are nodes
-    if s[0] <= -_HALF_PI and s[-1] >= _HALF_PI and gap > funcspace._ENDPOINT_TOL * scale:
+    if gram._cycle.merged and gap > funcspace._ENDPOINT_TOL * scale:
         raise InputError(f"values at -pi/2 and pi/2 (one point) differ by {gap!r}")
 
     coeffs = gram.solve(vals)
@@ -696,12 +687,11 @@ def power_function(gram: GramSystem, x):
     would leave ``p`` near ``1e-7`` at the nodes); with a ridge it is the
     quadratic form over the Gram system's solve, summed over the nodes in
     the system's sorted order, so the node order given does not reach it.
+    A point within ``1e-12`` past an end is read at that end.
     """
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
-    pts = xa[None] if scalar else xa
-    if pts.size and not np.abs(pts).max() <= _HALF_PI + 1e-12:  # NaN fails too
-        raise DomainError("power function arguments must lie in [-pi/2, pi/2]")
+    pts = funcspace._domain_points(xa[None] if scalar else xa, "power function arguments must lie in [-pi/2, pi/2]")
     if not gram.size:
         out = np.full(pts.shape, math.sqrt(gram.theta))
     elif not gram.ridge:

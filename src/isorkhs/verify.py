@@ -25,6 +25,7 @@ __all__ = ["Check", "VerifyReport", "SUITES", "run_suite", "dense_sine_sum"]
 
 _HALF_PI = 0.5 * math.pi
 _PI = math.pi
+_MAX_EXTRA_FREQ = 5  # a random series has 2 to 6 cosine terms
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,8 @@ def dense_sine_sum(x: seqmodel.DiangleExpansion, y: seqmodel.DiangleExpansion) -
     return float(np.asarray(x.coefficients) @ np.sin(np.abs(np.subtract.outer(x.angles, y.angles))) @ y.coefficients)
 
 
-def _random_trig(rng: SplitMix64, max_extra_freq: int = 5) -> TrigPoly:
-    n_cos = 2 + rng.below(max_extra_freq)
+def _random_trig(rng: SplitMix64) -> TrigPoly:
+    n_cos = 2 + rng.below(_MAX_EXTRA_FREQ)
     cos = [rng.uniform(-1.0, 1.0) for _ in range(n_cos)]
     sin = [rng.uniform(-1.0, 1.0) for _ in range(n_cos - 1)]
     cc, sc = funcspace.project_endpoints(cos, sin)

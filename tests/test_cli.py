@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -326,6 +327,28 @@ def test_eval_of_an_interpolant_with_nodes_at_both_ends_is_its_span(tmp_path, ca
     np.testing.assert_allclose(doc["derivatives"], span.derivative(pts), rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "record, end",
+    [
+        ({"type": "dianglespan", "x0": 0.2, "terms": [{"angle": 0.4, "coeff": 1.0}, {"angle": -HALF_PI, "coeff": 0.5}]},
+         -HALF_PI),
+        ({"type": "trigpoly", "cos": [0.3, 1.0, -0.5], "sin": [0.0, 0.7]}, HALF_PI),
+    ],
+    ids=["span", "series"],
+)
+def test_eval_reads_a_point_past_an_end_at_that_end(tmp_path, capsys, record, end):
+    # a point within the 1e-12 tolerance past an end gets the value and the slope
+    # there, not the slope of the branch beyond the kink at -pi/2 = pi/2
+    path = jfile(tmp_path, "f.json", record)
+    past = end + math.copysign(5e-13, end)
+    code, out = run(capsys, "eval", "--input", path, f"--at={past!r}")
+    assert code == 0
+    code, at_end = run(capsys, "eval", "--input", path, f"--at={end!r}")
+    assert code == 0
+    doc, end_doc = json.loads(out), json.loads(at_end)
+    assert (doc["values"], doc["derivatives"]) == (end_doc["values"], end_doc["derivatives"])
+
+
 # ``norm`` and ``inner`` (auto and exact) on interpolant records against trig,
 # span and interpolant partners, and the ``interp`` runs that wrote the records,
 # with the bytes each printed while an interpolant record was read through a
@@ -586,11 +609,17 @@ def test_golden_bytes_do_not_depend_on_the_builtin_sum(tmp_path, capsys, monkeyp
     assert moved == []
 
 
-def test_verify_suite_passes(capsys):
-    code, out = run(capsys, "verify", "--suite", "holder", "--seed", "1")
+# the seven suites at seeds 0-10, so the quadrature-route and point-sweep checks see
+# more than one draw, and the geometry suite, the independent oracle for bodies kept
+# as expansions (vertex walks, support widths, the hull and quadrature), at 11-20 too
+@pytest.mark.parametrize(
+    "suite, seed", [*(("all", seed) for seed in range(11)), *(("geometry", seed) for seed in range(11, 21))]
+)
+def test_verify_suite_passes(capsys, suite, seed):
+    code, out = run(capsys, "verify", "--suite", suite, "--seed", str(seed))
     assert code == 0
     doc = json.loads(out)
-    assert doc["suite"] == "holder" and doc["seed"] == 1
+    assert doc["suite"] == suite and doc["seed"] == seed
     assert doc["overall"] == "pass"
     assert doc["counts"]["fail"] == 0
 
@@ -961,15 +990,54 @@ def test_norm_has_no_csv_form(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "malformed-input"
 
 
-def test_module_entry_point(tmp_path):
+# argparse words its messages differently from version to version; on each, a usage
+# error must exit 2 with the malformed-input document on stdout: an unknown command, a
+# flag the command does not read, a CSV request to a command with no CSV form and a
+# tolerance without --method quadrature among them
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("norm --input {path}", 0),
+        ("eval --input - --at -0.5,0.5", 2),
+        ("frobnicate --input -", 2),
+        ("seq --input - --seed 3", 2),
+        ("norm --input - --output csv", 2),
+        ("norm --input - --tol 0.5", 2),
+    ],
+    ids=["norm", "eval-dash-points", "unknown-command", "unread-flag", "no-csv-form", "tol-without-quadrature"],
+)
+def test_module_entry_point(tmp_path, argv, code):
     path = jfile(tmp_path, "f.json", CONST)
     proc = subprocess.run(
-        [sys.executable, "-m", "isorkhs", "norm", "--input", path],
+        [sys.executable, "-m", "isorkhs", *(path if a == "{path}" else a for a in argv.split())],
+        input=json.dumps(CONST),
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["norm2"] == 1.0
+    assert proc.returncode == code
+    doc = json.loads(proc.stdout)
+    if code:
+        assert doc["error"]["kind"] == "malformed-input"
+    else:
+        assert doc["norm2"] == 1.0
+
+
+def test_readme_examples_print_the_bytes_shown():
+    # the examples users copy (seq, geom norm and eval of an interpolant record) guard
+    # the byte-determinism claim; a command may carry flags such as --at=-0.5,0,0.5
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("### Example", 1)[1].split("\n### ", 1)[0].split("```")[1::2]
+    assert len(blocks) == 3, f"expected the seq, geom norm and eval examples, found {len(blocks)}"
+    pattern = r"\n\$ echo '(.*)' \\\n *\| isorkhs ([a-z][-a-z0-9=., ]*) --input -\n(.*)"
+    for block in blocks:
+        doc, command, shown = re.fullmatch(pattern, block, re.S).groups()
+        proc = subprocess.run(
+            [sys.executable, "-m", "isorkhs", *command.split(), "--input", "-"],
+            input=doc + "\n",
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, shown), command
 
 
 def _random_ring(rng, edges):

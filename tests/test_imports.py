@@ -58,6 +58,7 @@ print(json.dumps({
     "modules": sorted(m for m in sys.modules if m.startswith("isorkhs")),
     "numpy": "numpy" in sys.modules,
     "polynomial": "numpy.polynomial" in sys.modules,
+    "scipy": any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
 }))
 """
 
@@ -130,6 +131,7 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path, argv, doc, layers, nu
     assert out["codes"] == [0]
     assert out["modules"] == _modules(*layers)
     assert out["numpy"] == numpy
+    assert not out["scipy"]  # the package needs NumPy only; verify-holder loads every layer
     if not polynomial_with_numpy():  # NumPy 2 loads numpy.polynomial on first use only
         assert out["polynomial"] == quadrature
 

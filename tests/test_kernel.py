@@ -527,6 +527,11 @@ def test_power_function_domain():
     for bad in (2.0, math.nan):
         with pytest.raises(DomainError):
             kernel.power_function(g, bad)
+    # a hair past an end is read at that end, with a ridge as without
+    for ridge in (0.0, 0.1):
+        g = kernel.gram_system([-1.0, 0.2, 0.9], ridge=ridge)
+        for end in (-HALF_PI, HALF_PI):
+            assert kernel.power_function(g, end + math.copysign(5e-13, end)) == kernel.power_function(g, end)
 
 
 # ---------------------------------------------------------------------------
