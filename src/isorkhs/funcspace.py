@@ -611,10 +611,27 @@ def holder_ratio(
 ):
     """``|f(x+h) - f(x)| / (sqrt(pi) ||f|| sqrt(|h|))``; at most 1 on the space.
 
-    Vectorizes over broadcastable ``x`` and ``h``.  A sweep reads ``f`` once,
-    by one ``f.value`` call at the distinct points of ``x`` and ``x + h``
-    (a grid of pairs shares its points).  Pass a precomputed ``norm`` when
-    sweeping grids.
+    Vectorizes over broadcastable ``x`` and ``h``.  Pass a precomputed
+    ``norm`` when sweeping grids.  A call plans the pairs (``_holder_pairs``:
+    the checks and one sort of the pair ends into their distinct points)
+    and sweeps ``f`` over the plan (``_holder_sweep``: one ``f.value`` call
+    at those points), so a caller sweeping several members over one grid
+    plans it once.  The dedupe stays because a series' value bits depend on
+    the batch: reading each distinct point once keeps the ratio's bits
+    independent of how many pairs share it.
+    """
+    plan = _holder_pairs(x, h)
+    if norm is None:
+        norm = norm_iso(f, spec=spec)
+    return _holder_sweep(f, plan, norm)
+
+
+def _holder_pairs(x, h):
+    """``(points, i, j, sqrt|h|, scalar)``: pair ``k`` reads ``points[i[k]]`` and ``points[j[k]]``.
+
+    Broadcasts ``x`` and ``h``, checks ``h != 0`` and then both ends against
+    the domain (raising :class:`DomainError`), and sorts the clipped ends
+    into their distinct points.
     """
     xa = np.asarray(x, dtype=float)
     ha = np.asarray(h, dtype=float)
@@ -624,15 +641,20 @@ def holder_ratio(
         raise DomainError("increment h must be nonzero")
     message = "x and x + h must both lie in [-pi/2, pi/2]"
     lo, hi = _domain_points(xa, message), _domain_points(xa + ha, message)
-    if norm is None:
-        norm = norm_iso(f, spec=spec)
     points, where = np.unique(np.concatenate((lo.ravel(), hi.ravel())), return_inverse=True)
-    values = f.value(points)[where]
-    num = np.abs(values[lo.size :] - values[: lo.size]).reshape(lo.shape)
+    i, j = where[: lo.size].reshape(lo.shape), where[lo.size :].reshape(lo.shape)
+    return points, i, j, np.sqrt(np.abs(ha)), scalar
+
+
+def _holder_sweep(f: H1Function, plan, norm: float):
+    """``holder_ratio`` of ``f`` with norm ``norm`` over a plan from ``_holder_pairs``."""
+    points, i, j, root_h, scalar = plan
+    values = f.value(points)
+    num = np.abs(values[j] - values[i])
     if norm == 0.0:
         if float(np.max(num, initial=0.0)) > 1e-12:
             raise InvariantViolationError("zero-norm member with a nonzero increment")
         out = np.zeros(num.shape)
-        return _maybe_scalar(out[0] if scalar else out, scalar)
-    out = num / (_SQRT_PI * norm * np.sqrt(np.abs(ha)))
+    else:
+        out = num / (_SQRT_PI * norm * root_h)
     return _maybe_scalar(out[0] if scalar else out, scalar)

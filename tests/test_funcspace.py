@@ -15,10 +15,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from isorkhs import funcspace, quad
+from isorkhs import funcspace, kernel, quad
 from isorkhs.errors import DomainError, InputError, InvariantViolationError
 from isorkhs.rng import SplitMix64
 
@@ -644,14 +644,93 @@ def test_holder_sweep_matches_the_direct_formula(f, data):
 
 
 def test_holder_ratio_reads_the_member_once_at_the_distinct_points():
-    calls = []
+    calls, reads = [], []
     f = funcspace.sampled(lambda t: calls.append(np.size(t)) or np.cos(2.0 * t))
-    calls.clear()  # the constructor samples the rule
+    g = funcspace.sampled(lambda t: reads.append(np.size(t)) or np.cos(4.0 * t))
+    calls.clear()  # the constructors sample the rules
+    reads.clear()
     grid = np.linspace(-HALF_PI, HALF_PI, 21)
     px, py = np.meshgrid(grid, grid, indexing="ij")
     mask = py > px
     funcspace.holder_ratio(f, px[mask], (py - px)[mask], norm=1.0)
     assert calls == [21]
+    # members swept over one plan are each read once, at its distinct points
+    calls.clear()
+    plan = funcspace._holder_pairs(px[mask], (py - px)[mask])
+    for member in (f, g):
+        funcspace._holder_sweep(member, plan, 1.0)
+    assert calls == [21] and reads == [21]
+
+
+_NODE_POOL = tuple(float(t) for t in np.linspace(-1.5, 1.5, 13))
+
+
+@st.composite
+def _interpolant_members(draw):
+    nodes = draw(st.lists(st.sampled_from(_NODE_POOL), min_size=1, max_size=5, unique=True))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(nodes), max_size=len(nodes)))
+    return kernel.interpolate(nodes, values, theta=draw(st.sampled_from([1.0, 2.0])))
+
+
+# ends, points up to 1e-12 past them (read at the end they overshoot) and points between
+_holder_point = st.one_of(
+    st.sampled_from([-HALF_PI, HALF_PI, 0.0, -HALF_PI - 1e-12, HALF_PI + 5e-13]),
+    st.floats(0.0, 1e-12).map(lambda d: HALF_PI + d),
+    st.floats(-HALF_PI, HALF_PI),
+)
+
+
+@st.composite
+def _pair_arrays(draw):
+    """``x`` and ``h`` as two scalars, empty arrays, 1-D arrays or a column against a 2-D block."""
+    form = draw(st.sampled_from(["scalar", "empty", "1-D", "2-D"]))
+    if form == "empty":
+        return np.empty(0), draw(st.sampled_from([np.empty(0), 0.3, -0.3]))
+    ps = draw(st.lists(_holder_point, min_size=1, max_size=1 if form == "scalar" else 6))
+    qs = draw(st.lists(_holder_point, min_size=1, max_size=1 if form != "2-D" else 4))
+    x = np.array(ps)[:, None]
+    h = np.array(qs)[None, :] - x  # negative where q < p
+    assume(np.all(h != 0.0) and np.all(np.abs(x + h) <= HALF_PI + 1e-12))
+    if form == "scalar":
+        return float(x[0, 0]), float(h[0, 0])
+    return (x, h) if form == "2-D" else (x[:, 0], h[:, 0])
+
+
+def _ratio_outcome(call):
+    try:
+        return call()
+    except InvariantViolationError as exc:
+        return str(exc)
+
+
+@seed(20301)
+@settings(max_examples=100, deadline=None)
+@given(
+    members=st.lists(st.one_of(_trig_members(), _span_members(), _interpolant_members()), min_size=1, max_size=3),
+    pairs=_pair_arrays(),
+)
+def test_holder_sweep_over_a_shared_plan_is_holder_ratio_bit_for_bit(members, pairs):
+    x, h = pairs
+    plan = funcspace._holder_pairs(x, h)
+    # the zero member and a constant take the zero-norm branch's 0; with norm 0 the others raise
+    for f in (*members, funcspace.diangle_span(0.0, []), funcspace.constant(0.7)):
+        for n in (funcspace.norm_iso(f, method="exact"), 0.0):
+            got = _ratio_outcome(lambda: funcspace._holder_sweep(f, plan, n))
+            want = _ratio_outcome(lambda: funcspace.holder_ratio(f, x, h, norm=n))
+            assert type(got) is type(want)
+            assert got == want if isinstance(want, str) else np.array_equal(got, want)
+
+
+def test_holder_ratio_checks_the_pairs_before_it_takes_the_norm(monkeypatch):
+    taken = []
+    monkeypatch.setattr(funcspace, "norm_iso", lambda f, spec: taken.append(f) or 1.0)
+    p = funcspace.diangle(0.0)
+    for x, h in ((1.6, 0.1), (0.1, 1.5), (0.0, 0.0), (math.nan, 0.1), ([0.1, 0.2], [0.3, 1.5])):
+        with pytest.raises(DomainError):
+            funcspace.holder_ratio(p, x, h)
+    assert taken == []
+    funcspace.holder_ratio(p, 0.1, 0.2)
+    assert taken == [p]
 
 
 def test_holder_sweep_raises_what_the_scalar_call_at_its_bad_pair_raises():

@@ -1,10 +1,11 @@
-"""The verify suites' random draws."""
+"""The verify suites' random draws and the holder suite's one grid plan."""
 
 import math
 
+import numpy as np
 import pytest
 
-from isorkhs import seqmodel, verify
+from isorkhs import funcspace, seqmodel, verify
 from isorkhs.rng import SplitMix64
 
 HALF_PI = 0.5 * math.pi
@@ -50,3 +51,32 @@ def test_random_nodes_draws_what_the_inline_comprehensions_drew(lo, hi, digits, 
         for _ in range(5):
             assert verify._random_nodes(ours, lo, hi, digits, k) == _inline_nodes(theirs, lo, hi, digits, k)
             assert ours.next_u64() == theirs.next_u64()
+
+
+def test_holder_suite_plans_its_grid_once_and_reports_what_holder_ratio_reports(monkeypatch):
+    plan, sweep = funcspace._holder_pairs, funcspace._holder_sweep
+    plans, swept = [], []
+
+    def counted_plan(x, h):
+        plans.append((x, h, plan(x, h)))
+        return plans[-1][2]
+
+    def recorded_sweep(f, p, n):
+        swept.append((f, p))
+        return sweep(f, p, n)
+
+    monkeypatch.setattr(funcspace, "_holder_pairs", counted_plan)
+    monkeypatch.setattr(funcspace, "_holder_sweep", recorded_sweep)
+    for seed in range(21):
+        plans.clear()
+        swept.clear()
+        report = verify.run_suite("holder", seed)
+        assert len(plans) == 2  # the grid, then the scalar near-extremal pair
+        (x, h, grid), _ = plans
+        members = [f for f, p in swept if p is grid]
+        assert len(members) == 5 and x.shape == h.shape == (5050,)
+        want = max(
+            float(np.max(funcspace.holder_ratio(f, x, h, norm=funcspace.norm_iso(f, method="exact"))))
+            for f in members
+        )
+        assert {c.check_id: c.value for c in report.checks}["holder/max-ratio"] == want
