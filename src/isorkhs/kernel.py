@@ -219,24 +219,45 @@ def classical_reproducing_residual(
     :func:`quad.integrate`, one row per point, each row to its own tolerance,
     on panels broken at every interior point and at ``f``'s kinks, so ``f``
     is read once per level; its values at the points come from one more
-    call.  The first point that is NaN or outside ``[a, b]`` by more than
-    ``1e-12`` raises the scalar call's :class:`DomainError`.
+    call.  This is the one-member case of ``_classical_residuals``, which
+    stacks the rows of several members in one quadrature.  The first point
+    that is NaN or outside ``[a, b]`` by more than ``1e-12`` raises the
+    scalar call's :class:`DomainError`.
+    """
+    out = _classical_residuals([f], y, a, b, spec)[0]
+    return float(out) if out.ndim == 0 else out
+
+
+def _classical_residuals(
+    members: Sequence, y, a: float = 0.0, b: float = 1.0, spec: QuadratureSpec = DEFAULT_SPEC
+) -> np.ndarray:
+    """:func:`classical_reproducing_residual` of each member at the points ``y``, shape ``(len(members), *y.shape)``.
+
+    The inner products are one stacked :func:`quad.integrate` with a row per
+    member and point, each row to its own tolerance, on panels broken at
+    every interior point and at every member's kinks: each member is read
+    once per level, and once more for its values at the points.  A panel is
+    refined until every row passes on it, so a row can take more levels
+    than its own call would; where every row converges at the same depth on
+    the same breakpoints, each row is its single call's bits.  A
+    :class:`ConvergenceError` carries the quadrature's estimates of the
+    inner products, one per row, a scalar call's too.
     """
     a, b = _check_classical_interval(a, b)
     ya = np.asarray(y, dtype=float)
     pts = ya.ravel()
     _check_section_points(a, b, pts)
     iv = quad.Interval(a, b)
-    fv, f_both, kinks = funcspace._as_rule(f, iv)
-    k_value, k_slope = _classical_sections(a, b, ya if ya.ndim == 0 else pts[:, None])
+    rules = [funcspace._as_rule(f, iv) for f in members]
+    k_value, k_slope = _classical_sections(a, b, pts[:, None])
 
     def rows(x):
-        f0, f1 = f_both(x)
-        return f0 * k_value(x) + f1 * k_slope(x)
+        kv, ks = k_value(x), k_slope(x)
+        return np.concatenate([f0 * kv + f1 * ks for f0, f1 in (both(x) for _, both, _ in rules)])
 
+    kinks = [k for _, _, ks in rules for k in ks]
     inner = quad.integrate(rows, iv, (*kinks, *pts.tolist()), spec)
-    out = np.reshape(inner, ya.shape) - quad.sample(fv, ya)
-    return float(out) if ya.ndim == 0 else out
+    return np.reshape(inner, (len(rules), *ya.shape)) - np.array([quad.sample(fv, ya) for fv, _, _ in rules])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from isorkhs import funcspace, kernel, quad, serialization
+from isorkhs import funcspace, kernel, quad, serialization, verify
 from isorkhs.errors import DomainError, InputError, SingularSystemError
 from isorkhs.rng import SplitMix64
 
@@ -156,6 +156,24 @@ _CLASSICAL_MEMBERS = [
 ]
 
 
+def _single_member_residual(f, y, a, b, spec=quad.DEFAULT_SPEC):
+    """The one-member residual as it stood before members were stacked, kept as the reference of its bits."""
+    a, b = float(a), float(b)
+    ya = np.asarray(y, dtype=float)
+    pts = ya.ravel()
+    iv = quad.Interval(a, b)
+    fv, f_both, kinks = funcspace._as_rule(f, iv)
+    k_value, k_slope = kernel._classical_sections(a, b, ya if ya.ndim == 0 else pts[:, None])
+
+    def rows(x):
+        f0, f1 = f_both(x)
+        return f0 * k_value(x) + f1 * k_slope(x)
+
+    inner = quad.integrate(rows, iv, (*kinks, *pts.tolist()), spec)
+    out = np.reshape(inner, ya.shape) - quad.sample(fv, ya)
+    return float(out) if ya.ndim == 0 else out
+
+
 @seed(20242)
 @settings(max_examples=60, deadline=None)
 @given(f=st.sampled_from(_CLASSICAL_MEMBERS), interval=st.sampled_from([(0.0, 1.0), (-0.5, 1.2)]), data=st.data())
@@ -164,6 +182,10 @@ def test_classical_sweep_matches_the_single_rows(f, interval, data):
     a, b = interval
     y = _sweep_points(data, a, b, [k for k in (0.3, -0.4) if a <= k <= b])
     got = kernel.classical_reproducing_residual(f, y, a, b)
+    # the call and its one-member stack are the single-member code's bits
+    ref = _single_member_residual(f, y, a, b)
+    assert type(got) is type(ref) and np.array_equal(got, ref)
+    assert np.array_equal(kernel._classical_residuals([f], y, a, b), [ref])
     if np.ndim(y) == 0:
         assert type(got) is float
         return
@@ -172,8 +194,37 @@ def test_classical_sweep_matches_the_single_rows(f, interval, data):
     assert np.all(np.abs(got - want) <= 1e-12)
 
 
+@seed(20243)
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.lists(st.sampled_from(_CLASSICAL_MEMBERS), min_size=2, max_size=4),
+    interval=st.sampled_from([(0.0, 1.0), (-0.5, 1.2)]),
+    data=st.data(),
+)
+def test_stacked_members_agree_with_their_own_calls_within_each_rows_tolerance(members, interval, data):
+    # a panel refines until every row passes and takes every member's kinks, so a row
+    # can differ from its own call, each within its tolerance max(abs_tol, rel_tol |inner|)
+    a, b = interval
+    y = _sweep_points(data, a, b, [k for k in (0.3, -0.4) if a <= k <= b])
+    got = kernel._classical_residuals(members, y, a, b)
+    assert got.shape == (len(members), *np.shape(y))
+    spec, iv = quad.DEFAULT_SPEC, quad.Interval(a, b)
+    for f, row in zip(members, got):
+        want = kernel.classical_reproducing_residual(f, y, a, b)
+        inner = want + quad.sample(funcspace._as_rule(f, iv)[0], np.asarray(y, dtype=float))
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(inner))
+        assert np.all(np.abs(row - want) <= 2.0 * tol)
+
+
+def test_the_classical_suites_stack_is_its_members_own_calls_bit_for_bit():
+    got = kernel._classical_residuals(verify._CLASSICAL_MEMBERS, verify._CLASSICAL_POINTS, 0.0, 1.0)
+    for f, row in zip(verify._CLASSICAL_MEMBERS, got, strict=True):
+        assert np.array_equal(row, kernel.classical_reproducing_residual(f, verify._CLASSICAL_POINTS, 0.0, 1.0))
+        assert np.array_equal(row, _single_member_residual(f, verify._CLASSICAL_POINTS, 0.0, 1.0))
+
+
 def test_a_classical_sweep_reads_the_member_once_per_level(monkeypatch):
-    calls = {"value": 0, "derivative": 0, "levels": 0, "integrals": 0}
+    calls = {}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -184,12 +235,18 @@ def test_a_classical_sweep_reads_the_member_once_per_level(monkeypatch):
 
     monkeypatch.setattr(quad, "_panel_integrals", counted("levels", quad._panel_integrals))
     monkeypatch.setattr(quad, "integrate", counted("integrals", quad.integrate))
-    f = (counted("value", np.cos), counted("derivative", lambda x: -np.sin(x)))
-    r = kernel.classical_reproducing_residual(f, np.array([0.0, 0.3, 0.7, 1.0]))
-    assert np.abs(r).max() <= 1e-12
-    # one quadrature; one value and one derivative call per level, and one value call at the points
-    levels = calls["levels"]
-    assert levels >= 2 and calls == {"value": levels + 1, "derivative": levels, "levels": levels, "integrals": 1}
+    cos = (counted("value0", np.cos), counted("derivative0", lambda x: -np.sin(x)))
+    exp = (counted("value1", np.exp), counted("derivative1", np.exp))
+    ys = np.array([0.0, 0.3, 0.7, 1.0])
+    for k in (1, 2):  # the one-member call, then a two-member stack
+        calls.update(dict.fromkeys(["value0", "derivative0", "value1", "derivative1", "levels", "integrals"], 0))
+        r = kernel.classical_reproducing_residual(cos, ys) if k == 1 else kernel._classical_residuals([cos, exp], ys)
+        assert np.abs(r).max() <= 1e-12
+        # one quadrature; per member one value and one derivative call per level, and one value call at the points
+        levels = calls["levels"]
+        want = {"levels": levels, "integrals": 1, "value1": 0, "derivative1": 0}
+        want |= {f"value{i}": levels + 1 for i in range(k)} | {f"derivative{i}": levels for i in range(k)}
+        assert levels >= 2 and calls == want
 
 
 _BAD_SWEEPS = [

@@ -1,11 +1,11 @@
-"""The verify suites' random draws and the holder suite's one grid plan."""
+"""The verify suites' random draws, the holder suite's one grid plan and the classical suite's stacked spectra."""
 
 import math
 
 import numpy as np
 import pytest
 
-from isorkhs import funcspace, seqmodel, verify
+from isorkhs import funcspace, kernel, seqmodel, verify
 from isorkhs.rng import SplitMix64
 
 HALF_PI = 0.5 * math.pi
@@ -80,3 +80,39 @@ def test_holder_suite_plans_its_grid_once_and_reports_what_holder_ratio_reports(
             for f in members
         )
         assert {c.check_id: c.value for c in report.checks}["holder/max-ratio"] == want
+
+
+def test_holder_suites_triu_pairs_are_the_meshgrid_mask_pairs_bit_for_bit(monkeypatch):
+    plan, grids = funcspace._holder_pairs, []
+    monkeypatch.setattr(funcspace, "_holder_pairs", lambda x, h: grids.append((x, h)) or plan(x, h))
+    verify.run_suite("holder", 0)
+    x, h = grids[0]
+    grid = np.linspace(-HALF_PI, HALF_PI, 101)
+    xs, ys = np.meshgrid(grid, grid, indexing="ij")
+    mask = np.triu(np.ones_like(xs, dtype=bool), k=1)
+    for got, want in ((x, xs[mask]), (h, (ys - xs)[mask])):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _per_matrix_min_ratio(node_sets):
+    """The classical suite's spectrum loop as it read one matrix at a time."""
+    eig_min = math.inf
+    for s in node_sets:
+        nodes = np.asarray(s)
+        w = np.linalg.eigvalsh(kernel.classical_kernel_eval(0.0, 1.0, nodes[:, None], nodes[None, :]))
+        eig_min = min(eig_min, float(w[0]) / max(1.0, float(w[-1])))
+    return eig_min
+
+
+def test_classical_spectra_stacked_by_size_give_the_per_matrix_min_ratio_bit_for_bit():
+    sizes = set()
+    for seed in range(200):
+        rng = SplitMix64(seed)
+        node_sets = [verify._random_nodes(rng, 0.0, 1.0, 5, 9) for _ in range(25)]
+        sizes |= {len(s) for s in node_sets}
+        got, want = verify._min_eigenvalue_ratio(node_sets), _per_matrix_min_ratio(node_sets)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        # the suite draws nothing before its node sets, so it reports this ratio
+        report = verify.run_suite("classical-kernel", seed)
+        assert {c.check_id: c.value for c in report.checks}["classical/min-eigenvalue-ratio"] == want
+    assert sizes == set(range(2, 11))
