@@ -612,12 +612,17 @@ def test_golden_bytes_do_not_depend_on_the_builtin_sum(tmp_path, capsys, monkeyp
 # the seven suites at seeds 0-10, so the quadrature-route and point-sweep checks see
 # more than one draw; at 11-20 too the geometry suite, the independent oracle for bodies
 # kept as expansions (vertex walks, support widths, the hull and quadrature), and the
-# holder and classical-kernel suites, which read all their members or matrices in one call
+# holder, classical-kernel and gram-psd suites, which read all their members or
+# matrices in stacked calls
 @pytest.mark.parametrize(
     "suite, seed",
     [
         *(("all", seed) for seed in range(11)),
-        *((suite, seed) for suite in ("geometry", "holder", "classical-kernel") for seed in range(11, 21)),
+        *(
+            (suite, seed)
+            for suite in ("geometry", "holder", "classical-kernel", "gram-psd")
+            for seed in range(11, 21)
+        ),
     ],
 )
 def test_verify_suite_passes(capsys, suite, seed):

@@ -32,6 +32,36 @@ def test_kernel_symmetry_and_broadcast():
     np.testing.assert_allclose(mat, mat.T, atol=0.0)
 
 
+@st.composite
+def _node_stacks(draw, lo, hi):
+    """An ``(m, n)`` stack of node sets in ``[lo, hi]``, ``n`` from 1 to 32, the ends among the draws."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 32))
+    point = st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+    return np.array(draw(st.lists(st.lists(point, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
+def _assert_stack_is_each_sets_own_call(gram, x):
+    stack = gram(x[:, :, None], x[:, None, :])
+    assert stack.shape == x.shape + x.shape[-1:]
+    for nodes, mat in zip(x, stack):
+        assert mat.tobytes() == gram(nodes[:, None], nodes[None, :]).tobytes()
+
+
+# the gram-psd and classical-kernel suites read their spectra off such stacks
+# (``verify._min_eigenvalue_ratio``), so each matrix must keep its own call's bytes
+@settings(max_examples=150, deadline=None)
+@given(x=_node_stacks(-HALF_PI, HALF_PI), theta=st.sampled_from([1.0, 1.5, 2.0, 5.0]))
+def test_kernel_eval_on_a_stack_of_node_sets_is_each_sets_own_call_byte_for_byte(x, theta):
+    _assert_stack_is_each_sets_own_call(lambda u, v: kernel.kernel_eval(u, v, theta), x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), interval=st.sampled_from([(0.0, 1.0), (-0.5, 1.2)]))
+def test_classical_kernel_eval_on_a_stack_of_node_sets_is_each_sets_own_call_byte_for_byte(data, interval):
+    x = data.draw(_node_stacks(*interval))
+    _assert_stack_is_each_sets_own_call(lambda u, v: kernel.classical_kernel_eval(*interval, u, v), x)
+
+
 def test_theta_domain():
     with pytest.raises(DomainError):
         kernel.kernel_eval(0.0, 0.0, theta=0.5)

@@ -1,4 +1,10 @@
-"""The verify suites' random draws, the holder suite's one grid plan and the classical suite's stacked spectra."""
+"""The verify suites' random draws, the holder suite's one grid plan, and the stacked spectra.
+
+The gram-psd and classical-kernel suites read their least eigenvalue ratio
+through one helper, ``verify._min_eigenvalue_ratio``: one kernel call per
+parameter and one ``eigvalsh`` per node-set size.  The per-matrix loops
+each suite ran before are kept here as the references for its bits.
+"""
 
 import math
 
@@ -110,9 +116,39 @@ def test_classical_spectra_stacked_by_size_give_the_per_matrix_min_ratio_bit_for
         rng = SplitMix64(seed)
         node_sets = [verify._random_nodes(rng, 0.0, 1.0, 5, 9) for _ in range(25)]
         sizes |= {len(s) for s in node_sets}
-        got, want = verify._min_eigenvalue_ratio(node_sets), _per_matrix_min_ratio(node_sets)
+        classical = lambda x, y, _: kernel.classical_kernel_eval(0.0, 1.0, x, y)
+        got, want = verify._min_eigenvalue_ratio(node_sets, classical, [None] * 25), _per_matrix_min_ratio(node_sets)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
         # the suite draws nothing before its node sets, so it reports this ratio
         report = verify.run_suite("classical-kernel", seed)
         assert {c.check_id: c.value for c in report.checks}["classical/min-eigenvalue-ratio"] == want
     assert sizes == set(range(2, 11))
+
+
+GRAM_THETAS = (1.0, 1.5, 2.0, 5.0)
+
+
+def _per_system_min_ratio(node_sets):
+    """The gram-psd suite's spectrum loop as it read one ``GramSystem`` at a time."""
+    eig_min = math.inf
+    for i, nodes in enumerate(node_sets):
+        g = kernel.gram_system(nodes, theta=GRAM_THETAS[i % 4])
+        eig_min = min(eig_min, g.min_eig / max(1.0, g.max_eig))
+    return eig_min
+
+
+def test_gram_psd_spectra_stacked_by_size_give_the_per_system_min_ratio_bit_for_bit():
+    sizes = set()
+    for seed in range(200):
+        rng = SplitMix64(seed)
+        node_sets = [verify._random_nodes(rng, -HALF_PI, HALF_PI, 6, 31) for _ in range(200)]
+        sizes |= {len(s) for s in node_sets}
+        got = verify._min_eigenvalue_ratio(node_sets, kernel.kernel_eval, [GRAM_THETAS[i % 4] for i in range(200)])
+        want = _per_system_min_ratio(node_sets)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        # the suite draws nothing before its node sets, so it reports this ratio; a whole
+        # run takes about 25 ms, so every tenth seed shows it
+        if seed % 10 == 0:
+            report = verify.run_suite("gram-psd", seed)
+            assert {c.check_id: c.value for c in report.checks}["gram-psd/min-eigenvalue-ratio"] == want
+    assert sizes == set(range(2, 33))
